@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from ._diff import ZERO4, iou_and_grad
+from ._pairs import best_gt, box_array, iou_and_grad
 from .couloss import CouLossConfig, LossReport, TripletStructure, couloss, couloss_gradient
 from .errors import InvalidInputError, NoOverlapError
 from .geometry import BBox
@@ -25,15 +25,13 @@ from .geometry import BBox
 class CompositeConfig:
     """Weights and toggles for the joint regression objective.
 
-    ``alpha`` weighs the work-formula term; ``beta`` is kept for parity with
-    two-stage setups and is unused in this single-stage slice; ``gamma``
-    weighs the anchor-location focal loss where that branch is evaluated.
+    ``alpha`` weighs the work-formula term; ``gamma`` weighs the
+    anchor-location focal loss where that branch is evaluated.
     ``smoothl1_weight`` defaults to the value that balances the typical
     gradient magnitudes of the two regression terms.
     """
 
     alpha: float = 1.0
-    beta: float = 1.0
     gamma: float = 1.0
     focal_gamma: float = 2.0
     focal_alpha: float = 0.25
@@ -43,7 +41,7 @@ class CompositeConfig:
     include_repulsion: bool = True
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "focal_gamma", "focal_alpha", "smoothl1_weight"):
+        for name in ("alpha", "gamma", "focal_gamma", "focal_alpha", "smoothl1_weight"):
             if getattr(self, name) < 0.0:
                 raise InvalidInputError(f"{name} must be >= 0")
         if self.smoothl1_beta <= 0.0:
@@ -93,12 +91,13 @@ def iou_loss(pred: BBox, target: BBox, eps: float = 1e-6) -> float:
 
 
 def iou_loss_gradient(pred: BBox, target: BBox, eps: float = 1e-6):
-    v, dv = iou_and_grad(target, pred)
+    v, dv = iou_and_grad(box_array([target]).T, box_array([pred]).T)
+    v = float(v[0])
     if v <= 0.0:
         raise NoOverlapError("iou_loss undefined for non-overlapping boxes")
     if v <= eps:
-        return ZERO4
-    return tuple(-dv[k] / v for k in range(4))
+        return (0.0, 0.0, 0.0, 0.0)
+    return tuple((-dv[:, 0] / v).tolist())
 
 
 def focal_loss(
@@ -130,27 +129,22 @@ def regression_targets(gts: list[BBox], proposals: list[BBox]) -> list[int]:
     """Target index per proposal for the SmoothL1 slice.
 
     Max-IoU assignment with ties toward the lowest index; proposals disjoint
-    from every ground truth fall back to the nearest center.
+    from every ground truth fall back to the nearest center (ties again
+    toward the lowest index).
     """
     if not gts:
         raise InvalidInputError("at least one ground-truth box is required")
-    out = []
-    for p in proposals:
-        best_gi, best_v = 0, -1.0
-        for gi, g in enumerate(gts):
-            v = geometry.iou(g, p)
-            if v > best_v:
-                best_gi, best_v = gi, v
-        if best_v <= 0.0:
-            pc = geometry.center(p)
-            best_gi = min(
-                range(len(gts)),
-                key=lambda gi: (
-                    math.hypot(geometry.center(gts[gi]).x - pc.x, geometry.center(gts[gi]).y - pc.y),
-                    gi,
-                ),
-            )
-        out.append(best_gi)
+    _, best, best_v = best_gt(box_array(gts), box_array(proposals))
+    out = best.tolist()
+    for pi in np.flatnonzero(best_v <= 0.0).tolist():
+        pc = geometry.center(proposals[pi])
+        out[pi] = min(
+            range(len(gts)),
+            key=lambda gi: (
+                math.hypot(geometry.center(gts[gi]).x - pc.x, geometry.center(gts[gi]).y - pc.y),
+                gi,
+            ),
+        )
     return out
 
 

@@ -4,18 +4,23 @@ Each proposal is attracted by its target box and repelled by overlapping
 non-target boxes. Force magnitudes are log-IoU terms, the useful component
 is taken via the law of cosines, and the per-triplet contribution is the
 mechanical work ``F * cos(theta) * s`` with non-positive work ignored.
+
+Assignment and pairs come from one (gt, proposal) IoU matrix, pair terms from
+the numpy kernel in ``_pairs``; triplets are built only when asked for.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import geometry
-from ._diff import ZERO4, border_distance_and_grad, cos_angle_and_grad, iou_and_grad
+from ._pairs import Pairs, best_gt, box_array, iou_matrix, ordered_sum, pair_work
 from .errors import InvalidInputError, NoOverlapError
 from .geometry import BBox
 
@@ -67,6 +72,62 @@ class TripletWork:
     repulsive: float
 
 
+@dataclass(frozen=True, eq=False)
+class TripletStructure:
+    """Assignment and pair topology, reusable across descent steps.
+
+    ``pairs`` holds the ``num_attraction`` attraction pairs (g, positive),
+    then the repulsion pairs (g, negative), each group sorted. ``assigned``
+    holds the assigned proposals, their targets and IoUs. ``assignments``,
+    ``target_of`` and ``triplets`` are computed on first access.
+    """
+
+    pairs: Pairs
+    num_attraction: int
+    assigned: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @classmethod
+    def build(cls, triplets, assignments):
+        """Structure of explicit triplets; pair multiplicities are counted from them."""
+        triplets, assignments = tuple(triplets), tuple(assignments)
+        target_of = {a.proposal_index: a.target_gt_index for a in assignments}
+        att = Counter((t.gt_index, t.positive_index) for t in triplets)
+        rep = Counter((t.gt_index, t.negative_index) for t in triplets)
+        rows = [(gi, pi, gi, att[gi, pi]) for gi, pi in sorted(att)]
+        rows += [(gi, pi, target_of[pi], rep[gi, pi]) for gi, pi in sorted(rep)]
+        targets = [(a.proposal_index, a.target_gt_index) for a in assignments]
+        assigned = np.array(targets, dtype=np.intp).reshape(-1, 2).T
+        structure = cls(
+            pairs=Pairs(*np.array(rows, dtype=np.intp).reshape(-1, 4).T),
+            num_attraction=len(att),
+            assigned=(*assigned, np.array([a.iou_with_target for a in assignments], dtype=float)),
+        )
+        # already known: fill the cached properties
+        structure.__dict__.update(triplets=triplets, assignments=assignments, target_of=target_of)
+        return structure
+
+    @classmethod
+    def from_boxes(cls, gts: list[BBox], proposals: list[BBox], cfg: CouLossConfig | None = None):
+        """Assign proposals and derive the pairs without enumerating triplets."""
+        return _structure(box_array(gts), box_array(proposals), cfg or CouLossConfig())[0]
+
+    @cached_property
+    def assignments(self) -> tuple[Assignment, ...]:
+        return tuple(Assignment(*a) for a in zip(*(x.tolist() for x in self.assigned)))
+
+    @cached_property
+    def target_of(self) -> dict[int, int]:
+        return dict(zip(self.assigned[0].tolist(), self.assigned[1].tolist()))
+
+    @cached_property
+    def triplets(self) -> tuple[Triplet, ...]:
+        keys, ka = self.pairs.keys(), self.num_attraction
+        negatives: dict[int, list[int]] = {}
+        for gi, pn in keys[ka:]:
+            negatives.setdefault(gi, []).append(pn)
+        return tuple(Triplet(gi, pp, pn) for gi, pp in keys[:ka] for pn in negatives.get(gi, ()))
+
+
 @dataclass(frozen=True)
 class LossReport:
     """CouLoss value with its attraction/repulsion split.
@@ -74,31 +135,65 @@ class LossReport:
     ``attractive_work`` and ``repulsive_work`` are the un-normalized
     component sums under the chosen aggregation mode;
     ``total == attractive_work / num_gts + repulsive_work / num_gts``.
+    ``per_triplet`` lists both work terms of every triplet of ``structure``
+    and is computed on first access.
     """
 
     total: float
     attractive_work: float
     repulsive_work: float
-    per_triplet: tuple[TripletWork, ...]
     mode: str
     num_gts: int
+    structure: TripletStructure = field(repr=False, compare=False)
+    pair_work: np.ndarray = field(repr=False, compare=False)
 
-
-@dataclass(frozen=True)
-class TripletStructure:
-    """Assignment and triplet topology, reusable across descent steps."""
-
-    triplets: tuple[Triplet, ...]
-    assignments: tuple[Assignment, ...]
-    target_of: dict = field(hash=False, compare=False, default_factory=dict)
-
-    @classmethod
-    def build(cls, triplets, assignments):
-        return cls(
-            triplets=tuple(triplets),
-            assignments=tuple(assignments),
-            target_of={a.proposal_index: a.target_gt_index for a in assignments},
+    @cached_property
+    def per_triplet(self) -> tuple[TripletWork, ...]:
+        keys, ka = self.structure.pairs.keys(), self.structure.num_attraction
+        work = self.pair_work.tolist()
+        att, rep = dict(zip(keys[:ka], work[:ka])), dict(zip(keys[ka:], work[ka:]))
+        return tuple(
+            TripletWork(t, att[(t.gt_index, t.positive_index)], rep[(t.gt_index, t.negative_index)])
+            for t in self.structure.triplets
         )
+
+
+def _structure(gts: np.ndarray, proposals: np.ndarray, cfg: CouLossConfig):
+    """The pair structure of the boxes, and their IoU matrix.
+
+    A proposal is assigned to its max-IoU ground truth when that IoU exceeds
+    the positive threshold and its center lies inside that ground truth.
+    """
+    if gts.shape[0] == 0:
+        raise InvalidInputError("at least one ground-truth box is required")
+    iou, best, best_v = best_gt(gts, proposals)
+    p, g = proposals.T, gts.T[:, best]
+    c = (p[:2] + p[2:]) / 2.0
+    inside = ((g[:2] <= c) & (c <= g[2:])).all(axis=0)
+    target = np.where((best_v > cfg.positive_iou_threshold) & inside, best, -1)
+    assigned = target >= 0
+    positive = target == np.arange(gts.shape[0])[:, None]
+    negative = assigned & ~positive & (iou > 0.0)
+    # a pair of g exists only if g has both positives and negatives; it sits in
+    # |negatives(g)| triplets as an attraction pair, |positives(g)| as a repulsion pair
+    counts = np.array([negative.sum(axis=1), positive.sum(axis=1)])
+    kind, gt, prop = np.nonzero(np.array([positive, negative]) & (counts > 0)[:, :, None])
+    structure = TripletStructure(
+        pairs=Pairs(gt, prop, target[prop], counts[kind, gt]),
+        num_attraction=len(kind) - int(kind.sum()),
+        assigned=(np.flatnonzero(assigned), target[assigned], best_v[assigned]),
+    )
+    return structure, iou
+
+
+def _evaluate(gts: np.ndarray, proposals: np.ndarray, cfg, structure, gradient=False):
+    """The structure (built from the boxes when not given) and the kernel's pair work."""
+    iou = None
+    if structure is None:
+        structure, iou = _structure(gts, proposals, cfg)
+    literal = cfg.aggregation_mode == "triplet-literal"
+    args = (structure.pairs, structure.num_attraction, cfg.iou_floor)
+    return structure, pair_work(gts, proposals, *args, literal=literal, gradient=gradient, iou=iou)
 
 
 def attractive_force(g: BBox, p: BBox, cfg: CouLossConfig | None = None) -> float:
@@ -147,19 +242,12 @@ def work_terms(
     measured against ``g_i``. Non-positive raw work is clamped to zero.
     """
     cfg = cfg or CouLossConfig()
-    cos_a, cos_r = effective_cos(g_i, p_n, g_j)
-
-    v_a = geometry.iou(g_i, p_p)
-    f_a = -math.log(max(v_a, cfg.iou_floor)) if v_a > 0.0 else -math.log(cfg.iou_floor)
-    w_a = f_a * cos_a * geometry.border_distance(g_i, p_p)
-
-    v_r = geometry.iou(g_i, p_n)
-    if v_r > 0.0:
-        f_r = -math.log(max(1.0 - v_r, cfg.iou_floor))
-        w_r = f_r * cos_r * geometry.border_distance(g_i, p_n)
-    else:
-        w_r = 0.0
-    return max(0.0, w_a), max(0.0, w_r)
+    # gts (g_i, g_j), proposals (p_p, p_n): attraction pair (0, 0), repulsion pair (0, 1)
+    pairs = Pairs(*(np.array(a, dtype=np.intp) for a in ([0, 0], [0, 1], [0, 1], [1, 1])))
+    work = pair_work(
+        box_array([g_i, g_j]), box_array([p_p, p_n]), pairs, 1, cfg.iou_floor, literal=False
+    ).work
+    return float(work[0]), float(work[1])
 
 
 def assign_proposals(
@@ -171,19 +259,7 @@ def assign_proposals(
     threshold and the proposal's center falls inside that ground truth.
     Ties break toward the lowest ground-truth index.
     """
-    cfg = cfg or CouLossConfig()
-    if not gts:
-        raise InvalidInputError("at least one ground-truth box is required")
-    out = []
-    for pi, p in enumerate(proposals):
-        best_gi, best_v = 0, -1.0
-        for gi, g in enumerate(gts):
-            v = geometry.iou(g, p)
-            if v > best_v:
-                best_gi, best_v = gi, v
-        if best_v > cfg.positive_iou_threshold and geometry.contains_center(gts[best_gi], p):
-            out.append(Assignment(pi, best_gi, best_v))
-    return out
+    return list(TripletStructure.from_boxes(gts, proposals, cfg).assignments)
 
 
 def assemble_triplets(
@@ -195,65 +271,8 @@ def assemble_triplets(
     each proposal assigned elsewhere that still overlaps G_i (repulsion only
     exists where there is an overlap).
     """
-    cfg = cfg or CouLossConfig()
-    assignments = assign_proposals(gts, proposals, cfg)
-    by_gt: dict[int, list[int]] = {}
-    for a in assignments:
-        by_gt.setdefault(a.target_gt_index, []).append(a.proposal_index)
-
-    triplets = []
-    for gi in range(len(gts)):
-        positives = sorted(by_gt.get(gi, []))
-        if not positives:
-            continue
-        negatives = [
-            a.proposal_index
-            for a in assignments
-            if a.target_gt_index != gi and geometry.iou(gts[gi], proposals[a.proposal_index]) > 0.0
-        ]
-        for pp in positives:
-            for pn in sorted(negatives):
-                triplets.append(Triplet(gi, pp, pn))
-    return triplets, assignments
-
-
-def _aggregation_terms(structure: TripletStructure, mode: str):
-    """(gt, proposal, multiplicity) term lists for both work components.
-
-    In literal mode every triplet contributes both of its terms; in
-    deduplicated mode each (gt, proposal) pair is counted once.
-    """
-    att_mult: dict[tuple[int, int], int] = {}
-    rep_mult: dict[tuple[int, int], int] = {}
-    for t in structure.triplets:
-        att_mult[(t.gt_index, t.positive_index)] = (
-            att_mult.get((t.gt_index, t.positive_index), 0) + 1
-        )
-        rep_mult[(t.gt_index, t.negative_index)] = (
-            rep_mult.get((t.gt_index, t.negative_index), 0) + 1
-        )
-    if mode == "deduplicated":
-        att = [(gi, pi, 1) for (gi, pi) in sorted(att_mult)]
-        rep = [(gi, pi, 1) for (gi, pi) in sorted(rep_mult)]
-    else:
-        att = [(gi, pi, m) for (gi, pi), m in sorted(att_mult.items())]
-        rep = [(gi, pi, m) for (gi, pi), m in sorted(rep_mult.items())]
-    return att, rep
-
-
-def _attractive_work(g: BBox, p: BBox, cfg: CouLossConfig) -> float:
-    v = geometry.iou(g, p)
-    f = -math.log(max(v, cfg.iou_floor)) if v > 0.0 else -math.log(cfg.iou_floor)
-    return max(0.0, f * geometry.border_distance(g, p))
-
-
-def _repulsive_work(g: BBox, p: BBox, g_target: BBox, cfg: CouLossConfig) -> float:
-    v = geometry.iou(g, p)
-    if v <= 0.0:
-        return 0.0
-    f = -math.log(max(1.0 - v, cfg.iou_floor))
-    cos = geometry.cos_angle_at(geometry.center(g), geometry.center(p), geometry.center(g_target))
-    return max(0.0, f * cos * geometry.border_distance(g, p))
+    structure = TripletStructure.from_boxes(gts, proposals, cfg)
+    return list(structure.triplets), list(structure.assignments)
 
 
 def couloss(
@@ -267,7 +286,7 @@ def couloss(
 ) -> LossReport:
     """Total work-formula loss over a scene, normalized by the GT count.
 
-    ``structure`` may carry a previously built assignment/triplet topology
+    ``structure`` may carry a previously built assignment/pair topology
     (frozen-assignment descent); by default it is rebuilt from the current
     boxes. The attraction/repulsion switches zero out one component while
     keeping the other bit-identical to the full computation.
@@ -275,43 +294,21 @@ def couloss(
     cfg = cfg or CouLossConfig()
     if not gts:
         raise InvalidInputError("couloss requires at least one ground-truth box")
-    if structure is None:
-        triplets, assignments = assemble_triplets(gts, proposals, cfg)
-        structure = TripletStructure.build(triplets, assignments)
-
-    att_terms, rep_terms = _aggregation_terms(structure, cfg.aggregation_mode)
-    att_w = {
-        (gi, pi): _attractive_work(gts[gi], proposals[pi], cfg) for gi, pi, _ in att_terms
-    }
-    rep_w = {
-        (gi, pi): _repulsive_work(gts[gi], proposals[pi], gts[structure.target_of[pi]], cfg)
-        for gi, pi, _ in rep_terms
-    }
-    att_sum = 0.0
-    rep_sum = 0.0
-    if include_attraction:
-        for gi, pi, mult in att_terms:
-            att_sum += mult * att_w[(gi, pi)]
-    if include_repulsion:
-        for gi, pi, mult in rep_terms:
-            rep_sum += mult * rep_w[(gi, pi)]
-
-    per_triplet = tuple(
-        TripletWork(
-            t,
-            att_w[(t.gt_index, t.positive_index)],
-            rep_w[(t.gt_index, t.negative_index)],
-        )
-        for t in structure.triplets
-    )
+    structure, pair = _evaluate(box_array(gts), box_array(proposals), cfg, structure)
+    work = pair.work
+    weighted = work * structure.pairs.mult if cfg.aggregation_mode == "triplet-literal" else work
+    ka = structure.num_attraction
+    att_sum = ordered_sum(weighted[:ka]) if include_attraction else 0.0
+    rep_sum = ordered_sum(weighted[ka:]) if include_repulsion else 0.0
     n = len(gts)
     return LossReport(
         total=att_sum / n + rep_sum / n,
         attractive_work=att_sum,
         repulsive_work=rep_sum,
-        per_triplet=per_triplet,
         mode=cfg.aggregation_mode,
         num_gts=n,
+        structure=structure,
+        pair_work=work,
     )
 
 
@@ -336,9 +333,9 @@ def couloss_gradient(
     cfg = cfg or CouLossConfig()
     if not gts:
         raise InvalidInputError("couloss requires at least one ground-truth box")
+    g, p = box_array(gts), box_array(proposals)
     if structure is None:
-        triplets, assignments = assemble_triplets(gts, proposals, cfg)
-        structure = TripletStructure.build(triplets, assignments)
+        structure = _structure(g, p, cfg)[0]
     if warn_kinks:
         kinks = detect_kinks(gts, proposals, cfg, structure=structure)
         if kinks:
@@ -348,61 +345,12 @@ def couloss_gradient(
                 stacklevel=2,
             )
 
-    att_terms, rep_terms = _aggregation_terms(structure, cfg.aggregation_mode)
-    grad_att = np.zeros((len(proposals), 4))
-    grad_rep = np.zeros((len(proposals), 4))
-
-    if include_attraction:
-        for gi, pi, mult in att_terms:
-            w, dw = _attractive_work_grad(gts[gi], proposals[pi], cfg)
-            if w > 0.0:
-                grad_att[pi] += np.multiply(dw, mult)
-    if include_repulsion:
-        for gi, pi, mult in rep_terms:
-            g_target = gts[structure.target_of[pi]]
-            w, dw = _repulsive_work_grad(gts[gi], proposals[pi], g_target, cfg)
-            if w > 0.0:
-                grad_rep[pi] += np.multiply(dw, mult)
-
+    work = _evaluate(g, p, cfg, structure, gradient=True)[1]
+    zero = np.zeros((len(proposals), 4))
+    grad_att = work.grad_attraction if include_attraction else zero
+    grad_rep = work.grad_repulsion if include_repulsion else zero
     n = len(gts)
     return grad_att / n + grad_rep / n
-
-
-def _attractive_work_grad(g: BBox, p: BBox, cfg: CouLossConfig):
-    v, dv = iou_and_grad(g, p)
-    if v > cfg.iou_floor:
-        f = -math.log(v)
-        df = tuple(-dv[k] / v for k in range(4))
-    else:
-        f = -math.log(cfg.iou_floor)
-        df = ZERO4
-    s, ds = border_distance_and_grad(g, p)
-    w = f * s
-    if w <= 0.0:
-        return 0.0, ZERO4
-    return w, tuple(df[k] * s + f * ds[k] for k in range(4))
-
-
-def _repulsive_work_grad(g: BBox, p: BBox, g_target: BBox, cfg: CouLossConfig):
-    v, dv = iou_and_grad(g, p)
-    if v <= 0.0:
-        return 0.0, ZERO4
-    one_minus = 1.0 - v
-    if one_minus > cfg.iou_floor:
-        f = -math.log(one_minus)
-        df = tuple(dv[k] / one_minus for k in range(4))
-    else:
-        f = -math.log(cfg.iou_floor)
-        df = ZERO4
-    gc = geometry.center(g)
-    tc = geometry.center(g_target)
-    cos, dcos = cos_angle_and_grad(tc.x - gc.x, tc.y - gc.y, gc.x, gc.y, p)
-    s, ds = border_distance_and_grad(g, p)
-    w = f * cos * s
-    if w <= 0.0:
-        return 0.0, ZERO4
-    grad = tuple(df[k] * cos * s + f * dcos[k] * s + f * cos * ds[k] for k in range(4))
-    return w, grad
 
 
 def detect_kinks(
@@ -422,78 +370,59 @@ def detect_kinks(
     """
     cfg = cfg or CouLossConfig()
     tol = cfg.kink_tolerance if tolerance is None else tolerance
-    if structure is None:
-        triplets, assignments = assemble_triplets(gts, proposals, cfg)
-        structure = TripletStructure.build(triplets, assignments)
-
-    out: list[str] = []
+    G, P = box_array(gts), box_array(proposals)
+    structure, work = _evaluate(G, P, cfg, structure)
+    iou = iou_matrix(G, P)
 
     def near(a, b, scale=1.0):
-        return abs(a - b) <= tol * scale
+        return np.abs(a - b) <= tol * scale
 
-    for pi, p in enumerate(proposals):
-        ious = sorted((geometry.iou(g, p) for g in gts), reverse=True)
-        if near(ious[0], cfg.positive_iou_threshold):
-            out.append(f"proposal {pi}: best IoU at the positive threshold")
-        if len(ious) > 1 and ious[0] > 0.0 and near(ious[0], ious[1]):
-            out.append(f"proposal {pi}: argmax IoU tie between ground truths")
-        ti = structure.target_of.get(pi)
-        if ti is not None:
-            g = gts[ti]
-            cx, cy = (p.x1 + p.x2) / 2.0, (p.y1 + p.y2) / 2.0
-            if (
-                near(cx, g.x1, g.width)
-                or near(cx, g.x2, g.width)
-                or near(cy, g.y1, g.height)
-                or near(cy, g.y2, g.height)
-            ):
-                out.append(f"proposal {pi}: center at the boundary of its target")
+    # per proposal: switches of the assignment
+    ranked = np.sort(iou, axis=0)[::-1]
+    second = ranked[1] if len(ranked) > 1 else np.inf
+    target = np.full(P.shape[0], -1)
+    target[structure.assigned[0]] = structure.assigned[1]
+    g, p = G.T[:, target], P.T
+    c = (p[:2] + p[2:]) / 2.0
+    wh = g[2:] - g[:2]
+    on_border = (target >= 0) & (near(c, g[:2], wh) | near(c, g[2:], wh)).any(axis=0)
+    checks = (
+        (near(ranked[0], cfg.positive_iou_threshold), "best IoU at the positive threshold"),
+        ((ranked[0] > 0.0) & near(ranked[0], second), "argmax IoU tie between ground truths"),
+        (on_border, "center at the boundary of its target"),
+    )
+    out = _report("proposal {}", (range(P.shape[0]),), checks)
 
-    def check_pair(kind, gi, pi):
-        g, p = gts[gi], proposals[pi]
-        v = geometry.iou(g, p)
-        w, h = g.width, g.height
-        cx, cy = (p.x1 + p.x2) / 2.0, (p.y1 + p.y2) / 2.0
-        label = f"{kind} pair (gt {gi}, proposal {pi})"
-        if kind == "repulsive" and near(v, 0.0):
-            out.append(f"{label}: IoU at the overlap-existence boundary")
-        if near(v, cfg.iou_floor) or near(1.0 - v, cfg.iou_floor):
-            out.append(f"{label}: IoU at the log floor")
-        # corner switches of the intersection rectangle
-        if near(p.x1, g.x1, w) or near(p.x2, g.x2, w) or near(p.y1, g.y1, h) or near(p.y2, g.y2, h):
-            out.append(f"{label}: intersection corner switch")
-        l, r = abs(cx - g.x1), abs(cx - g.x2)
-        t, b = abs(cy - g.y1), abs(cy - g.y2)
-        if near(l, r, w) or near(t, b, h):
-            out.append(f"{label}: min(l,r) or min(t,b) tie")
-        if near(min(l, r), 0.0, w) or near(min(t, b), 0.0, h):
-            out.append(f"{label}: center on a border line")
-        fx = 1.0 - min(l, r) / (w / 2.0)
-        fy = 1.0 - min(t, b) / (h / 2.0)
-        if near(fx, 0.0) or near(fy, 0.0):
-            out.append(f"{label}: border-distance factor at the zero clamp")
+    # per pair, attraction pairs first: switches inside the work terms
+    pairs = structure.pairs
+    repulsive = np.arange(len(pairs.gt)) >= structure.num_attraction
+    g, p = G.T[:, pairs.gt], P.T[:, pairs.proposal]
+    v = iou[pairs.gt, pairs.proposal]
+    wh = g[2:] - g[:2]
+    c = (p[:2] + p[2:]) / 2.0
+    to_lo, to_hi = np.abs(c - g[:2]), np.abs(c - g[2:])
+    closest = np.minimum(to_lo, to_hi)
+    checks = (
+        (repulsive & near(v, 0.0), "IoU at the overlap-existence boundary"),
+        (near(v, cfg.iou_floor) | near(1.0 - v, cfg.iou_floor), "IoU at the log floor"),
+        (near(p, g, np.concatenate([wh, wh])).any(axis=0), "intersection corner switch"),
+        (near(to_lo, to_hi, wh).any(axis=0), "min(l,r) or min(t,b) tie"),
+        (near(closest, 0.0, wh).any(axis=0), "center on a border line"),
+        (near(1.0 - closest / (wh / 2.0), 0.0).any(axis=0), "border-distance factor at the zero clamp"),
+        (repulsive & (work.angle_ray <= tol * np.maximum(wh[0], wh[1])), "degenerate angle vertex"),
+        (repulsive & (np.abs(work.raw) <= tol), "work at the zero clamp"),
+    )
+    kind = np.where(repulsive, "repulsive", "attractive")
+    return out + _report("{} pair (gt {}, proposal {})", (kind, pairs.gt, pairs.proposal), checks)
 
-    att_terms, rep_terms = _aggregation_terms(structure, cfg.aggregation_mode)
-    for gi, pi, _ in att_terms:
-        check_pair("attractive", gi, pi)
-    for gi, pi, _ in rep_terms:
-        check_pair("repulsive", gi, pi)
-        g, p = gts[gi], proposals[pi]
-        g_target = gts[structure.target_of[pi]]
-        gc, pc = geometry.center(g), geometry.center(p)
-        scale = max(g.width, g.height)
-        if math.hypot(pc.x - gc.x, pc.y - gc.y) <= tol * scale:
-            out.append(f"repulsive pair (gt {gi}, proposal {pi}): degenerate angle vertex")
-        w_raw = _repulsive_work_raw(g, p, g_target, cfg)
-        if abs(w_raw) <= tol:
-            out.append(f"repulsive pair (gt {gi}, proposal {pi}): work at the zero clamp")
+
+def _report(label: str, fields, checks) -> list[str]:
+    """``label: text`` for each flagged item, items in order, each item's checks in order."""
+    flagged = np.zeros(len(fields[0]), dtype=bool)
+    for mask, _ in checks:
+        flagged |= mask
+    out = []
+    for k in np.flatnonzero(flagged).tolist():
+        prefix = label.format(*(f[k] for f in fields))
+        out.extend(f"{prefix}: {text}" for mask, text in checks if mask[k])
     return out
-
-
-def _repulsive_work_raw(g: BBox, p: BBox, g_target: BBox, cfg: CouLossConfig) -> float:
-    v = geometry.iou(g, p)
-    if v <= 0.0:
-        return 0.0
-    f = -math.log(max(1.0 - v, cfg.iou_floor))
-    cos = geometry.cos_angle_at(geometry.center(g), geometry.center(p), geometry.center(g_target))
-    return f * cos * geometry.border_distance(g, p)

@@ -21,7 +21,7 @@ from .baselines import (
     composite_regression_loss,
     regression_targets,
 )
-from .couloss import CouLossConfig, TripletStructure, assemble_triplets
+from .couloss import CouLossConfig, TripletStructure
 from .errors import DivergenceError, InfeasibleConfigError, InvalidAnnotationError, InvalidInputError
 from .evalkit import Detection, greedy_nms, match
 from .geometry import BBox
@@ -392,8 +392,7 @@ def run_descent(
     frozen_structure = None
     frozen_targets = None
     if not sim_cfg.recompute_assignments:
-        triplets, assignments = assemble_triplets(gts, boxes, cou_cfg)
-        frozen_structure = TripletStructure.build(triplets, assignments)
+        frozen_structure = TripletStructure.from_boxes(gts, boxes, cou_cfg)
         frozen_targets = regression_targets(gts, boxes)
 
     losses: list[float] = []
@@ -403,8 +402,7 @@ def run_descent(
             targets = regression_targets(gts, boxes)
             structure = None
             if comp_cfg.alpha > 0.0:
-                triplets, assignments = assemble_triplets(gts, boxes, cou_cfg)
-                structure = TripletStructure.build(triplets, assignments)
+                structure = TripletStructure.from_boxes(gts, boxes, cou_cfg)
         else:
             structure = frozen_structure
             targets = frozen_targets

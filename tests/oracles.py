@@ -135,6 +135,301 @@ def brute_force_couloss(gts, proposals, iou_threshold=0.5, eps=1e-6, mode="dedup
     return total, att, rep, triplets
 
 
+def _scalar_cos(vertex, a, c):
+    """cos of the angle at ``vertex`` from the two ray lengths (hypot form)."""
+    ux, uy = a[0] - vertex[0], a[1] - vertex[1]
+    vx, vy = c[0] - vertex[0], c[1] - vertex[1]
+    nu = math.hypot(ux, uy)
+    nv = math.hypot(vx, vy)
+    if nu == 0.0 or nv == 0.0:
+        return 1.0
+    return max(-1.0, min(1.0, (ux * vx + uy * vy) / (nu * nv)))
+
+
+def _scalar_iou_grad(g, p):
+    ix1 = max(g[0], p[0])
+    iy1 = max(g[1], p[1])
+    ix2 = min(g[2], p[2])
+    iy2 = min(g[3], p[3])
+    iw = ix2 - ix1
+    ih = iy2 - iy1
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0, (0.0, 0.0, 0.0, 0.0)
+    inter = iw * ih
+    union = (g[2] - g[0]) * (g[3] - g[1]) + (p[2] - p[0]) * (p[3] - p[1]) - inter
+    d_inter = (
+        -ih if p[0] > g[0] else 0.0,
+        -iw if p[1] > g[1] else 0.0,
+        ih if p[2] < g[2] else 0.0,
+        iw if p[3] < g[3] else 0.0,
+    )
+    w, h = p[2] - p[0], p[3] - p[1]
+    d_area = (-h, -w, h, w)
+    inv_u2 = 1.0 / (union * union)
+    grad = tuple(
+        (d_inter[k] * union - inter * (d_area[k] - d_inter[k])) * inv_u2 for k in range(4)
+    )
+    return inter / union, grad
+
+
+def _scalar_factor_grad(c, lo, hi):
+    half = (hi - lo) / 2.0
+    d_lo = abs(c - lo)
+    d_hi = abs(c - hi)
+    raw = 1.0 - min(d_lo, d_hi) / half
+    if raw <= 0.0:
+        return 0.0, 0.0
+    x = c - lo if d_lo <= d_hi else c - hi
+    sign = 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0)
+    return min(1.0, raw), -sign / half
+
+
+def _scalar_s_grad(g, p):
+    cx, cy = tuple_center(p)
+    fx, dfx = _scalar_factor_grad(cx, g[0], g[2])
+    fy, dfy = _scalar_factor_grad(cy, g[1], g[3])
+    s = math.sqrt(fx * fy)
+    if s == 0.0:
+        return 0.0, (0.0, 0.0, 0.0, 0.0)
+    dx = dfx * fy / (2.0 * s)
+    dy = fx * dfy / (2.0 * s)
+    return s, (0.5 * dx, 0.5 * dy, 0.5 * dx, 0.5 * dy)
+
+
+def _scalar_cos_grad(vx, vy, vertex, p):
+    ax, ay = tuple_center(p)
+    ux = ax - vertex[0]
+    uy = ay - vertex[1]
+    nu = math.hypot(ux, uy)
+    nv = math.hypot(vx, vy)
+    if nu == 0.0 or nv == 0.0:
+        return 1.0, (0.0, 0.0, 0.0, 0.0)
+    dot = ux * vx + uy * vy
+    cos = dot / (nu * nv)
+    dax = vx / (nu * nv) - dot * ux / (nu**3 * nv)
+    day = vy / (nu * nv) - dot * uy / (nu**3 * nv)
+    cos = max(-1.0, min(1.0, cos))
+    return cos, (0.5 * dax, 0.5 * day, 0.5 * dax, 0.5 * day)
+
+
+def scalar_structure(gts, proposals, iou_threshold=0.5):
+    """Triplets and the proposal -> target map, one (gt, proposal) pair at a time.
+
+    Max-IoU assignment (ties to the lowest index) gated by the threshold
+    and the center-inside test; a negative of g is a proposal assigned
+    elsewhere that overlaps g.
+    """
+    target_of = {}
+    for pi, p in enumerate(proposals):
+        best_gi, best_v = 0, -1.0
+        for gi, g in enumerate(gts):
+            v = tuple_iou(g, p)
+            if v > best_v:
+                best_gi, best_v = gi, v
+        g = gts[best_gi]
+        cx, cy = tuple_center(p)
+        if best_v > iou_threshold and g[0] <= cx <= g[2] and g[1] <= cy <= g[3]:
+            target_of[pi] = best_gi
+    triplets = []
+    for gi in range(len(gts)):
+        positives = sorted(pi for pi, t in target_of.items() if t == gi)
+        negatives = sorted(
+            pi for pi, t in target_of.items() if t != gi and tuple_iou(gts[gi], proposals[pi]) > 0.0
+        )
+        triplets.extend((gi, pp, pn) for pp in positives for pn in negatives)
+    return triplets, target_of
+
+
+def scalar_regression_targets(gts, proposals):
+    """Max-IoU target per proposal; disjoint proposals take the nearest center."""
+    out = []
+    for p in proposals:
+        best_gi, best_v = 0, -1.0
+        for gi, g in enumerate(gts):
+            v = tuple_iou(g, p)
+            if v > best_v:
+                best_gi, best_v = gi, v
+        if best_v <= 0.0:
+            px, py = tuple_center(p)
+            best_gi = min(
+                range(len(gts)),
+                key=lambda gi: (
+                    math.hypot(tuple_center(gts[gi])[0] - px, tuple_center(gts[gi])[1] - py),
+                    gi,
+                ),
+            )
+        out.append(best_gi)
+    return out
+
+
+def _scalar_terms(triplets, mode):
+    att_mult, rep_mult = {}, {}
+    for gi, pp, pn in triplets:
+        att_mult[(gi, pp)] = att_mult.get((gi, pp), 0) + 1
+        rep_mult[(gi, pn)] = rep_mult.get((gi, pn), 0) + 1
+    if mode == "deduplicated":
+        return [(k, 1) for k in sorted(att_mult)], [(k, 1) for k in sorted(rep_mult)]
+    return sorted(att_mult.items()), sorted(rep_mult.items())
+
+
+def _scalar_att_work(g, p, eps):
+    v = tuple_iou(g, p)
+    f = -math.log(max(v, eps)) if v > 0.0 else -math.log(eps)
+    return max(0.0, f * tuple_s(g, p))
+
+
+def _scalar_rep_work(g, p, g_target, eps):
+    v = tuple_iou(g, p)
+    if v <= 0.0:
+        return 0.0
+    f = -math.log(max(1.0 - v, eps))
+    cos = _scalar_cos(tuple_center(g), tuple_center(p), tuple_center(g_target))
+    return max(0.0, f * cos * tuple_s(g, p))
+
+
+def scalar_couloss(
+    gts, proposals, iou_threshold=0.5, eps=1e-6, mode="deduplicated",
+    include_attraction=True, include_repulsion=True, structure=None,
+):
+    """CouLoss evaluated one pair at a time with Python floats.
+
+    ``structure`` is ``(triplets, target_of)`` as from :func:`scalar_structure`
+    and is rebuilt from the boxes when omitted. Returns ``(total,
+    attractive_sum, repulsive_sum, per_triplet)`` with per_triplet a list of
+    ``(gt, positive, negative, attractive_work, repulsive_work)``.
+    """
+    triplets, target_of = structure or scalar_structure(gts, proposals, iou_threshold)
+    att_terms, rep_terms = _scalar_terms(triplets, mode)
+    att_w = {(gi, pi): _scalar_att_work(gts[gi], proposals[pi], eps) for (gi, pi), _ in att_terms}
+    rep_w = {
+        (gi, pi): _scalar_rep_work(gts[gi], proposals[pi], gts[target_of[pi]], eps)
+        for (gi, pi), _ in rep_terms
+    }
+    att_sum = 0.0
+    rep_sum = 0.0
+    if include_attraction:
+        for key, mult in att_terms:
+            att_sum += mult * att_w[key]
+    if include_repulsion:
+        for key, mult in rep_terms:
+            rep_sum += mult * rep_w[key]
+    per_triplet = [(gi, pp, pn, att_w[(gi, pp)], rep_w[(gi, pn)]) for gi, pp, pn in triplets]
+    n = len(gts)
+    return att_sum / n + rep_sum / n, att_sum, rep_sum, per_triplet
+
+
+def scalar_couloss_gradient(
+    gts, proposals, iou_threshold=0.5, eps=1e-6, mode="deduplicated",
+    include_attraction=True, include_repulsion=True, structure=None,
+):
+    """d(scalar_couloss)/d(proposal coordinates) as a list of 4-lists."""
+    triplets, target_of = structure or scalar_structure(gts, proposals, iou_threshold)
+    att_terms, rep_terms = _scalar_terms(triplets, mode)
+    grad_att = [[0.0] * 4 for _ in proposals]
+    grad_rep = [[0.0] * 4 for _ in proposals]
+    if include_attraction:
+        for (gi, pi), mult in att_terms:
+            g, p = gts[gi], proposals[pi]
+            v, dv = _scalar_iou_grad(g, p)
+            if v > eps:
+                f = -math.log(v)
+                df = tuple(-dv[k] / v for k in range(4))
+            else:
+                f = -math.log(eps)
+                df = (0.0, 0.0, 0.0, 0.0)
+            s, ds = _scalar_s_grad(g, p)
+            if f * s > 0.0:
+                for k in range(4):
+                    grad_att[pi][k] += (df[k] * s + f * ds[k]) * mult
+    if include_repulsion:
+        for (gi, pi), mult in rep_terms:
+            g, p = gts[gi], proposals[pi]
+            v, dv = _scalar_iou_grad(g, p)
+            if v <= 0.0:
+                continue
+            one_minus = 1.0 - v
+            if one_minus > eps:
+                f = -math.log(one_minus)
+                df = tuple(dv[k] / one_minus for k in range(4))
+            else:
+                f = -math.log(eps)
+                df = (0.0, 0.0, 0.0, 0.0)
+            gc = tuple_center(g)
+            tc = tuple_center(gts[target_of[pi]])
+            cos, dcos = _scalar_cos_grad(tc[0] - gc[0], tc[1] - gc[1], gc, p)
+            s, ds = _scalar_s_grad(g, p)
+            if f * cos * s > 0.0:
+                for k in range(4):
+                    grad_rep[pi][k] += (
+                        df[k] * cos * s + f * dcos[k] * s + f * cos * ds[k]
+                    ) * mult
+    n = len(gts)
+    return [[a / n + r / n for a, r in zip(ga, gr)] for ga, gr in zip(grad_att, grad_rep)]
+
+
+def scalar_kinks(gts, proposals, structure=None, iou_threshold=0.5, eps=1e-6, tol=1e-6):
+    """Near-kink report lines, checked one proposal and one pair at a time.
+
+    ``structure`` is ``(triplets, target_of)`` as from :func:`scalar_structure`.
+    """
+    triplets, target_of = structure or scalar_structure(gts, proposals, iou_threshold)
+    out = []
+
+    def near(a, b, scale=1.0):
+        return abs(a - b) <= tol * scale
+
+    for pi, p in enumerate(proposals):
+        ious = sorted((tuple_iou(g, p) for g in gts), reverse=True)
+        if near(ious[0], iou_threshold):
+            out.append(f"proposal {pi}: best IoU at the positive threshold")
+        if len(ious) > 1 and ious[0] > 0.0 and near(ious[0], ious[1]):
+            out.append(f"proposal {pi}: argmax IoU tie between ground truths")
+        if pi in target_of:
+            g = gts[target_of[pi]]
+            cx, cy = tuple_center(p)
+            w, h = g[2] - g[0], g[3] - g[1]
+            if near(cx, g[0], w) or near(cx, g[2], w) or near(cy, g[1], h) or near(cy, g[3], h):
+                out.append(f"proposal {pi}: center at the boundary of its target")
+
+    def check_pair(kind, gi, pi):
+        g, p = gts[gi], proposals[pi]
+        v = tuple_iou(g, p)
+        w, h = g[2] - g[0], g[3] - g[1]
+        cx, cy = tuple_center(p)
+        label = f"{kind} pair (gt {gi}, proposal {pi})"
+        if kind == "repulsive" and near(v, 0.0):
+            out.append(f"{label}: IoU at the overlap-existence boundary")
+        if near(v, eps) or near(1.0 - v, eps):
+            out.append(f"{label}: IoU at the log floor")
+        if near(p[0], g[0], w) or near(p[2], g[2], w) or near(p[1], g[1], h) or near(p[3], g[3], h):
+            out.append(f"{label}: intersection corner switch")
+        l, r = abs(cx - g[0]), abs(cx - g[2])
+        t, b = abs(cy - g[1]), abs(cy - g[3])
+        if near(l, r, w) or near(t, b, h):
+            out.append(f"{label}: min(l,r) or min(t,b) tie")
+        if near(min(l, r), 0.0, w) or near(min(t, b), 0.0, h):
+            out.append(f"{label}: center on a border line")
+        if near(1.0 - min(l, r) / (w / 2.0), 0.0) or near(1.0 - min(t, b) / (h / 2.0), 0.0):
+            out.append(f"{label}: border-distance factor at the zero clamp")
+
+    for gi, pi in sorted({(t[0], t[1]) for t in triplets}):
+        check_pair("attractive", gi, pi)
+    for gi, pi in sorted({(t[0], t[2]) for t in triplets}):
+        check_pair("repulsive", gi, pi)
+        g, p = gts[gi], proposals[pi]
+        gc, pc = tuple_center(g), tuple_center(p)
+        if math.hypot(pc[0] - gc[0], pc[1] - gc[1]) <= tol * max(g[2] - g[0], g[3] - g[1]):
+            out.append(f"repulsive pair (gt {gi}, proposal {pi}): degenerate angle vertex")
+        v = tuple_iou(g, p)
+        raw = 0.0
+        if v > 0.0:
+            cos = _scalar_cos(gc, pc, tuple_center(gts[target_of[pi]]))
+            raw = -math.log(max(1.0 - v, eps)) * cos * tuple_s(g, p)
+        if abs(raw) <= tol:
+            out.append(f"repulsive pair (gt {gi}, proposal {pi}): work at the zero clamp")
+    return out
+
+
 def central_difference_gradient(f, proposals, h):
     """Central finite differences of a scalar function of a proposal list.
 

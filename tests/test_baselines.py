@@ -159,7 +159,8 @@ class TestComposite:
 
     def test_default_weights(self):
         cfg = CompositeConfig()
-        assert (cfg.alpha, cfg.beta, cfg.gamma) == (1.0, 1.0, 1.0)
+        assert (cfg.alpha, cfg.gamma) == (1.0, 1.0)
+        assert not hasattr(cfg, "beta")
         assert (cfg.focal_gamma, cfg.focal_alpha) == (2.0, 0.25)
 
     def test_linearity(self):
