@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .errors import InvalidAnnotationError, InvalidInputError
+from .errors import InvalidAnnotationError, InvalidInputError, at_line
 from .geometry import BBox
 
 POSITIVE = "P"
@@ -345,8 +345,15 @@ def save_probability_map(pmap: ProbabilityMap, path) -> None:
 def load_probability_map(path) -> ProbabilityMap:
     with open(path) as fh:
         width, height, stride = _parse_grid_header(fh.readline(), path)
-        values = _read_grid_rows(fh, width, height, path, float)
+        values = _read_grid_rows(fh, width, height, path, _probability)
     return ProbabilityMap(stride=stride, values=np.array(values, dtype=float))
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise InvalidInputError(f"probability {text!r} not in [0, 1]")
+    return value
 
 
 def save_target_map(tmap: TargetMap, path) -> None:
@@ -365,21 +372,19 @@ def load_target_map(path) -> TargetMap:
 
 
 def _parse_grid_header(line: str, path):
-    parts = line.split()
-    if len(parts) != 3:
-        raise InvalidInputError(f"{path}: expected header 'width height stride'")
-    try:
-        width, height, stride = int(parts[0]), int(parts[1]), float(parts[2])
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: bad grid header {line!r}") from exc
-    return width, height, stride
+    with at_line(path, 1):
+        parts = line.split()
+        if len(parts) != 3:
+            raise InvalidInputError("expected header 'width height stride'")
+        return int(parts[0]), int(parts[1]), float(parts[2])
 
 
 def _read_grid_rows(fh, width, height, path, convert):
     rows = []
     for i in range(height):
         parts = fh.readline().split()
-        if len(parts) != width:
-            raise InvalidInputError(f"{path}: row {i} has {len(parts)} values, expected {width}")
-        rows.append([convert(p) for p in parts])
+        with at_line(path, i + 2):
+            if len(parts) != width:
+                raise InvalidInputError(f"row {i} has {len(parts)} values, expected {width}")
+            rows.append([convert(p) for p in parts])
     return rows

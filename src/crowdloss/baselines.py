@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from ._pairs import best_gt, box_array, iou_and_grad
-from .couloss import CouLossConfig, LossReport, TripletStructure, couloss, couloss_gradient
+from ._pairs import best_gt, box_array, iou_and_grad, ordered_sum
+from .couloss import CouLossConfig, LossReport, TripletStructure, _couloss
 from .errors import InvalidInputError, NoOverlapError
 from .geometry import BBox
 
@@ -58,28 +58,23 @@ class CompositeReport:
 
 def smooth_l1(pred: BBox, target: BBox, beta: float = 1.0) -> float:
     """Summed piecewise quadratic/linear penalty over the four coordinates."""
-    total = 0.0
-    for d in _coord_diffs(pred, target):
-        a = abs(d)
-        total += 0.5 * d * d / beta if a < beta else a - 0.5 * beta
-    return total
+    return float(_smooth_l1(box_array([pred]) - box_array([target]), beta)[0][0])
 
 
 def smooth_l1_gradient(pred: BBox, target: BBox, beta: float = 1.0):
     """d(smooth_l1)/d(pred coordinates)."""
-    grad = []
-    for d in _coord_diffs(pred, target):
-        grad.append(d / beta if abs(d) < beta else math.copysign(1.0, d))
-    return tuple(grad)
+    grad = _smooth_l1(box_array([pred]) - box_array([target]), beta, gradient=True)[1]
+    return tuple(grad[0].tolist())
 
 
-def _coord_diffs(pred: BBox, target: BBox):
-    return (
-        pred.x1 - target.x1,
-        pred.y1 - target.y1,
-        pred.x2 - target.x2,
-        pred.y2 - target.y2,
-    )
+def _smooth_l1(d: np.ndarray, beta: float, gradient: bool = False):
+    """SmoothL1 of each row of coordinate differences ``d`` (N, 4), its four
+    terms added left to right, and with ``gradient`` its (N, 4) gradient (else None)."""
+    a = np.abs(d)
+    small = a < beta
+    t = np.where(small, 0.5 * d * d / beta, a - 0.5 * beta)
+    rows = ((t[:, 0] + t[:, 1]) + t[:, 2]) + t[:, 3]
+    return rows, (np.where(small, d / beta, np.copysign(1.0, d)) if gradient else None)
 
 
 def iou_loss(pred: BBox, target: BBox, eps: float = 1e-6) -> float:
@@ -134,18 +129,19 @@ def regression_targets(gts: list[BBox], proposals: list[BBox]) -> list[int]:
     """
     if not gts:
         raise InvalidInputError("at least one ground-truth box is required")
-    _, best, best_v = best_gt(box_array(gts), box_array(proposals))
-    out = best.tolist()
+    g, p = box_array(gts), box_array(proposals)
+    return _targets(g, p, best_gt(g, p)).tolist()
+
+
+def _targets(gts: np.ndarray, proposals: np.ndarray, ranked) -> np.ndarray:
+    """``regression_targets`` of box arrays, from ``ranked = best_gt(gts, proposals)``."""
+    _, best, best_v = ranked
+    target = best.copy()
+    gc = (gts[:, :2] + gts[:, 2:]) / 2.0
     for pi in np.flatnonzero(best_v <= 0.0).tolist():
-        pc = geometry.center(proposals[pi])
-        out[pi] = min(
-            range(len(gts)),
-            key=lambda gi: (
-                math.hypot(geometry.center(gts[gi]).x - pc.x, geometry.center(gts[gi]).y - pc.y),
-                gi,
-            ),
-        )
-    return out
+        d = gc - (proposals[pi, :2] + proposals[pi, 2:]) / 2.0
+        target[pi] = np.argmin([math.hypot(x, y) for x, y in d.tolist()])
+    return target
 
 
 def composite_regression_loss(
@@ -166,38 +162,9 @@ def composite_regression_loss(
     term. ``structure`` and ``targets`` accept frozen topology from a
     previous step; both default to being recomputed from the current boxes.
     """
-    cfg = cfg or CompositeConfig()
-    cou_cfg = cou_cfg or CouLossConfig()
-    if not gts:
-        raise InvalidInputError("at least one ground-truth box is required")
-
-    sl1 = 0.0
-    if proposals:
-        if targets is None:
-            targets = regression_targets(gts, proposals)
-        scale = scene_scale(gts)
-        sl1 = sum(
-            smooth_l1(p, gts[t], cfg.smoothl1_beta * scale) for p, t in zip(proposals, targets)
-        ) / (len(proposals) * scale)
-
-    report = None
-    cou_total = 0.0
-    if cfg.alpha > 0.0:
-        report = couloss(
-            gts,
-            proposals,
-            cou_cfg,
-            include_attraction=cfg.include_attraction,
-            include_repulsion=cfg.include_repulsion,
-            structure=structure,
-        )
-        cou_total = report.total
-    return CompositeReport(
-        total=cfg.smoothl1_weight * sl1 + cfg.alpha * cou_total,
-        smooth_l1=sl1,
-        couloss_total=cou_total,
-        couloss=report,
-    )
+    cfg, cou_cfg = cfg or CompositeConfig(), cou_cfg or CouLossConfig()
+    g, p = box_array(gts), box_array(proposals)
+    return _composite(g, p, scene_scale(gts), cfg, cou_cfg, structure, targets)[0]
 
 
 def composite_gradient(
@@ -211,26 +178,45 @@ def composite_gradient(
     warn_kinks: bool = False,
 ) -> np.ndarray:
     """d(composite_regression_loss)/d(proposal coordinates), shape (N, 4)."""
-    cfg = cfg or CompositeConfig()
-    cou_cfg = cou_cfg or CouLossConfig()
-    grad = np.zeros((len(proposals), 4))
-    if proposals and cfg.smoothl1_weight > 0.0:
-        if targets is None:
-            targets = regression_targets(gts, proposals)
-        scale = scene_scale(gts)
-        factor = cfg.smoothl1_weight / (len(proposals) * scale)
-        for pi, (p, t) in enumerate(zip(proposals, targets)):
-            grad[pi] += np.multiply(
-                smooth_l1_gradient(p, gts[t], cfg.smoothl1_beta * scale), factor
-            )
+    cfg, cou_cfg = cfg or CompositeConfig(), cou_cfg or CouLossConfig()
+    g, p = box_array(gts), box_array(proposals)
+    args = (g, p, scene_scale(gts), cfg, cou_cfg, structure, targets)
+    return _composite(*args, gradient=True, warn_kinks=warn_kinks)[1]
+
+
+def _composite(
+    gts, proposals, scale, cfg, cou_cfg, structure, targets, *, gradient=False, warn_kinks=False
+):
+    """The composite report of box arrays and, with ``gradient``, its (N, 4)
+    gradient (else None).
+
+    ``scale`` is ``scene_scale`` of the ground truths. Targets and structure
+    left out are rebuilt from one max-IoU assignment, and one kernel call
+    gives the CouLoss value and gradient.
+    """
+    ranked = None
+    if targets is None or (structure is None and cfg.alpha > 0.0):
+        ranked = best_gt(gts, proposals)
+    if targets is None:
+        targets = _targets(gts, proposals, ranked)
+    rows, sl1_grad = _smooth_l1(proposals - gts[targets], cfg.smoothl1_beta * scale, gradient)
+    norm = proposals.shape[0] * scale or 1.0  # no proposals: the SmoothL1 sum is 0.0
+    sl1 = ordered_sum(rows) / norm
+    report, cou_grad, cou_total = None, None, 0.0
     if cfg.alpha > 0.0:
-        grad += cfg.alpha * couloss_gradient(
-            gts,
-            proposals,
-            cou_cfg,
-            include_attraction=cfg.include_attraction,
-            include_repulsion=cfg.include_repulsion,
-            structure=structure,
-            warn_kinks=warn_kinks,
-        )
-    return grad
+        parts = (cfg.include_attraction, cfg.include_repulsion)
+        kw = dict(ranked=ranked, gradient=gradient, warn_kinks=warn_kinks)
+        report, cou_grad = _couloss(gts, proposals, cou_cfg, structure, parts, **kw)
+        cou_total = report.total
+    composite = CompositeReport(
+        total=cfg.smoothl1_weight * sl1 + cfg.alpha * cou_total,
+        smooth_l1=sl1,
+        couloss_total=cou_total,
+        couloss=report,
+    )
+    if not gradient:
+        return composite, None
+    grad = sl1_grad * (cfg.smoothl1_weight / norm)
+    if cou_grad is not None:
+        grad += cfg.alpha * cou_grad
+    return composite, grad

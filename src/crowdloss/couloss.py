@@ -158,15 +158,16 @@ class LossReport:
         )
 
 
-def _structure(gts: np.ndarray, proposals: np.ndarray, cfg: CouLossConfig):
+def _structure(gts: np.ndarray, proposals: np.ndarray, cfg: CouLossConfig, ranked=None):
     """The pair structure of the boxes, and their IoU matrix.
 
     A proposal is assigned to its max-IoU ground truth when that IoU exceeds
     the positive threshold and its center lies inside that ground truth.
+    ``ranked`` is ``best_gt(gts, proposals)`` when already computed.
     """
     if gts.shape[0] == 0:
         raise InvalidInputError("at least one ground-truth box is required")
-    iou, best, best_v = best_gt(gts, proposals)
+    iou, best, best_v = ranked or best_gt(gts, proposals)
     p, g = proposals.T, gts.T[:, best]
     c = (p[:2] + p[2:]) / 2.0
     inside = ((g[:2] <= c) & (c <= g[2:])).all(axis=0)
@@ -186,14 +187,60 @@ def _structure(gts: np.ndarray, proposals: np.ndarray, cfg: CouLossConfig):
     return structure, iou
 
 
-def _evaluate(gts: np.ndarray, proposals: np.ndarray, cfg, structure, gradient=False):
-    """The structure (built from the boxes when not given) and the kernel's pair work."""
+def _evaluate(gts: np.ndarray, proposals: np.ndarray, cfg, structure, ranked=None, gradient=False):
+    """The structure (built from the boxes when not given), the IoU matrix if
+    that build made one, and the kernel's pair work."""
     iou = None
     if structure is None:
-        structure, iou = _structure(gts, proposals, cfg)
+        structure, iou = _structure(gts, proposals, cfg, ranked)
     literal = cfg.aggregation_mode == "triplet-literal"
     args = (structure.pairs, structure.num_attraction, cfg.iou_floor)
-    return structure, pair_work(gts, proposals, *args, literal=literal, gradient=gradient, iou=iou)
+    work = pair_work(gts, proposals, *args, literal=literal, gradient=gradient, iou=iou)
+    return structure, iou, work
+
+
+def _couloss(
+    gts, proposals, cfg, structure, parts, *, ranked=None, gradient=False, warn_kinks=False
+):
+    """The loss report of box arrays and, with ``gradient``, its ``(N, 4)``
+    gradient (else None), both from one kernel call.
+
+    ``parts`` switches (attraction, repulsion) on or off. ``ranked`` is
+    ``best_gt(gts, proposals)`` when already computed; with ``warn_kinks``
+    the kink check reuses that IoU matrix and the pair work.
+    """
+    if gts.shape[0] == 0:
+        raise InvalidInputError("couloss requires at least one ground-truth box")
+    structure, iou, work = _evaluate(gts, proposals, cfg, structure, ranked, gradient)
+    if warn_kinks:
+        kinks = _kinks(gts, proposals, cfg, cfg.kink_tolerance, structure, iou, work)
+        if kinks:
+            warnings.warn(
+                f"gradient evaluated near {len(kinks)} non-differentiable point(s): {kinks[0]}",
+                KinkWarning,
+                stacklevel=3,
+            )
+    literal = cfg.aggregation_mode == "triplet-literal"
+    weighted = work.work * structure.pairs.mult if literal else work.work
+    ka = structure.num_attraction
+    att_sum = ordered_sum(weighted[:ka]) if parts[0] else 0.0
+    rep_sum = ordered_sum(weighted[ka:]) if parts[1] else 0.0
+    n = gts.shape[0]
+    report = LossReport(
+        total=att_sum / n + rep_sum / n,
+        attractive_work=att_sum,
+        repulsive_work=rep_sum,
+        mode=cfg.aggregation_mode,
+        num_gts=n,
+        structure=structure,
+        pair_work=work.work,
+    )
+    if not gradient:
+        return report, None
+    zero = np.zeros((proposals.shape[0], 4))
+    grad_att = work.grad_attraction if parts[0] else zero
+    grad_rep = work.grad_repulsion if parts[1] else zero
+    return report, grad_att / n + grad_rep / n
 
 
 def attractive_force(g: BBox, p: BBox, cfg: CouLossConfig | None = None) -> float:
@@ -291,25 +338,8 @@ def couloss(
     boxes. The attraction/repulsion switches zero out one component while
     keeping the other bit-identical to the full computation.
     """
-    cfg = cfg or CouLossConfig()
-    if not gts:
-        raise InvalidInputError("couloss requires at least one ground-truth box")
-    structure, pair = _evaluate(box_array(gts), box_array(proposals), cfg, structure)
-    work = pair.work
-    weighted = work * structure.pairs.mult if cfg.aggregation_mode == "triplet-literal" else work
-    ka = structure.num_attraction
-    att_sum = ordered_sum(weighted[:ka]) if include_attraction else 0.0
-    rep_sum = ordered_sum(weighted[ka:]) if include_repulsion else 0.0
-    n = len(gts)
-    return LossReport(
-        total=att_sum / n + rep_sum / n,
-        attractive_work=att_sum,
-        repulsive_work=rep_sum,
-        mode=cfg.aggregation_mode,
-        num_gts=n,
-        structure=structure,
-        pair_work=work,
-    )
+    parts = (include_attraction, include_repulsion)
+    return _couloss(box_array(gts), box_array(proposals), cfg or CouLossConfig(), structure, parts)[0]
 
 
 def couloss_gradient(
@@ -330,27 +360,9 @@ def couloss_gradient(
     sits within ``cfg.kink_tolerance`` (relative) of a non-differentiable
     switch.
     """
+    g, p, parts = box_array(gts), box_array(proposals), (include_attraction, include_repulsion)
     cfg = cfg or CouLossConfig()
-    if not gts:
-        raise InvalidInputError("couloss requires at least one ground-truth box")
-    g, p = box_array(gts), box_array(proposals)
-    if structure is None:
-        structure = _structure(g, p, cfg)[0]
-    if warn_kinks:
-        kinks = detect_kinks(gts, proposals, cfg, structure=structure)
-        if kinks:
-            warnings.warn(
-                f"gradient evaluated near {len(kinks)} non-differentiable point(s): {kinks[0]}",
-                KinkWarning,
-                stacklevel=2,
-            )
-
-    work = _evaluate(g, p, cfg, structure, gradient=True)[1]
-    zero = np.zeros((len(proposals), 4))
-    grad_att = work.grad_attraction if include_attraction else zero
-    grad_rep = work.grad_repulsion if include_repulsion else zero
-    n = len(gts)
-    return grad_att / n + grad_rep / n
+    return _couloss(g, p, cfg, structure, parts, gradient=True, warn_kinks=warn_kinks)[1]
 
 
 def detect_kinks(
@@ -371,8 +383,14 @@ def detect_kinks(
     cfg = cfg or CouLossConfig()
     tol = cfg.kink_tolerance if tolerance is None else tolerance
     G, P = box_array(gts), box_array(proposals)
-    structure, work = _evaluate(G, P, cfg, structure)
-    iou = iou_matrix(G, P)
+    return _kinks(G, P, cfg, tol, *_evaluate(G, P, cfg, structure))
+
+
+def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, structure, iou, work):
+    """``detect_kinks`` from the structure and pair work of an evaluation;
+    ``iou`` is the IoU matrix of the boxes, or None to compute it."""
+    if iou is None:
+        iou = iou_matrix(G, P)
 
     def near(a, b, scale=1.0):
         return np.abs(a - b) <= tol * scale

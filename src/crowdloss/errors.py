@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class CrowdLossError(Exception):
     """Base class for all package-specific errors."""
@@ -31,3 +33,13 @@ class DivergenceError(CrowdLossError, RuntimeError):
 
 class ConfigError(CrowdLossError, ValueError):
     """Bad or missing run configuration."""
+
+
+@contextmanager
+def at_line(path, lineno):
+    """Re-raise a ValueError from reading one input line (an unparsable field,
+    an invalid box or score) as :class:`InvalidInputError` prefixed ``path:lineno``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from . import geometry
-from .errors import InvalidInputError
+from .errors import InvalidInputError, at_line
 from .geometry import BBox
 
 
@@ -208,15 +208,16 @@ def load_detections(path) -> list[Detection]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(DETECTION_FIELDS):
-            raise InvalidInputError(f"{path}: expected header {','.join(DETECTION_FIELDS)}")
+            raise InvalidInputError(f"{path}:1: expected header {','.join(DETECTION_FIELDS)}")
         out = []
         for row in reader:
-            if len(row) != 6:
-                raise InvalidInputError(f"{path}: malformed row {row}")
-            sid, x1, y1, x2, y2, score = row
-            out.append(
-                Detection(BBox(float(x1), float(y1), float(x2), float(y2)), float(score), sid)
-            )
+            with at_line(path, reader.line_num):
+                if len(row) != 6:
+                    raise InvalidInputError(f"malformed row {row}")
+                sid, x1, y1, x2, y2, score = row
+                out.append(
+                    Detection(BBox(float(x1), float(y1), float(x2), float(y2)), float(score), sid)
+                )
     return out
 
 
@@ -234,12 +235,13 @@ def load_curve(path) -> EvalCurve:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(CURVE_FIELDS):
-            raise InvalidInputError(f"{path}: expected header {','.join(CURVE_FIELDS)}")
+            raise InvalidInputError(f"{path}:1: expected header {','.join(CURVE_FIELDS)}")
         thresholds = []
         points = []
         for row in reader:
-            if len(row) != 3:
-                raise InvalidInputError(f"{path}: malformed row {row}")
-            thresholds.append(float(row[0]))
-            points.append((float(row[1]), float(row[2])))
+            with at_line(path, reader.line_num):
+                if len(row) != 3:
+                    raise InvalidInputError(f"malformed row {row}")
+                thresholds.append(float(row[0]))
+                points.append((float(row[1]), float(row[2])))
     return EvalCurve(tuple(thresholds), tuple(points))

@@ -15,14 +15,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from .baselines import (
-    CompositeConfig,
-    composite_gradient,
-    composite_regression_loss,
-    regression_targets,
-)
+from ._pairs import box_array, iou_matrix
+from .baselines import CompositeConfig, _composite, regression_targets, scene_scale
 from .couloss import CouLossConfig, TripletStructure
-from .errors import DivergenceError, InfeasibleConfigError, InvalidAnnotationError, InvalidInputError
+from .errors import (
+    DivergenceError,
+    InfeasibleConfigError,
+    InvalidAnnotationError,
+    InvalidInputError,
+    at_line,
+)
 from .evalkit import Detection, greedy_nms, match
 from .geometry import BBox
 
@@ -304,35 +306,32 @@ def _project_min_size(coords: np.ndarray, min_size: float) -> np.ndarray:
     return coords
 
 
-def _overlap_regions(gts: list[BBox]) -> list[tuple[float, float, float, float]]:
-    regions = []
-    for i in range(len(gts)):
-        for j in range(i + 1, len(gts)):
-            a, b = gts[i], gts[j]
-            x1, y1 = max(a.x1, b.x1), max(a.y1, b.y1)
-            x2, y2 = min(a.x2, b.x2), min(a.y2, b.y2)
-            if x2 > x1 and y2 > y1:
-                regions.append((x1, y1, x2, y2))
-    return regions
+def _check_boxes(coords: np.ndarray) -> None:
+    """Reject, as ``BBox`` does, rows that are not finite with x2 > x1 and y2 > y1."""
+    ok = np.isfinite(coords).all(axis=1) & (coords[:, 2:] > coords[:, :2]).all(axis=1)
+    if not ok.all():
+        BBox(*coords[np.argmin(ok)].tolist())  # raises the box's InvalidInputError
 
 
 def _summarize(
-    boxes: list[BBox], gts: list[BBox], targets: list[int], loss_curve, steps, aborted=False
+    coords: np.ndarray, gts: np.ndarray, targets: list[int], loss_curve, steps, aborted=False
 ) -> SimResult:
-    regions = _overlap_regions(gts)
-    outcomes = []
-    for pi, box in enumerate(boxes):
-        t = targets[pi]
-        iou_t = geometry.iou(box, gts[t])
-        iou_n = max(
-            (geometry.iou(box, g) for gi, g in enumerate(gts) if gi != t), default=0.0
-        )
-        c = geometry.center(box)
-        in_overlap = any(x1 <= c.x <= x2 and y1 <= c.y <= y2 for x1, y1, x2, y2 in regions)
-        outcomes.append(ProposalOutcome(pi, t, iou_t, iou_n, in_overlap))
-    n = len(boxes)
+    """Outcomes of the boxes ``coords`` against the ground truths ``gts``, both (K, 4) arrays."""
+    n = coords.shape[0]
+    t = np.asarray(targets, dtype=np.intp)
+    iou = iou_matrix(gts, coords)
+    iou_t = iou[t, np.arange(n)]
+    iou_n = np.max(iou, axis=0, initial=0.0, where=np.arange(gts.shape[0])[:, None] != t)
+    # is the center inside the overlap of some two ground truths
+    i, j = np.triu_indices(gts.shape[0], 1)
+    lo, hi = np.maximum(gts[i, :2], gts[j, :2]), np.minimum(gts[i, 2:], gts[j, 2:])
+    overlap = (hi > lo).all(axis=1)
+    c = (coords[:, :2] + coords[:, 2:]) / 2.0
+    in_overlap = ((lo[overlap, None] <= c) & (c <= hi[overlap, None])).all(axis=2).any(axis=0)
+    columns = (range(n), t.tolist(), iou_t.tolist(), iou_n.tolist(), in_overlap.tolist())
+    outcomes = [ProposalOutcome(*o) for o in zip(*columns)]
     return SimResult(
-        final_boxes=boxes,
+        final_boxes=[BBox(*row) for row in coords.tolist()],
         targets=list(targets),
         per_proposal=outcomes,
         mean_final_iou=sum(o.iou_with_target for o in outcomes) / n if n else 0.0,
@@ -373,8 +372,10 @@ def run_descent(
     gts = scene.gt_boxes
     if not gts:
         raise InvalidInputError("scene has no pedestrians")
+    G = box_array(gts)
+    coords = box_array(proposals)
     if not proposals:
-        return _summarize([], gts, [], [], 0)
+        return _summarize(coords, G, [], [], 0)
 
     if intended_targets is None:
         intended_targets = regression_targets(gts, proposals)
@@ -385,64 +386,38 @@ def run_descent(
     max_extent = max(scene.extent)
     step = sim_cfg.step_size * max_extent * max_extent
     min_size = 1e-3 * max_extent
+    scale = scene_scale(gts)
 
-    coords = np.array([p.as_tuple() for p in proposals], dtype=float)
-    boxes = list(proposals)
-
-    frozen_structure = None
-    frozen_targets = None
+    # pair structure and SmoothL1 targets: rebuilt every step (None) or frozen at the start
+    frozen = (None, None)
     if not sim_cfg.recompute_assignments:
-        frozen_structure = TripletStructure.from_boxes(gts, boxes, cou_cfg)
-        frozen_targets = regression_targets(gts, boxes)
+        targets = np.array(regression_targets(gts, proposals))
+        frozen = (TripletStructure.from_boxes(gts, proposals, cou_cfg), targets)
 
     losses: list[float] = []
     divergence_limit = None
     for step_idx in range(sim_cfg.descent_steps):
-        if sim_cfg.recompute_assignments:
-            targets = regression_targets(gts, boxes)
-            structure = None
-            if comp_cfg.alpha > 0.0:
-                structure = TripletStructure.from_boxes(gts, boxes, cou_cfg)
-        else:
-            structure = frozen_structure
-            targets = frozen_targets
-        report = composite_regression_loss(
-            gts, boxes, comp_cfg, cou_cfg, structure=structure, targets=targets
+        report, grad = _composite(
+            G, coords, scale, comp_cfg, cou_cfg, *frozen, gradient=True, warn_kinks=sim_cfg.warn_kinks
         )
         losses.append(report.total)
         if divergence_limit is None:
             divergence_limit = max(sim_cfg.divergence_factor * report.total, 1e-6)
         elif report.total > divergence_limit:
-            partial = _summarize(boxes, gts, intended_targets, losses, step_idx, aborted=True)
+            partial = _summarize(coords, G, intended_targets, losses, step_idx, aborted=True)
             raise DivergenceError(
                 f"loss {report.total:.6g} exceeded {divergence_limit:.6g} at step {step_idx}",
                 partial_result=partial,
             )
-        grad = composite_gradient(
-            gts,
-            boxes,
-            comp_cfg,
-            cou_cfg,
-            structure=structure,
-            targets=targets,
-            warn_kinks=sim_cfg.warn_kinks,
-        )
         if sim_cfg.gradient_noise > 0.0:
             grad = grad + rng.normal(0.0, sim_cfg.gradient_noise, grad.shape)
         coords -= step * grad
         _project_min_size(coords, min_size)
-        boxes = [BBox(*(float(v) for v in row)) for row in coords]
+        _check_boxes(coords)
 
-    final_report = composite_regression_loss(
-        gts,
-        boxes,
-        comp_cfg,
-        cou_cfg,
-        structure=frozen_structure,
-        targets=frozen_targets,
-    )
-    losses.append(final_report.total)
-    return _summarize(boxes, gts, intended_targets, losses, sim_cfg.descent_steps)
+    final = _composite(G, coords, scale, comp_cfg, cou_cfg, *frozen)[0]
+    losses.append(final.total)
+    return _summarize(coords, G, intended_targets, losses, sim_cfg.descent_steps)
 
 
 def score_detections(scene: Scene, boxes: list[BBox], scene_id: str) -> list[Detection]:
@@ -563,15 +538,16 @@ def load_scene(path) -> Scene:
             if not parts:
                 continue
             kind, args = parts[0], parts[1:]
-            if kind == "extent" and len(args) == 2:
-                extent = (float(args[0]), float(args[1]))
-            elif kind == "ped" and len(args) == 8:
-                vals = [float(a) for a in args]
-                peds.append(Pedestrian(BBox(*vals[:4]), BBox(*vals[4:])))
-            elif kind == "distractor" and len(args) == 4:
-                distractors.append(BBox(*(float(a) for a in args)))
-            else:
-                raise InvalidInputError(f"{path}:{lineno}: unrecognized scene line {raw!r}")
+            with at_line(path, lineno):
+                if kind == "extent" and len(args) == 2:
+                    extent = (float(args[0]), float(args[1]))
+                elif kind == "ped" and len(args) == 8:
+                    vals = [float(a) for a in args]
+                    peds.append(Pedestrian(BBox(*vals[:4]), BBox(*vals[4:])))
+                elif kind == "distractor" and len(args) == 4:
+                    distractors.append(BBox(*(float(a) for a in args)))
+                else:
+                    raise InvalidInputError(f"unrecognized scene line {raw!r}")
     if extent is None:
         raise InvalidInputError(f"{path}: missing extent header")
     return Scene(extent=extent, pedestrians=peds, distractors=distractors)

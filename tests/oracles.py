@@ -8,6 +8,8 @@ import math
 
 from fractions import Fraction
 
+import numpy as np
+
 
 def tuple_iou(a, b):
     ax1, ay1, ax2, ay2 = a
@@ -365,6 +367,84 @@ def scalar_couloss_gradient(
                     ) * mult
     n = len(gts)
     return [[a / n + r / n for a, r in zip(ga, gr)] for ga, gr in zip(grad_att, grad_rep)]
+
+
+def _scalar_smooth_l1(p, t, beta):
+    total = 0.0
+    for k in range(4):
+        d = p[k] - t[k]
+        a = abs(d)
+        total += 0.5 * d * d / beta if a < beta else a - 0.5 * beta
+    return total
+
+
+def scalar_descent(gts, proposals, extent, sim, comp, cou, seed):
+    """Fixed-step descent of tuple proposals under SmoothL1 plus the scalar CouLoss.
+
+    ``sim``, ``comp`` and ``cou`` are read as plain attribute bags with the
+    fields of the simulator, composite and CouLoss configs. Per step: the
+    loss, then the gradient at the same boxes, plus one ``(N, 4)`` draw of
+    Gaussian noise from ``numpy.random.default_rng(seed)``, a step of
+    ``step_size * max(extent)**2`` and a push of too-thin boxes back to
+    ``1e-3 * max(extent)``. Targets and triplets are rebuilt every step, or
+    taken once from the start boxes when assignments are frozen. Returns
+    ``(loss_curve, final_boxes)``; the curve ends with the loss at the final boxes.
+    """
+    max_extent = max(extent)
+    step = sim.step_size * max_extent * max_extent
+    min_size = 1e-3 * max_extent
+    scale = sum(max(g[2] - g[0], g[3] - g[1]) for g in gts) / len(gts)
+    beta = comp.smoothl1_beta * scale
+    kw = dict(
+        iou_threshold=cou.positive_iou_threshold, eps=cou.iou_floor, mode=cou.aggregation_mode,
+        include_attraction=comp.include_attraction, include_repulsion=comp.include_repulsion,
+    )
+    rng = np.random.default_rng(seed)
+    boxes = [tuple(p) for p in proposals]
+
+    def topology():
+        return (
+            scalar_regression_targets(gts, boxes),
+            scalar_structure(gts, boxes, cou.positive_iou_threshold),
+        )
+
+    def loss(targets, structure):
+        sl1 = sum(_scalar_smooth_l1(p, gts[t], beta) for p, t in zip(boxes, targets))
+        sl1 /= len(boxes) * scale
+        work = scalar_couloss(gts, boxes, structure=structure, **kw)[0] if comp.alpha > 0.0 else 0.0
+        return comp.smoothl1_weight * sl1 + comp.alpha * work
+
+    frozen = None if sim.recompute_assignments else topology()
+    losses = []
+    for _ in range(sim.descent_steps):
+        targets, structure = frozen or topology()
+        losses.append(loss(targets, structure))
+        factor = comp.smoothl1_weight / (len(boxes) * scale)
+        work_grad = None
+        if comp.alpha > 0.0:
+            work_grad = scalar_couloss_gradient(gts, boxes, structure=structure, **kw)
+        noise = None
+        if sim.gradient_noise > 0.0:
+            noise = rng.normal(0.0, sim.gradient_noise, (len(boxes), 4)).tolist()
+        moved = []
+        for pi, (p, t) in enumerate(zip(boxes, targets)):
+            row = []
+            for k in range(4):
+                d = p[k] - gts[t][k]
+                g = (d / beta if abs(d) < beta else math.copysign(1.0, d)) * factor
+                if work_grad is not None:
+                    g += comp.alpha * work_grad[pi][k]
+                if noise is not None:
+                    g += noise[pi][k]
+                row.append(p[k] - step * g)
+            for lo, hi in ((0, 2), (1, 3)):
+                if row[hi] - row[lo] < min_size:
+                    mid = (row[lo] + row[hi]) / 2.0
+                    row[lo], row[hi] = mid - min_size / 2.0, mid + min_size / 2.0
+            moved.append(tuple(row))
+        boxes = moved
+    losses.append(loss(*(frozen or topology())))
+    return losses, boxes
 
 
 def scalar_kinks(gts, proposals, structure=None, iou_threshold=0.5, eps=1e-6, tol=1e-6):

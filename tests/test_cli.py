@@ -1,14 +1,26 @@
 import csv
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from crowdloss import evalkit
+from crowdloss.anchors import load_probability_map, load_target_map
 from crowdloss.cli import main
 from crowdloss.config import NmsSweepConfig, RunConfig, load_run_config
-from crowdloss.errors import ConfigError
+from crowdloss.errors import ConfigError, InvalidInputError
+from crowdloss.evalkit import load_curve, load_detections
 from crowdloss.geometry import BBox
-from crowdloss.simulator import SimConfig, generate_scene, save_scene
+from crowdloss.simulator import SimConfig, generate_scene, load_scene, save_scene
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+# the crowd-dense workload's config file
+CROWD_DENSE = (
+    "[sim]\npedestrian_count = 6\nproposals_per_gt = 8\nrecompute_assignments = false\n"
+    "gradient_noise = 0.055\ndescent_steps = 50\n\n[composite]\nsmoothl1_weight = 7\n\n"
+    "[run]\nvariants = baseline, couloss\n"
+)
 
 
 def read_csv(path):
@@ -266,6 +278,51 @@ class TestEval:
         )
         assert main(["eval", "--config", cfg, "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("broken", ["detections", "scene"])
+    def test_malformed_number_exits_one_with_location(self, tmp_path, capsys, broken):
+        scenes_dir = tmp_path / "scenes"
+        scenes_dir.mkdir()
+        scene_line = "ped 1 1 abc 20 1 1 10 20" if broken == "scene" else "ped 1 1 10 20 1 1 10 20"
+        scene_path = scenes_dir / "s0.txt"
+        scene_path.write_text(f"extent 100 100\n{scene_line}\n")
+        det_path = tmp_path / "dets.csv"
+        coord = "abc" if broken == "detections" else "1"
+        det_path.write_text(f"scene_id,x1,y1,x2,y2,score\ns0,{coord},1,10,20,0.9\n")
+        cfg = write_config(
+            tmp_path / "run.cfg", f"[eval]\ndetections = {det_path}\nscenes_dir = {scenes_dir}\n"
+        )
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{det_path if broken == 'detections' else scene_path}:2:" in err
+        assert "Traceback" not in err
+
+
+MALFORMED = {
+    "detection-number": (
+        load_detections, "scene_id,x1,y1,x2,y2,score\ns0,0,0,10,20,0.5\ns0,abc,0,10,20,0.5\n", 3
+    ),
+    "detection-nan": (load_detections, "scene_id,x1,y1,x2,y2,score\ns0,nan,0,10,20,0.5\n", 2),
+    "detection-score": (load_detections, "scene_id,x1,y1,x2,y2,score\ns0,0,0,10,20,1.5\n", 2),
+    "detection-short-row": (load_detections, "scene_id,x1,y1,x2,y2,score\ns0,0,0\n", 2),
+    "detection-header": (load_detections, "scene_id,x1\n", 1),
+    "curve-number": (load_curve, "threshold,fppi,miss_rate\n0.5,abc,0.1\n", 2),
+    "scene-number": (load_scene, "extent 100 100\nped 1 1 abc 20 1 1 10 20\n", 2),
+    "scene-nan": (load_scene, "extent 100 100\nped 1 1 nan 20 1 1 10 20\n", 2),
+    "scene-degenerate": (load_scene, "extent 100 100\ndistractor 5 5 5 9\n", 2),
+    "map-number": (load_probability_map, "2 2 1.0\n0.1 0.2\n0.3 abc\n", 3),
+    "map-range": (load_probability_map, "2 1 1.0\n0.1 1.5\n", 2),
+    "map-header": (load_probability_map, "2 x 1.0\n", 1),
+    "target-row": (load_target_map, "2 2 1.0\nP N\nI\n", 3),
+}
+
+
+@pytest.mark.parametrize("loader, text, line", MALFORMED.values(), ids=MALFORMED.keys())
+def test_loaders_reject_malformed_input_with_location(tmp_path, loader, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}:{line}:")):
+        loader(path)
+
 
 class TestGradcheckCommand:
     def test_small_run_passes(self, tmp_path):
@@ -291,3 +348,24 @@ class TestGradcheckCommand:
         report = (out / "gradcheck_report.txt").read_text()
         assert "kink_warning" in report
         assert code == 2  # nothing checkable -> acceptance failure
+
+
+class TestBenchmarkReferences:
+    """``simulate`` writes the bytes of the benchmark's chunk-0 reference outputs."""
+
+    @pytest.mark.parametrize(
+        "workload, seeds, config",
+        [
+            ("simulate-default", range(100000, 100003), None),
+            ("crowd-dense", range(100000, 100006), CROWD_DENSE),
+        ],
+        ids=["simulate-default", "crowd-dense"],
+    )
+    def test_simulate_csv_matches_reference(self, tmp_path, monkeypatch, workload, seeds, config):
+        monkeypatch.delenv("CROWDLOSS_THREADS", raising=False)
+        argv = ["simulate", "--seeds", ",".join(map(str, seeds)), "--out", str(tmp_path / "out")]
+        if config:
+            argv += ["--config", write_config(tmp_path / "run.cfg", config)]
+        assert main(argv) == 0
+        expected = (REFERENCE / workload / "chunk0" / "simulate.csv").read_bytes()
+        assert (tmp_path / "out" / "simulate.csv").read_bytes() == expected

@@ -7,12 +7,12 @@ enough.
 """
 
 import math
-from types import SimpleNamespace
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from crowdloss import baselines, simulator
+import oracles
 from crowdloss.baselines import CompositeConfig, regression_targets
 from crowdloss.couloss import (
     CouLossConfig,
@@ -26,6 +26,7 @@ from crowdloss.couloss import (
 from crowdloss.errors import InfeasibleConfigError
 from crowdloss.geometry import BBox
 from crowdloss.simulator import SimConfig, generate_scene, run_descent, spawn_proposals
+from util import counted
 from oracles import (
     scalar_couloss,
     scalar_couloss_gradient,
@@ -286,55 +287,6 @@ class TestRegressionTargets:
         assert scalar_regression_targets([g.as_tuple() for g in gts], [(5, 0, 7, 2)]) == [0]
 
 
-def _scalar_patch(monkeypatch):
-    """Route the composite loss through the scalar oracle.
-
-    A structure passed in is replaced by the oracle's own, built from the
-    proposals of the first call that carries it (the boxes it was built
-    from, in both frozen and per-step descents).
-    """
-    seen = {}
-
-    def oracle_args(gts, proposals, cfg, structure, att, rep):
-        cfg = cfg or CouLossConfig()
-        gts_t = [g.as_tuple() for g in gts]
-        props_t = [p.as_tuple() for p in proposals]
-        struct = None
-        if structure is not None:
-            if id(structure) not in seen:
-                seen[id(structure)] = (
-                    structure,
-                    scalar_structure(gts_t, props_t, cfg.positive_iou_threshold),
-                )
-            struct = seen[id(structure)][1]
-        return (gts_t, props_t), dict(
-            iou_threshold=cfg.positive_iou_threshold,
-            eps=cfg.iou_floor,
-            mode=cfg.aggregation_mode,
-            include_attraction=att,
-            include_repulsion=rep,
-            structure=struct,
-        )
-
-    def fake_couloss(gts, proposals, cfg=None, *, include_attraction=True,
-                     include_repulsion=True, structure=None):
-        args, kw = oracle_args(gts, proposals, cfg, structure, include_attraction, include_repulsion)
-        return SimpleNamespace(total=scalar_couloss(*args, **kw)[0])
-
-    def fake_gradient(gts, proposals, cfg=None, *, include_attraction=True,
-                      include_repulsion=True, structure=None, warn_kinks=False):
-        args, kw = oracle_args(gts, proposals, cfg, structure, include_attraction, include_repulsion)
-        return np.array(scalar_couloss_gradient(*args, **kw)).reshape(-1, 4)
-
-    def fake_targets(gts, proposals):
-        return scalar_regression_targets([g.as_tuple() for g in gts], [p.as_tuple() for p in proposals])
-
-    monkeypatch.setattr(baselines, "couloss", fake_couloss)
-    monkeypatch.setattr(baselines, "couloss_gradient", fake_gradient)
-    monkeypatch.setattr(baselines, "regression_targets", fake_targets)
-    monkeypatch.setattr(simulator, "regression_targets", fake_targets)
-
-
 def _feasible_scene(cfg, seed):
     while True:
         try:
@@ -343,30 +295,43 @@ def _feasible_scene(cfg, seed):
             seed += 1
 
 
+DENSE = SimConfig(
+    pedestrian_count=6,
+    proposals_per_gt=8,
+    recompute_assignments=False,
+    gradient_noise=0.055,
+    descent_steps=50,
+)
+
+
 class TestDescentMatchesScalar:
     @pytest.mark.parametrize(
-        "sim_cfg, comp_cfg",
+        "sim_cfg, comp_cfg, cou_cfg",
         [
-            (SimConfig(descent_steps=50), CompositeConfig()),
+            (SimConfig(descent_steps=50), CompositeConfig(), CouLossConfig()),
+            (DENSE, CompositeConfig(smoothl1_weight=7.0), CouLossConfig()),
             (
-                SimConfig(
-                    pedestrian_count=6,
-                    proposals_per_gt=8,
-                    recompute_assignments=False,
-                    gradient_noise=0.055,
-                    descent_steps=50,
-                ),
-                CompositeConfig(smoothl1_weight=7.0),
+                SimConfig(descent_steps=50),
+                CompositeConfig(),
+                CouLossConfig(aggregation_mode="triplet-literal"),
             ),
+            (DENSE, CompositeConfig(include_attraction=False), CouLossConfig()),
         ],
-        ids=["default", "crowd-dense"],
+        ids=["default", "crowd-dense", "triplet-literal", "repulsion-only"],
     )
-    def test_fifty_steps_identical(self, monkeypatch, sim_cfg, comp_cfg):
+    def test_fifty_steps_identical(self, monkeypatch, sim_cfg, comp_cfg, cou_cfg):
         scene, seed = _feasible_scene(sim_cfg, 11)
         proposals = spawn_proposals(scene, sim_cfg, seed + 1)
-        fast = run_descent(scene, proposals, comp_cfg, CouLossConfig(), sim_cfg, seed=5)
-        _scalar_patch(monkeypatch)
-        slow = run_descent(scene, proposals, comp_cfg, CouLossConfig(), sim_cfg, seed=5)
+        fast = run_descent(scene, proposals, comp_cfg, cou_cfg, sim_cfg, seed=5)
+        calls, names = Counter(), ("scalar_couloss", "scalar_couloss_gradient")
+        for name in names:
+            monkeypatch.setattr(oracles, name, counted(getattr(oracles, name), calls, name))
+        losses, boxes = oracles.scalar_descent(
+            [g.as_tuple() for g in scene.gt_boxes],
+            [p.as_tuple() for p in proposals],
+            scene.extent, sim_cfg, comp_cfg, cou_cfg, seed=5,
+        )
+        assert all(calls[name] >= sim_cfg.descent_steps for name in names)
         assert len(fast.loss_curve) == sim_cfg.descent_steps + 1
-        assert fast.loss_curve == slow.loss_curve
-        assert [b.as_tuple() for b in fast.final_boxes] == [b.as_tuple() for b in slow.final_boxes]
+        assert fast.loss_curve == losses
+        assert [b.as_tuple() for b in fast.final_boxes] == boxes

@@ -1,9 +1,14 @@
+import importlib
 import math
+import pkgutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from crowdloss.baselines import CompositeConfig
+import crowdloss
+from crowdloss import _pairs
+from crowdloss.baselines import CompositeConfig, regression_targets
 from crowdloss.couloss import CouLossConfig
 from crowdloss.errors import (
     DivergenceError,
@@ -24,6 +29,7 @@ from crowdloss.simulator import (
     spawn_proposals,
     standard_variants,
 )
+from util import counted
 
 
 def scale_box(b: BBox, k: float) -> BBox:
@@ -275,6 +281,38 @@ class TestRunDescent:
         proposals = spawn_proposals(scene, cfg, 4)
         with pytest.warns(KinkWarning):
             run_descent(scene, proposals, sim_cfg=cfg)
+
+    @pytest.mark.parametrize("recompute", [True, False])
+    def test_non_finite_step_rejected(self, monkeypatch, recompute):
+        cfg = SimConfig(descent_steps=5, gradient_noise=1e308, recompute_assignments=recompute)
+        scene = generate_scene(cfg, 3)
+        proposals = spawn_proposals(scene, cfg, 4)
+        calls = Counter()
+        module = importlib.import_module("crowdloss.couloss")
+        monkeypatch.setattr(module, "pair_work", counted(_pairs.pair_work, calls, "pair_work"))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError):
+            run_descent(scene, proposals, sim_cfg=cfg, seed=1)
+        # rejected right after the first step, before a loss is evaluated at the invalid boxes
+        assert calls["pair_work"] == 1
+
+    def test_one_assignment_and_one_kernel_call_per_step(self, monkeypatch):
+        steps = 20
+        cfg = SimConfig(descent_steps=steps)
+        scene = generate_scene(cfg, 3)
+        proposals = spawn_proposals(scene, cfg, 4)
+        targets = regression_targets(scene.gt_boxes, proposals)
+        calls = Counter()
+        wrapped = {n: counted(getattr(_pairs, n), calls, n) for n in ("pair_work", "best_gt")}
+        names = [m.name for m in pkgutil.iter_modules(crowdloss.__path__) if m.name != "__main__"]
+        for mod_name in names:
+            # by module path: the package attribute crowdloss.couloss is the function
+            module = importlib.import_module(f"crowdloss.{mod_name}")
+            for name, wrapper in wrapped.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        run_descent(scene, proposals, sim_cfg=cfg, seed=1, intended_targets=targets)
+        assert steps <= calls["pair_work"] <= steps + 1
+        assert steps <= calls["best_gt"] <= steps + 1
 
 
 class TestNmsSensitivity:

@@ -46,3 +46,13 @@ def overlapping_pair(rng, extent=100.0):
 
 def boxes_equal(a: BBox, b: BBox) -> bool:
     return a.as_tuple() == b.as_tuple()
+
+
+def counted(fn, calls, name):
+    """``fn`` wrapped to add one to ``calls[name]`` on every call."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
