@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import BBox
+
 
 class Pairs(NamedTuple):
     """(gt, proposal) pairs, attraction pairs first; ``target`` is the proposal's
@@ -49,6 +51,13 @@ class PairWork(NamedTuple):
 
 def box_array(boxes) -> np.ndarray:
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def check_boxes(coords: np.ndarray) -> None:
+    """Reject, as ``BBox`` does, rows that are not finite with x2 > x1 and y2 > y1."""
+    ok = np.isfinite(coords).all(axis=1) & (coords[:, 2:] > coords[:, :2]).all(axis=1)
+    if not ok.all():
+        BBox(*coords[np.argmin(ok)].tolist())  # raises the box's InvalidInputError
 
 
 def _map(fn, *arrays) -> np.ndarray:

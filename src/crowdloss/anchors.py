@@ -71,9 +71,8 @@ class TargetMap:
             raise InvalidInputError("target map must be a non-empty 2-D grid")
         if self.stride <= 0.0:
             raise InvalidInputError("stride must be > 0")
-        bad = set(np.unique(self.labels)) - {POSITIVE, IGNORED, NEGATIVE}
-        if bad:
-            raise InvalidInputError(f"unknown target labels: {sorted(bad)}")
+        for label in np.unique(self.labels).tolist():
+            _label(label)
 
     @property
     def height(self) -> int:
@@ -367,8 +366,14 @@ def save_target_map(tmap: TargetMap, path) -> None:
 def load_target_map(path) -> TargetMap:
     with open(path) as fh:
         width, height, stride = _parse_grid_header(fh.readline(), path)
-        labels = _read_grid_rows(fh, width, height, path, str)
+        labels = _read_grid_rows(fh, width, height, path, _label)
     return TargetMap(stride=stride, labels=np.array(labels, dtype="<U1"))
+
+
+def _label(text: str) -> str:
+    if text not in (POSITIVE, IGNORED, NEGATIVE):
+        raise InvalidInputError(f"unknown target label {text!r}")
+    return text
 
 
 def _parse_grid_header(line: str, path):

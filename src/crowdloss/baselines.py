@@ -185,14 +185,16 @@ def composite_gradient(
 
 
 def _composite(
-    gts, proposals, scale, cfg, cou_cfg, structure, targets, *, gradient=False, warn_kinks=False
+    gts, proposals, scale, cfg, cou_cfg, structure, targets, *, gradient=False, warn_kinks=False,
+    evaluation=None,
 ):
     """The composite report of box arrays and, with ``gradient``, its (N, 4)
     gradient (else None).
 
     ``scale`` is ``scene_scale`` of the ground truths. Targets and structure
     left out are rebuilt from one max-IoU assignment, and one kernel call
-    gives the CouLoss value and gradient.
+    gives the CouLoss value and gradient; ``evaluation`` passes a CouLoss
+    evaluation of these boxes on to ``_couloss`` in place of that call.
     """
     ranked = None
     if targets is None or (structure is None and cfg.alpha > 0.0):
@@ -205,7 +207,7 @@ def _composite(
     report, cou_grad, cou_total = None, None, 0.0
     if cfg.alpha > 0.0:
         parts = (cfg.include_attraction, cfg.include_repulsion)
-        kw = dict(ranked=ranked, gradient=gradient, warn_kinks=warn_kinks)
+        kw = dict(ranked=ranked, gradient=gradient, warn_kinks=warn_kinks, evaluation=evaluation)
         report, cou_grad = _couloss(gts, proposals, cou_cfg, structure, parts, **kw)
         cou_total = report.total
     composite = CompositeReport(

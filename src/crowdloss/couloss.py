@@ -200,18 +200,20 @@ def _evaluate(gts: np.ndarray, proposals: np.ndarray, cfg, structure, ranked=Non
 
 
 def _couloss(
-    gts, proposals, cfg, structure, parts, *, ranked=None, gradient=False, warn_kinks=False
+    gts, proposals, cfg, structure, parts, *, ranked=None, gradient=False, warn_kinks=False,
+    evaluation=None,
 ):
     """The loss report of box arrays and, with ``gradient``, its ``(N, 4)``
     gradient (else None), both from one kernel call.
 
     ``parts`` switches (attraction, repulsion) on or off. ``ranked`` is
     ``best_gt(gts, proposals)`` when already computed; with ``warn_kinks``
-    the kink check reuses that IoU matrix and the pair work.
+    the kink check reuses that IoU matrix and the pair work. ``evaluation``
+    is an ``_evaluate`` of these boxes (same ``gradient``) to use instead.
     """
     if gts.shape[0] == 0:
         raise InvalidInputError("couloss requires at least one ground-truth box")
-    structure, iou, work = _evaluate(gts, proposals, cfg, structure, ranked, gradient)
+    structure, iou, work = evaluation or _evaluate(gts, proposals, cfg, structure, ranked, gradient)
     if warn_kinks:
         kinks = _kinks(gts, proposals, cfg, cfg.kink_tolerance, structure, iou, work)
         if kinks:

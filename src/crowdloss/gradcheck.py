@@ -6,31 +6,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import (
-    CompositeConfig,
-    composite_gradient,
-    composite_regression_loss,
-)
-from .couloss import CouLossConfig, couloss, couloss_gradient, detect_kinks
+from ._pairs import best_gt, box_array, check_boxes
+from .baselines import CompositeConfig, _composite, _targets, scene_scale
+from .couloss import CouLossConfig, _couloss, _evaluate, detect_kinks
 from .geometry import BBox
 from .simulator import SimConfig, generate_scene, spawn_proposals
 
 TERMS = ("couloss", "couloss_attraction", "couloss_repulsion", "smooth_l1", "composite")
+# (attraction, repulsion) of the three CouLoss terms, and the config of the SmoothL1 term
+_COULOSS_PARTS = ((True, True), (True, False), (False, True))
+_SMOOTH_L1 = CompositeConfig(alpha=0.0)
 
 
-def finite_difference(loss_fn, proposals: list[BBox], h: float) -> np.ndarray:
-    """Central finite differences of a scalar loss over proposal coordinates."""
-    coords = np.array([p.as_tuple() for p in proposals], dtype=float)
-    grad = np.zeros_like(coords)
-    for pi in range(coords.shape[0]):
-        for ci in range(4):
-            plus = coords.copy()
-            minus = coords.copy()
-            plus[pi, ci] += h
-            minus[pi, ci] -= h
-            fp = loss_fn([BBox(*row) for row in plus])
-            fm = loss_fn([BBox(*row) for row in minus])
-            grad[pi, ci] = (fp - fm) / (2.0 * h)
+def _terms(gts, proposals, scale, comp_cfg, cou_cfg, gradient=False):
+    """Values of the five ``TERMS`` at the box arrays and, with ``gradient``,
+    their ``(N, 4)`` gradients, from one IoU matrix and one kernel call.
+
+    The CouLoss terms read the kernel's attraction/repulsion split; the
+    SmoothL1 term is the composite under ``CompositeConfig(alpha=0.0)``.
+    """
+    ranked = best_gt(gts, proposals)
+    targets = _targets(gts, proposals, ranked)
+    evaluation = _evaluate(gts, proposals, cou_cfg, None, ranked, gradient)
+    kw = dict(gradient=gradient, evaluation=evaluation)
+    out = [_couloss(gts, proposals, cou_cfg, None, parts, **kw) for parts in _COULOSS_PARTS]
+    for cfg in (_SMOOTH_L1, comp_cfg):
+        out.append(_composite(gts, proposals, scale, cfg, cou_cfg, evaluation[0], targets, **kw))
+    return np.array([report.total for report, _ in out]), [grad for _, grad in out]
+
+
+def finite_difference(loss_fn, coords: np.ndarray, h: float) -> np.ndarray:
+    """Central finite differences of the ``TERMS`` values ``loss_fn`` returns,
+    over the ``(N, 4)`` proposal coordinates: shape ``(len(TERMS), N, 4)``.
+    Every perturbed point must be valid boxes."""
+    grad = np.zeros((len(TERMS), *coords.shape))
+    for pi, ci in np.ndindex(coords.shape):
+        plus = coords.copy()
+        minus = coords.copy()
+        plus[pi, ci] += h
+        minus[pi, ci] -= h
+        check_boxes(np.concatenate([plus, minus]))
+        grad[:, pi, ci] = (loss_fn(plus) - loss_fn(minus)) / (2.0 * h)
     return grad
 
 
@@ -48,39 +64,17 @@ def check_scene(
     cou_cfg: CouLossConfig,
     fd_step_fraction: float = 1e-5,
 ) -> dict[str, float]:
-    """Per-term relative errors between analytic gradients and central differences."""
-    scale = sum(max(g.width, g.height) for g in gts) / len(gts)
-    h = fd_step_fraction * scale
-    errors = {}
+    """Per-term relative errors between analytic gradients and central differences.
 
-    def couloss_total(ps, att=True, rep=True):
-        return couloss(gts, ps, cou_cfg, include_attraction=att, include_repulsion=rep).total
-
-    pairs = {
-        "couloss": (
-            couloss_gradient(gts, proposals, cou_cfg),
-            lambda ps: couloss_total(ps),
-        ),
-        "couloss_attraction": (
-            couloss_gradient(gts, proposals, cou_cfg, include_repulsion=False),
-            lambda ps: couloss_total(ps, rep=False),
-        ),
-        "couloss_repulsion": (
-            couloss_gradient(gts, proposals, cou_cfg, include_attraction=False),
-            lambda ps: couloss_total(ps, att=False),
-        ),
-        "smooth_l1": (
-            composite_gradient(gts, proposals, CompositeConfig(alpha=0.0), cou_cfg),
-            lambda ps: composite_regression_loss(gts, ps, CompositeConfig(alpha=0.0), cou_cfg).total,
-        ),
-        "composite": (
-            composite_gradient(gts, proposals, comp_cfg, cou_cfg),
-            lambda ps: composite_regression_loss(gts, ps, comp_cfg, cou_cfg).total,
-        ),
-    }
-    for term, (analytic, loss_fn) in pairs.items():
-        errors[term] = relative_error(analytic, finite_difference(loss_fn, proposals, h))
-    return errors
+    Each point, the analytic one and every perturbed one, is evaluated once
+    for all five terms.
+    """
+    G, P, scale = box_array(gts), box_array(proposals), scene_scale(gts)
+    analytic = _terms(G, P, scale, comp_cfg, cou_cfg, gradient=True)[1]
+    numeric = finite_difference(
+        lambda coords: _terms(G, coords, scale, comp_cfg, cou_cfg)[0], P, fd_step_fraction * scale
+    )
+    return {t: relative_error(a, n) for t, a, n in zip(TERMS, analytic, numeric)}
 
 
 @dataclass
@@ -111,37 +105,25 @@ def run_gradcheck(
     re-jittered (fresh proposal seed) up to the retry budget; an
     irreducibly kinky scene is skipped and recorded as a warning line.
     """
-    sums = {t: 0.0 for t in TERMS}
-    maxes = {t: 0.0 for t in TERMS}
-    checked = 0
-    skipped = 0
+    errors = []
     kink_lines = []
-    for k in range(num_scenes):
-        seed = seed_base + k
+    seeds = range(seed_base, seed_base + num_scenes)
+    for seed in seeds:
         scene = generate_scene(sim_cfg, seed)
         gts = scene.gt_boxes
-        proposals = None
         for retry in range(max_perturb_retries):
-            candidate = spawn_proposals(scene, sim_cfg, seed * 1000 + retry + 1)
-            kinks = detect_kinks(gts, candidate, cou_cfg, tolerance=kink_tolerance)
+            proposals = spawn_proposals(scene, sim_cfg, seed * 1000 + retry + 1)
+            kinks = detect_kinks(gts, proposals, cou_cfg, tolerance=kink_tolerance)
             if not kinks:
-                proposals = candidate
+                errors.append(check_scene(gts, proposals, comp_cfg, cou_cfg, fd_step_fraction))
                 break
             if retry == 0:
                 kink_lines.append(f"kink_warning seed={seed} {kinks[0]}")
-        if proposals is None:
-            skipped += 1
-            continue
-        errors = check_scene(gts, proposals, comp_cfg, cou_cfg, fd_step_fraction)
-        checked += 1
-        for t, e in errors.items():
-            sums[t] += e
-            maxes[t] = max(maxes[t], e)
-    means = {t: (sums[t] / checked if checked else 0.0) for t in TERMS}
+    checked = len(errors)
     return GradCheckOutcome(
         scenes_checked=checked,
-        scenes_skipped=skipped,
-        max_error=maxes,
-        mean_error=means,
+        scenes_skipped=len(seeds) - checked,
+        max_error={t: max([0.0] + [e[t] for e in errors]) for t in TERMS},
+        mean_error={t: sum(e[t] for e in errors) / checked if checked else 0.0 for t in TERMS},
         kink_lines=kink_lines,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from ._pairs import box_array, iou_matrix
+from ._pairs import box_array, check_boxes, iou_matrix
 from .baselines import CompositeConfig, _composite, regression_targets, scene_scale
 from .couloss import CouLossConfig, TripletStructure
 from .errors import (
@@ -85,7 +85,6 @@ class SimConfig:
     recompute_assignments: bool = True
     divergence_factor: float = 10.0
     warn_kinks: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.pedestrian_count < 1:
@@ -306,13 +305,6 @@ def _project_min_size(coords: np.ndarray, min_size: float) -> np.ndarray:
     return coords
 
 
-def _check_boxes(coords: np.ndarray) -> None:
-    """Reject, as ``BBox`` does, rows that are not finite with x2 > x1 and y2 > y1."""
-    ok = np.isfinite(coords).all(axis=1) & (coords[:, 2:] > coords[:, :2]).all(axis=1)
-    if not ok.all():
-        BBox(*coords[np.argmin(ok)].tolist())  # raises the box's InvalidInputError
-
-
 def _summarize(
     coords: np.ndarray, gts: np.ndarray, targets: list[int], loss_curve, steps, aborted=False
 ) -> SimResult:
@@ -360,15 +352,13 @@ def run_descent(
     Assignments are recomputed every step unless the config freezes them.
     Drift and overlap statistics are measured against ``intended_targets``
     (max-IoU at step zero when not given). ``seed`` drives the gradient
-    noise and defaults to the config's seed. A loss exceeding
+    noise and defaults to 0. A loss exceeding
     ``divergence_factor`` times the initial loss aborts with the partial
     result attached to the raised :class:`DivergenceError`.
     """
     comp_cfg = comp_cfg or CompositeConfig()
     cou_cfg = cou_cfg or CouLossConfig()
     sim_cfg = sim_cfg or SimConfig()
-    if seed is None:
-        seed = sim_cfg.seed
     gts = scene.gt_boxes
     if not gts:
         raise InvalidInputError("scene has no pedestrians")
@@ -381,8 +371,10 @@ def run_descent(
         intended_targets = regression_targets(gts, proposals)
     elif len(intended_targets) != len(proposals):
         raise InvalidInputError("intended_targets length must match proposals")
+    elif not all(0 <= t < len(gts) for t in intended_targets):
+        raise InvalidInputError(f"intended_targets must index the {len(gts)} pedestrians")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0 if seed is None else seed)
     max_extent = max(scene.extent)
     step = sim_cfg.step_size * max_extent * max_extent
     min_size = 1e-3 * max_extent
@@ -413,7 +405,7 @@ def run_descent(
             grad = grad + rng.normal(0.0, sim_cfg.gradient_noise, grad.shape)
         coords -= step * grad
         _project_min_size(coords, min_size)
-        _check_boxes(coords)
+        check_boxes(coords)
 
     final = _composite(G, coords, scale, comp_cfg, cou_cfg, *frozen)[0]
     losses.append(final.total)
@@ -532,6 +524,7 @@ def load_scene(path) -> Scene:
     extent = None
     peds = []
     distractors = []
+    lines = []  # (line, pedestrians, distractors) of each box line
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
@@ -541,15 +534,21 @@ def load_scene(path) -> Scene:
             with at_line(path, lineno):
                 if kind == "extent" and len(args) == 2:
                     extent = (float(args[0]), float(args[1]))
+                    Scene(extent=extent, pedestrians=[])
                 elif kind == "ped" and len(args) == 8:
                     vals = [float(a) for a in args]
                     peds.append(Pedestrian(BBox(*vals[:4]), BBox(*vals[4:])))
+                    lines.append((lineno, peds[-1:], []))
                 elif kind == "distractor" and len(args) == 4:
                     distractors.append(BBox(*(float(a) for a in args)))
+                    lines.append((lineno, [], distractors[-1:]))
                 else:
                     raise InvalidInputError(f"unrecognized scene line {raw!r}")
     if extent is None:
         raise InvalidInputError(f"{path}: missing extent header")
+    for lineno, line_peds, line_distractors in lines:
+        with at_line(path, lineno):  # a one-box Scene checks the box against the extent
+            Scene(extent=extent, pedestrians=line_peds, distractors=line_distractors)
     return Scene(extent=extent, pedestrians=peds, distractors=distractors)
 
 

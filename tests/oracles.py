@@ -1,7 +1,8 @@
 """Independent straight-line oracles used to freeze expected test values.
 
 Everything here works on plain (x1, y1, x2, y2) tuples and deliberately
-shares no code with the package under test.
+shares no code with the package under test, except
+:func:`five_sweep_check_scene`, which drives the package's public losses.
 """
 
 import math
@@ -562,3 +563,66 @@ def exact_fraction_iou(a, b):
     inter = iw * ih
     union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
     return inter / union
+
+
+def five_sweep_check_scene(gts, proposals, comp_cfg, cou_cfg, fd_step_fraction=1e-5):
+    """Gradcheck errors of the five terms, one term at a time.
+
+    The earlier ``gradcheck.check_scene``: each term gets its own analytic
+    call and its own central-difference sweep, which rebuilds the ``BBox``
+    list at every point, all through the package's public loss functions.
+    Returns ``{term: relative error}``.
+    """
+    from crowdloss.baselines import CompositeConfig, composite_gradient, composite_regression_loss
+    from crowdloss.couloss import couloss, couloss_gradient
+    from crowdloss.geometry import BBox
+
+    def finite_difference(loss_fn, h):
+        coords = np.array([p.as_tuple() for p in proposals], dtype=float)
+        grad = np.zeros_like(coords)
+        for pi in range(coords.shape[0]):
+            for ci in range(4):
+                plus = coords.copy()
+                minus = coords.copy()
+                plus[pi, ci] += h
+                minus[pi, ci] -= h
+                fp = loss_fn([BBox(*row) for row in plus])
+                fm = loss_fn([BBox(*row) for row in minus])
+                grad[pi, ci] = (fp - fm) / (2.0 * h)
+        return grad
+
+    def relative_error(analytic, numeric):
+        denom = max(float(np.abs(analytic).max(initial=0.0)), float(np.abs(numeric).max(initial=0.0)))
+        if denom == 0.0:
+            return 0.0
+        return float(np.abs(analytic - numeric).max()) / max(denom, 1e-8)
+
+    def couloss_total(ps, att=True, rep=True):
+        return couloss(gts, ps, cou_cfg, include_attraction=att, include_repulsion=rep).total
+
+    scale = sum(max(g.width, g.height) for g in gts) / len(gts)
+    sl1_cfg = CompositeConfig(alpha=0.0)
+    pairs = {
+        "couloss": (couloss_gradient(gts, proposals, cou_cfg), lambda ps: couloss_total(ps)),
+        "couloss_attraction": (
+            couloss_gradient(gts, proposals, cou_cfg, include_repulsion=False),
+            lambda ps: couloss_total(ps, rep=False),
+        ),
+        "couloss_repulsion": (
+            couloss_gradient(gts, proposals, cou_cfg, include_attraction=False),
+            lambda ps: couloss_total(ps, att=False),
+        ),
+        "smooth_l1": (
+            composite_gradient(gts, proposals, sl1_cfg, cou_cfg),
+            lambda ps: composite_regression_loss(gts, ps, sl1_cfg, cou_cfg).total,
+        ),
+        "composite": (
+            composite_gradient(gts, proposals, comp_cfg, cou_cfg),
+            lambda ps: composite_regression_loss(gts, ps, comp_cfg, cou_cfg).total,
+        ),
+    }
+    h = fd_step_fraction * scale
+    return {
+        term: relative_error(analytic, finite_difference(loss_fn, h))
+        for term, (analytic, loss_fn) in pairs.items()
+    }

@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +66,12 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", "[sim]\nwalrus = 1\n")
         with pytest.raises(ConfigError):
+            load_run_config(path)
+
+    def test_sim_seed_is_unknown(self, tmp_path):
+        # run_descent takes its seed from each command, so the config has none
+        path = write_config(tmp_path / "run.cfg", "[sim]\nseed = 5\n")
+        with pytest.raises(ConfigError, match="unknown key 'seed'"):
             load_run_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -313,6 +321,9 @@ MALFORMED = {
     "map-range": (load_probability_map, "2 1 1.0\n0.1 1.5\n", 2),
     "map-header": (load_probability_map, "2 x 1.0\n", 1),
     "target-row": (load_target_map, "2 2 1.0\nP N\nI\n", 3),
+    "target-label": (load_target_map, "2 1 1.0\nP X\n", 2),
+    "scene-visible": (load_scene, "extent 10 10\nped 1 1 5 9 0 0 5 9\n", 2),
+    "scene-extent": (load_scene, "extent 10 10\nped 1 1 5 9 1 1 5 9\ndistractor 5 5 12 9\n", 3),
 }
 
 
@@ -322,6 +333,13 @@ def test_loaders_reject_malformed_input_with_location(tmp_path, loader, text, li
     path.write_text(text)
     with pytest.raises(InvalidInputError, match=re.escape(f"{path}:{line}:")):
         loader(path)
+
+
+def test_unknown_target_label_printed_as_text(tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_text("2 1 1.0\nP X\n")
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}:2: unknown target label 'X'")):
+        load_target_map(path)
 
 
 class TestGradcheckCommand:
@@ -350,8 +368,17 @@ class TestGradcheckCommand:
         assert code == 2  # nothing checkable -> acceptance failure
 
 
+def bench_workloads(monkeypatch):
+    """``perfbench/workloads.py``, imported without writing a bytecode cache beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_workloads", REFERENCE.parent / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkReferences:
-    """``simulate`` writes the bytes of the benchmark's chunk-0 reference outputs."""
+    """The commands write the bytes of the benchmark's chunk-0 reference outputs."""
 
     @pytest.mark.parametrize(
         "workload, seeds, config",
@@ -369,3 +396,22 @@ class TestBenchmarkReferences:
         assert main(argv) == 0
         expected = (REFERENCE / workload / "chunk0" / "simulate.csv").read_bytes()
         assert (tmp_path / "out" / "simulate.csv").read_bytes() == expected
+
+    def test_gradcheck_report_matches_reference(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CROWDLOSS_THREADS", raising=False)
+        cfg = write_config(tmp_path / "run.cfg", "[gradcheck]\nnum_scenes = 12\n")
+        out = tmp_path / "out"
+        assert main(["gradcheck", "--config", cfg, "--seeds", "100000", "--out", str(out)]) == 0
+        expected = (REFERENCE / "gradcheck" / "chunk0" / "gradcheck_report.txt").read_bytes()
+        assert (out / "gradcheck_report.txt").read_bytes() == expected
+
+    def test_eval_anchors_outputs_match_reference(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CROWDLOSS_THREADS", raising=False)
+        workload = bench_workloads(monkeypatch).EvalAnchors()
+        workload.write_inputs(0, 0, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for argv in workload.commands(0, 0):
+            assert main(argv) == 0
+        for name in ("curve.csv", "eval_summary.txt", "anchor_stats.csv"):
+            expected = (REFERENCE / "eval-anchors" / "chunk0" / name).read_bytes()
+            assert (tmp_path / "out" / name).read_bytes() == expected, name

@@ -263,6 +263,27 @@ class TestRunDescent:
         with pytest.raises(InvalidInputError):
             run_descent(scene, proposals, sim_cfg=cfg, intended_targets=[0])
 
+    @pytest.mark.parametrize("target", [5, -1])
+    def test_intended_targets_range_checked_up_front(self, monkeypatch, target):
+        cfg = SimConfig(descent_steps=5)
+        scene = generate_scene(cfg, 0)
+        proposals = spawn_proposals(scene, cfg, 1)
+        assert len(scene.pedestrians) == 2
+        calls = Counter()
+        module = importlib.import_module("crowdloss.couloss")
+        monkeypatch.setattr(module, "pair_work", counted(_pairs.pair_work, calls, "pair_work"))
+        with pytest.raises(InvalidInputError, match="intended_targets"):
+            run_descent(scene, proposals, sim_cfg=cfg, intended_targets=[target] * len(proposals))
+        assert calls["pair_work"] == 0
+
+    def test_seed_defaults_to_zero(self):
+        cfg = SimConfig(descent_steps=5, gradient_noise=0.05)
+        scene = generate_scene(cfg, 0)
+        proposals = spawn_proposals(scene, cfg, 1)
+        default = run_descent(scene, proposals, sim_cfg=cfg)
+        assert default.loss_curve == run_descent(scene, proposals, sim_cfg=cfg, seed=0).loss_curve
+        assert default.loss_curve != run_descent(scene, proposals, sim_cfg=cfg, seed=1).loss_curve
+
     def test_frozen_assignments_toggle(self):
         cfg = SimConfig(descent_steps=40, recompute_assignments=False)
         scene = generate_scene(cfg, 7)
