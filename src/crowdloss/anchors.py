@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from ._pairs import box_array, check_boxes, iou_matrix
 from .errors import InvalidAnnotationError, InvalidInputError, at_line
 from .geometry import BBox
 
@@ -66,13 +66,14 @@ class TargetMap:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype="<U1")
-        if self.labels.ndim != 2 or self.labels.size == 0:
+        labels = np.asarray(self.labels, dtype=str)
+        if labels.ndim != 2 or labels.size == 0:
             raise InvalidInputError("target map must be a non-empty 2-D grid")
         if self.stride <= 0.0:
             raise InvalidInputError("stride must be > 0")
-        for label in np.unique(self.labels).tolist():
+        for label in np.unique(labels).tolist():
             _label(label)
+        self.labels = labels.astype("<U1")
 
     @property
     def height(self) -> int:
@@ -110,14 +111,18 @@ def dynamic_threshold(pmap: ProbabilityMap) -> float:
     return float(np.sqrt(np.mean(np.square(pmap.values))))
 
 
-def _anchor_boxes_at(cx: float, cy: float, scales, ratios):
-    boxes = []
-    for scale in scales:
-        for ratio in ratios:
-            w = scale * math.sqrt(ratio)
-            h = scale / math.sqrt(ratio)
-            boxes.append(BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0))
-    return boxes
+def _anchor_boxes(rows: np.ndarray, cols: np.ndarray, stride: float, scales, ratios) -> np.ndarray:
+    """``(K, 4)`` anchors in (cell, scale, ratio) order, centered on the cells.
+
+    A (scale, ratio) anchor is ``scale * sqrt(ratio)`` wide and
+    ``scale / sqrt(ratio)`` high.
+    """
+    half = np.array(
+        [(scale * math.sqrt(ratio) / 2.0, scale / math.sqrt(ratio) / 2.0) for scale in scales for ratio in ratios]
+    ).reshape(-1, 2)
+    cx = ((cols + 0.5) * stride)[:, None]
+    cy = ((rows + 0.5) * stride)[:, None]
+    return np.stack([cx - half[:, 0], cy - half[:, 1], cx + half[:, 0], cy + half[:, 1]], axis=-1).reshape(-1, 4)
 
 
 def select_anchors(
@@ -148,11 +153,10 @@ def select_anchors(
     if fallback:
         rows, cols = np.nonzero(np.ones_like(pmap.values, dtype=bool))
     cells = list(zip(rows.tolist(), cols.tolist()))
-    anchors = []
-    for row, col in cells:
-        cx, cy = pmap.cell_center(row, col)
-        for box in _anchor_boxes_at(cx, cy, scales, ratios):
-            anchors.append(Anchor(row, col, box))
+    boxes = _anchor_boxes(rows, cols, pmap.stride, scales, ratios).reshape(len(cells), -1, 4)
+    anchors = [
+        Anchor(row, col, BBox(*box)) for (row, col), cell_boxes in zip(cells, boxes.tolist()) for box in cell_boxes
+    ]
     return AnchorSet(
         anchors=anchors,
         threshold=eps_a,
@@ -255,30 +259,23 @@ def negative_informativeness(
     a hit is a negative anchor whose center lies inside a distractor box.
     The uniform baseline regenerates the same anchor shapes at every cell.
     """
-    gt_boxes = [ped.full for ped in scene.pedestrians]
+    gts = box_array(scene.gt_boxes)
+    distractors = box_array(scene.distractors)
 
-    def stats(anchors):
-        negatives = 0
-        hits = 0
-        for a in anchors:
-            if any(geometry.iou(g, a.box) >= negative_iou_threshold for g in gt_boxes):
-                continue
-            negatives += 1
-            c = geometry.center(a.box)
-            if any(d.x1 <= c.x <= d.x2 and d.y1 <= c.y <= d.y2 for d in scene.distractors):
-                hits += 1
-        return negatives, hits
+    def stats(boxes):
+        negative = ~(iou_matrix(gts, boxes) >= negative_iou_threshold).any(axis=0)
+        cx = (boxes[:, 0] + boxes[:, 2]) / 2.0
+        cy = (boxes[:, 1] + boxes[:, 3]) / 2.0
+        d = distractors.T[:, :, None]
+        inside = ((d[0] <= cx) & (cx <= d[2]) & (d[1] <= cy) & (cy <= d[3])).any(axis=0)
+        return int(negative.sum()), int((negative & inside).sum())
 
-    uniform_anchors = []
-    for row in range(selected.grid_height):
-        for col in range(selected.grid_width):
-            cx = (col + 0.5) * selected.stride
-            cy = (row + 0.5) * selected.stride
-            for box in _anchor_boxes_at(cx, cy, selected.scales, selected.ratios):
-                uniform_anchors.append(Anchor(row, col, box))
+    rows, cols = np.indices((selected.grid_height, selected.grid_width)).reshape(2, -1)
+    uniform = _anchor_boxes(rows, cols, selected.stride, selected.scales, selected.ratios)
+    check_boxes(uniform)
 
-    sel_neg, sel_hit = stats(selected.anchors)
-    uni_neg, uni_hit = stats(uniform_anchors)
+    sel_neg, sel_hit = stats(box_array([a.box for a in selected.anchors]))
+    uni_neg, uni_hit = stats(uniform)
     return InformativenessStats(
         selected_fraction=sel_hit / sel_neg if sel_neg else 0.0,
         uniform_fraction=uni_hit / uni_neg if uni_neg else 0.0,

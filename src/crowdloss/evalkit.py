@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import geometry
@@ -76,23 +77,19 @@ def greedy_nms(dets: list[Detection], threshold: float) -> list[Detection]:
     return kept
 
 
-def match(
-    dets: list[Detection],
-    gts: list[BBox],
-    iou_threshold: float = 0.5,
-    ignored_gts: list[BBox] = (),
-) -> MatchResult:
-    """Greedy detection-to-GT matching in descending score order.
+TRUE_POSITIVE = "tp"
+FALSE_POSITIVE = "fp"
+IGNORED = "ignored"
 
-    Each ground truth is matched at most once and requires IoU >= threshold.
-    Detections that fail to match a real ground truth but overlap an ignored
-    one at the threshold are discarded rather than counted as false
-    positives.
+
+def _greedy_pass(dets, gts, iou_threshold, ignored_gts):
+    """Yield ``(detection, outcome)`` under :func:`match`'s rule, in its order.
+
+    An outcome depends only on the detections yielded before it.
     """
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
     matched = [False] * len(gts)
     ignored_matched = [False] * len(ignored_gts)
-    tp = fp = 0
     for i in order:
         d = dets[i]
         best_gi, best_v = -1, 0.0
@@ -104,17 +101,36 @@ def match(
                 best_gi, best_v = gi, v
         if best_gi >= 0 and best_v >= iou_threshold:
             matched[best_gi] = True
-            tp += 1
+            yield d, TRUE_POSITIVE
             continue
-        on_ignored = False
         for gi, g in enumerate(ignored_gts):
             if not ignored_matched[gi] and geometry.iou(d.box, g) >= iou_threshold:
                 ignored_matched[gi] = True
-                on_ignored = True
+                yield d, IGNORED
                 break
-        if not on_ignored:
-            fp += 1
-    return MatchResult(tp, fp, len(gts) - tp)
+        else:
+            yield d, FALSE_POSITIVE
+
+
+def match(
+    dets: list[Detection],
+    gts: list[BBox],
+    iou_threshold: float = 0.5,
+    ignored_gts: list[BBox] = (),
+) -> MatchResult:
+    """Greedy detection-to-GT matching in descending score order.
+
+    Equal scores keep input order. Each ground truth is matched at most once
+    and requires IoU >= threshold. A detection that matches no real ground
+    truth but overlaps an unconsumed ignore region at IoU >= threshold is
+    discarded rather than counted as a false positive, and consumes that
+    region: each ignore region absorbs at most one detection. (The Caltech
+    protocol instead lets one ignore region absorb many detections, judged by
+    intersection over detection area.)
+    """
+    outcomes = Counter(o for _, o in _greedy_pass(dets, gts, iou_threshold, ignored_gts))
+    tp = outcomes[TRUE_POSITIVE]
+    return MatchResult(tp, outcomes[FALSE_POSITIVE], len(gts) - tp)
 
 
 def fppi_curve(
@@ -125,9 +141,14 @@ def fppi_curve(
 ) -> EvalCurve:
     """Sweep score thresholds over all distinct detection scores.
 
-    At each threshold, detections scoring at least that much are matched per
-    scene; FPPI is total false positives over the scene count, miss rate is
-    total misses over the ground-truth count.
+    Each point equals :func:`match` of every scene's detections scoring at
+    least the threshold: FPPI is total false positives over the number of
+    scenes (with or without detections), miss rate is total misses over the
+    ground-truth count. Greedy matching is prefix-closed, so the curve comes
+    from one greedy pass per scene, tallied per score and accumulated over
+    the thresholds in descending order. A detection whose ``scene_id`` is
+    not in ``gts_by_scene`` still sets a threshold but counts as neither a
+    true nor a false positive.
     """
     n_scenes = len(gts_by_scene)
     n_gts = sum(len(g) for g in gts_by_scene.values())
@@ -140,17 +161,18 @@ def fppi_curve(
         if d.scene_id in by_scene:
             by_scene[d.scene_id].append(d)
 
+    counts: Counter = Counter()
+    for sid, gts in gts_by_scene.items():
+        ignored = ignored_by_scene.get(sid, ())
+        counts.update((d.score, o) for d, o in _greedy_pass(by_scene[sid], gts, iou_threshold, ignored))
+
     thresholds = sorted({d.score for d in dets}, reverse=True)
     points = []
+    tp = fp = 0
     for t in thresholds:
-        total_fp = 0
-        total_miss = 0
-        for sid, gts in gts_by_scene.items():
-            kept = [d for d in by_scene[sid] if d.score >= t]
-            res = match(kept, gts, iou_threshold, ignored_by_scene.get(sid, ()))
-            total_fp += res.false_positives
-            total_miss += res.misses
-        points.append((total_fp / n_scenes, total_miss / n_gts))
+        tp += counts[t, TRUE_POSITIVE]
+        fp += counts[t, FALSE_POSITIVE]
+        points.append((fp / n_scenes, (n_gts - tp) / n_gts))
     return EvalCurve(thresholds=tuple(thresholds), points=tuple(points))
 
 

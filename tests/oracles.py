@@ -1,15 +1,20 @@
 """Independent straight-line oracles used to freeze expected test values.
 
-Everything here works on plain (x1, y1, x2, y2) tuples and deliberately
-shares no code with the package under test, except
+Everything here works on plain (x1, y1, x2, y2) tuples, or reads box,
+detection and anchor-set fields by name, and deliberately shares no code
+with the package under test, except
 :func:`five_sweep_check_scene`, which drives the package's public losses.
 """
 
 import math
 
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
+
+
+_Box = namedtuple("_Box", "x1 y1 x2 y2")
 
 
 def tuple_iou(a, b):
@@ -626,3 +631,117 @@ def five_sweep_check_scene(gts, proposals, comp_cfg, cou_cfg, fd_step_fraction=1
         term: relative_error(analytic, finite_difference(loss_fn, h))
         for term, (analytic, loss_fn) in pairs.items()
     }
+
+
+def _box_iou(a, b):
+    return tuple_iou((a.x1, a.y1, a.x2, a.y2), (b.x1, b.y1, b.x2, b.y2))
+
+
+def scalar_match(dets, gts, iou_threshold=0.5, ignored_gts=()):
+    """Greedy matching, one detection and one box at a time: ``(tp, fp, misses)``.
+
+    ``dets`` carry ``.box`` and ``.score``; boxes carry ``x1, y1, x2, y2``.
+    Equal scores keep input order; an ignore region absorbs at most one
+    detection.
+    """
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    matched = [False] * len(gts)
+    ignored_matched = [False] * len(ignored_gts)
+    tp = fp = 0
+    for i in order:
+        d = dets[i]
+        best_gi, best_v = -1, 0.0
+        for gi, g in enumerate(gts):
+            if matched[gi]:
+                continue
+            v = _box_iou(d.box, g)
+            if v > best_v:
+                best_gi, best_v = gi, v
+        if best_gi >= 0 and best_v >= iou_threshold:
+            matched[best_gi] = True
+            tp += 1
+            continue
+        on_ignored = False
+        for gi, g in enumerate(ignored_gts):
+            if not ignored_matched[gi] and _box_iou(d.box, g) >= iou_threshold:
+                ignored_matched[gi] = True
+                on_ignored = True
+                break
+        if not on_ignored:
+            fp += 1
+    return (tp, fp, len(gts) - tp)
+
+
+def scalar_fppi_curve(dets, gts_by_scene, iou_threshold=0.5, ignored_by_scene=None):
+    """FPPI curve by re-matching every scene at every distinct score: ``(thresholds, points)``."""
+    n_scenes = len(gts_by_scene)
+    n_gts = sum(len(g) for g in gts_by_scene.values())
+    ignored_by_scene = ignored_by_scene or {}
+
+    by_scene = {sid: [] for sid in gts_by_scene}
+    for d in dets:
+        if d.scene_id in by_scene:
+            by_scene[d.scene_id].append(d)
+
+    thresholds = sorted({d.score for d in dets}, reverse=True)
+    points = []
+    for t in thresholds:
+        total_fp = 0
+        total_miss = 0
+        for sid, gts in gts_by_scene.items():
+            kept = [d for d in by_scene[sid] if d.score >= t]
+            _, fp, misses = scalar_match(kept, gts, iou_threshold, ignored_by_scene.get(sid, ()))
+            total_fp += fp
+            total_miss += misses
+        points.append((total_fp / n_scenes, total_miss / n_gts))
+    return (tuple(thresholds), tuple(points))
+
+
+def scalar_anchor_boxes(cells, stride, scales, ratios):
+    """Anchor boxes per (row, col) cell, then scale, then ratio, centered on the cell."""
+    boxes = []
+    for row, col in cells:
+        cx = (col + 0.5) * stride
+        cy = (row + 0.5) * stride
+        for scale in scales:
+            for ratio in ratios:
+                w = scale * math.sqrt(ratio)
+                h = scale / math.sqrt(ratio)
+                boxes.append(_Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0))
+    return boxes
+
+
+def scalar_negative_informativeness(selected, scene, negative_iou_threshold=0.3):
+    """Negative and distractor-hit counts, one anchor at a time.
+
+    ``selected`` carries ``.anchors`` (each with ``.box``), the grid shape,
+    stride, scales and ratios; the uniform set is rebuilt per cell, scale and
+    ratio. Returns the six ``InformativenessStats`` fields in order.
+    """
+    gt_boxes = [ped.full for ped in scene.pedestrians]
+
+    def stats(boxes):
+        negatives = 0
+        hits = 0
+        for box in boxes:
+            if any(_box_iou(g, box) >= negative_iou_threshold for g in gt_boxes):
+                continue
+            negatives += 1
+            cx, cy = (box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0
+            if any(d.x1 <= cx <= d.x2 and d.y1 <= cy <= d.y2 for d in scene.distractors):
+                hits += 1
+        return negatives, hits
+
+    cells = [(row, col) for row in range(selected.grid_height) for col in range(selected.grid_width)]
+    uniform = scalar_anchor_boxes(cells, selected.stride, selected.scales, selected.ratios)
+
+    sel_neg, sel_hit = stats([a.box for a in selected.anchors])
+    uni_neg, uni_hit = stats(uniform)
+    return (
+        sel_hit / sel_neg if sel_neg else 0.0,
+        uni_hit / uni_neg if uni_neg else 0.0,
+        sel_neg,
+        uni_neg,
+        sel_hit,
+        uni_hit,
+    )

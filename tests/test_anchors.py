@@ -1,10 +1,13 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from crowdloss.anchors import (
     IGNORED,
+    Anchor,
+    AnchorSet,
     NEGATIVE,
     POSITIVE,
     ProbabilityMap,
@@ -19,12 +22,14 @@ from crowdloss.anchors import (
     negative_informativeness,
     save_probability_map,
     save_target_map,
+    scene_grid,
     select_anchors,
 )
 from crowdloss.baselines import CompositeConfig, focal_loss
 from crowdloss.errors import InvalidAnnotationError, InvalidInputError
 from crowdloss.geometry import BBox
 from crowdloss.simulator import Pedestrian, Scene
+from oracles import scalar_anchor_boxes, scalar_negative_informativeness
 
 
 def pmap(values, stride=1.0):
@@ -191,6 +196,11 @@ class TestTargetMap:
         with pytest.raises(InvalidAnnotationError):
             build_target_map(scene, (10, 10), 2.0)
 
+    def test_multi_character_label_rejected_not_truncated(self):
+        with pytest.raises(InvalidInputError, match="unknown target label 'PX'"):
+            TargetMap(stride=1.0, labels=[["PX", "N"]])
+        assert TargetMap(stride=1.0, labels=[["P", "N"]]).labels.dtype == np.dtype("<U1")
+
 
 class TestLocationLoss:
     def test_perfect_map_near_zero(self):
@@ -266,6 +276,86 @@ class TestInformativeness:
         stats = negative_informativeness(sel, scene)
         assert stats.selected_fraction == stats.uniform_fraction
         assert stats.selected_negatives == stats.uniform_negatives
+
+
+def random_anchor_scene(rng, peds, distractors):
+    """Half the scenes sit on a 0.5 grid, so anchor IoUs meet thresholds and
+    anchor centers meet distractor edges exactly."""
+    on_grid = rng.random() < 0.5
+
+    def coord(lo, hi):
+        v = float(rng.uniform(lo, hi))
+        return math.floor(v * 2.0) / 2.0 if on_grid else v
+
+    w, h = coord(8.0, 40.0), coord(8.0, 40.0)
+
+    def box(max_w, max_h):
+        bw = max(coord(1.0, max_w), 1.0)
+        bh = max(coord(1.0, max_h), 1.0)
+        x1 = coord(0.0, w - bw)
+        y1 = coord(0.0, h - bh)
+        return BBox(x1, y1, x1 + bw, y1 + bh)
+
+    pedestrians = []
+    for _ in range(peds):
+        full = box(min(12.0, w), min(24.0, h))
+        cut = float(rng.uniform(0.3, 1.0))
+        visible = BBox(full.x1, full.y1, full.x2, full.y1 + cut * full.height)
+        pedestrians.append(Pedestrian(full=full, visible=visible))
+    return Scene((w, h), pedestrians, [box(min(10.0, w), min(20.0, h)) for _ in range(distractors)])
+
+
+class TestInformativenessMatchesScalar:
+    """``negative_informativeness`` equals (``==``) the per-anchor scalar oracle."""
+
+    @pytest.mark.parametrize("stride", [1.0, 3.0, 7.5])
+    def test_random_scenes(self, stride):
+        rng = np.random.default_rng(int(stride * 10))
+        scales_pool, ratios_pool = (2.0, 4.5, 8.0, 16.0), (0.25, 0.41, 1.0, 4.0)
+        for case in range(60):
+            scene = random_anchor_scene(rng, int(rng.integers(0, 4)), int(rng.integers(0, 3)))
+            scales = tuple(rng.choice(scales_pool, int(rng.integers(1, 4)), replace=False))
+            ratios = tuple(rng.choice(ratios_pool, int(rng.integers(1, 3)), replace=False))
+            if case % 4 == 0:  # constant map: the fallback keeps every cell
+                height, width = scene_grid(scene, stride)
+                pm = ProbabilityMap(stride=stride, values=np.full((height, width), 0.5))
+            else:
+                pm = bump_probability_map(scene, stride, seed=case)
+            sel = select_anchors(pm, scales, ratios)
+            assert sel.fallback == (case % 4 == 0)
+            assert [a.box.as_tuple() for a in sel.anchors] == scalar_anchor_boxes(sel.cells, stride, scales, ratios)
+            thr = (0.1, 0.3, 0.5)[case % 3]
+            got = negative_informativeness(sel, scene, thr)
+            assert astuple(got) == scalar_negative_informativeness(sel, scene, thr)
+
+    def test_no_pedestrians_and_no_distractors(self):
+        rng = np.random.default_rng(7)
+        for peds, distractors in ((0, 2), (2, 0), (0, 0)):
+            scene = random_anchor_scene(rng, peds, distractors)
+            sel = select_anchors(bump_probability_map(scene, 1.0), (4.0, 8.0), (0.41, 1.0))
+            got = negative_informativeness(sel, scene)
+            assert astuple(got) == scalar_negative_informativeness(sel, scene)
+            if peds == 0:
+                assert got.uniform_negatives == len(sel.scales) * len(sel.ratios) * sel.grid_height * sel.grid_width
+            if distractors == 0:
+                assert got.selected_hits == got.uniform_hits == 0
+
+    def test_hand_built_anchor_set_scored_as_given(self):
+        scene = two_ped_scene()
+        boxes = [BBox(2, 2, 6, 10), BBox(15, 3, 19, 7), BBox(16.5, 4, 17.5, 6), BBox(0, 14, 3, 19)]
+        sel = AnchorSet(
+            anchors=[Anchor(0, k, b) for k, b in enumerate(boxes)],
+            threshold=0.5,
+            fallback=False,
+            grid_height=4,
+            grid_width=5,
+            stride=5.0,
+            scales=(3.0, 6.0),
+            ratios=(0.5,),
+        )
+        got = negative_informativeness(sel, scene)
+        assert (got.selected_negatives, got.selected_hits) == (3, 2)
+        assert astuple(got) == scalar_negative_informativeness(sel, scene)
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crowdloss import evalkit
 from crowdloss.errors import InvalidInputError
 from crowdloss.evalkit import (
     Detection,
@@ -17,8 +18,8 @@ from crowdloss.evalkit import (
     save_detections,
 )
 from crowdloss.geometry import BBox, iou
-from oracles import lamr_nine_point
-from util import random_box
+from oracles import lamr_nine_point, scalar_fppi_curve, scalar_match
+from util import counted, jittered_box, random_box
 
 
 def det(x1, y1, x2, y2, score, sid="0"):
@@ -176,6 +177,108 @@ class TestFppiCurve:
             fppi_curve([], {})
         with pytest.raises(InvalidInputError):
             fppi_curve([], {"s": []})
+
+
+TIED_SCORES = (0.0, 1.0, 0.25, 0.5, 0.75)
+
+
+def eval_box(rng):
+    return random_box(rng, hi=60.0, min_size=4.0, max_size=20.0)
+
+
+def random_eval_case(rng):
+    """Scenes with ground truths and ignore regions, and detections that tie,
+    duplicate boxes, sit on ignore regions or name an unknown scene."""
+    n_scenes = int(rng.integers(1, 6))
+    gts_by_scene, ignored_by_scene, dets = {}, {}, []
+    for k in range(n_scenes):
+        sid = f"s{k}"
+        gts_by_scene[sid] = [eval_box(rng) for _ in range(int(rng.integers(0, 5)))]
+        ignored_by_scene[sid] = [eval_box(rng) for _ in range(int(rng.integers(0, 4)))]
+    if not any(gts_by_scene.values()):
+        gts_by_scene["s0"].append(eval_box(rng))
+    scene_ids = list(gts_by_scene) + ["unknown"]
+    for _ in range(int(rng.integers(0, 25))):
+        sid = scene_ids[int(rng.integers(0, len(scene_ids)))]
+        targets = gts_by_scene.get(sid, []) + ignored_by_scene.get(sid, [])
+        kind = rng.random()
+        if dets and kind < 0.15:
+            box = dets[int(rng.integers(0, len(dets)))].box  # duplicate box
+        elif targets and kind < 0.75:
+            box = jittered_box(rng, targets[int(rng.integers(0, len(targets)))], 0.1)
+        else:
+            box = eval_box(rng)
+        if rng.random() < 0.5:
+            score = TIED_SCORES[int(rng.integers(0, len(TIED_SCORES)))]
+        else:
+            score = float(rng.uniform(0.0, 1.0))
+        dets.append(Detection(box, score, sid))
+    return dets, gts_by_scene, ignored_by_scene
+
+
+class TestSinglePassMatchesRematching:
+    """``fppi_curve`` and ``match`` equal (``==``) the per-threshold scalar oracle."""
+
+    @pytest.mark.parametrize("iou_threshold", [0.3, 0.5, 0.7])
+    def test_random_curves(self, iou_threshold):
+        rng = np.random.default_rng(int(iou_threshold * 10))
+        for case in range(300):
+            dets, gts, ignored = random_eval_case(rng)
+            if case % 5 == 0:
+                ignored = None
+            got = fppi_curve(dets, gts, iou_threshold, ignored)
+            want = scalar_fppi_curve(dets, gts, iou_threshold, ignored)
+            assert (got.thresholds, got.points) == want
+
+    @pytest.mark.parametrize("iou_threshold", [0.3, 0.5, 0.7])
+    def test_random_matches(self, iou_threshold):
+        rng = np.random.default_rng(int(iou_threshold * 10) + 100)
+        for _ in range(200):
+            dets, gts, ignored = random_eval_case(rng)
+            for sid in gts:
+                scene_dets = [d for d in dets if d.scene_id == sid]
+                res = match(scene_dets, gts[sid], iou_threshold, ignored[sid])
+                want = scalar_match(scene_dets, gts[sid], iou_threshold, ignored[sid])
+                assert (res.true_positives, res.false_positives, res.misses) == want
+
+    def test_empty_scenes_and_unknown_ids(self):
+        g = BBox(0, 0, 10, 20)
+        gts = {"a": [g], "b": [], "c": [g]}
+        dets = [Detection(g, 0.9, "a"), Detection(g, 0.95, "ghost"), Detection(BBox(40, 0, 50, 20), 0.9, "b")]
+        curve = fppi_curve(dets, gts)
+        # the unknown scene sets a threshold and counts as nothing; FPPI divides by all 3 scenes
+        assert curve.thresholds == (0.95, 0.9)
+        assert curve.points == ((0.0, 1.0), (1 / 3, 0.5))
+        assert (curve.thresholds, curve.points) == scalar_fppi_curve(dets, gts)
+
+    def test_ignore_region_absorbs_one_detection(self):
+        g = BBox(0, 0, 10, 20)
+        region = BBox(40, 0, 50, 20)
+        dets = [det(40, 0, 50, 20, 0.9, "s"), det(40, 0, 50, 20, 0.8, "s")]
+        curve = fppi_curve(dets, {"s": [g]}, 0.5, {"s": [region]})
+        assert curve.points == ((0.0, 1.0), (1.0, 1.0))
+
+    def test_iou_calls_bounded_by_one_pass(self, monkeypatch):
+        # many distinct thresholds: re-matching at each would call iou ~|dets| times more
+        rng = np.random.default_rng(61)
+        gts, ignored, dets = {}, {}, []
+        for k in range(4):
+            sid = f"s{k}"
+            gts[sid] = [eval_box(rng) for _ in range(3)]
+            ignored[sid] = [eval_box(rng) for _ in range(2)]
+            for _ in range(30):
+                target = (gts[sid] + ignored[sid])[int(rng.integers(0, 5))]
+                dets.append(Detection(jittered_box(rng, target, 0.15), float(rng.uniform(0, 1)), sid))
+        want = scalar_fppi_curve(dets, gts, 0.5, ignored)
+        assert len(want[0]) == len(dets)
+        calls = {"iou": 0}
+        monkeypatch.setattr(evalkit.geometry, "iou", counted(evalkit.geometry.iou, calls, "iou"))
+        curve = fppi_curve(dets, gts, 0.5, ignored)
+        bound = sum(
+            sum(d.scene_id == sid for d in dets) * (len(gts[sid]) + len(ignored[sid])) for sid in gts
+        )
+        assert 0 < calls["iou"] <= bound
+        assert (curve.thresholds, curve.points) == want
 
 
 class TestLogAverageMissRate:
