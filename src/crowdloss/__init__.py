@@ -66,14 +66,17 @@ from .evalkit import (
 )
 from .geometry import BBox, Point, border_distance, center, contains_center, cos_angle_at, iou
 from .simulator import (
+    Descent,
     Pedestrian,
     Scene,
     SimConfig,
     SimResult,
+    descend_variants,
     generate_scene,
     load_scene,
     nms_sensitivity_experiment,
     run_descent,
+    run_descents,
     save_scene,
     score_detections,
     spawn_proposals,

@@ -12,9 +12,10 @@ correctly rounded like Python's. Its transcendentals are not: ``np.log``,
 and fixed-step descent amplifies such ulp differences into different runs
 (one final loss of the shipped simulate suite moved 2 %). So those three are
 mapped element by element with the scalar functions, sums over pairs run
-left to right in sorted (gt, proposal) order, each proposal accumulates its
-gradient in that order, and clamps whose zero could take the other sign than
-Python's ``max``/``min`` use ``np.where``.
+left to right in sorted (gt, proposal) order (``np.bincount`` adds each bin's
+weights in input order), each proposal accumulates its gradient in that order,
+and clamps whose zero could take the other sign than Python's ``max``/``min``
+use ``np.where``.
 """
 
 from __future__ import annotations
@@ -53,23 +54,20 @@ def box_array(boxes) -> np.ndarray:
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
 
 
+def valid_boxes(coords: np.ndarray) -> np.ndarray:
+    """Which boxes (rows of the last axis) are finite with x2 > x1 and y2 > y1."""
+    return np.isfinite(coords).all(axis=-1) & (coords[..., 2:] > coords[..., :2]).all(axis=-1)
+
+
 def check_boxes(coords: np.ndarray) -> None:
-    """Reject, as ``BBox`` does, rows that are not finite with x2 > x1 and y2 > y1."""
-    ok = np.isfinite(coords).all(axis=1) & (coords[:, 2:] > coords[:, :2]).all(axis=1)
+    """Reject, as ``BBox`` does, the first row of ``(K, 4)`` coords that is not a valid box."""
+    ok = valid_boxes(coords)
     if not ok.all():
         BBox(*coords[np.argmin(ok)].tolist())  # raises the box's InvalidInputError
 
 
 def _map(fn, *arrays) -> np.ndarray:
     return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
-
-
-def ordered_sum(values: np.ndarray) -> float:
-    """Left-to-right sum, as a scalar accumulation loop adds."""
-    total = 0.0
-    for x in values.tolist():
-        total += x
-    return total
 
 
 def _iou(g: np.ndarray, p: np.ndarray):
@@ -82,15 +80,16 @@ def _iou(g: np.ndarray, p: np.ndarray):
 
 
 def iou_matrix(gts: np.ndarray, proposals: np.ndarray) -> np.ndarray:
-    """``(M, N)`` IoU of every ground truth with every proposal."""
-    return _iou(gts.T[:, :, None], proposals.T[:, None, :])[0]
+    """``(..., M, N)`` IoU of every ground truth with every proposal, of ``(..., M, 4)``
+    and ``(..., N, 4)`` boxes; leading axes index scenes."""
+    g, p = (a.transpose(-1, *range(a.ndim - 1)) for a in (gts, proposals))
+    return _iou(g[..., :, None], p[..., None, :])[0]
 
 
 def best_gt(gts: np.ndarray, proposals: np.ndarray):
     """IoU matrix, each proposal's max-IoU ground truth (lowest index on ties) and that IoU."""
     iou = iou_matrix(gts, proposals)
-    best = np.argmax(iou, axis=0)
-    return iou, best, iou[best, np.arange(proposals.shape[0])]
+    return iou, iou.argmax(axis=-2), iou.max(axis=-2)
 
 
 def iou_and_grad(g: np.ndarray, p: np.ndarray):
@@ -126,7 +125,8 @@ def pair_work(
     ray whose cos is 1. ``s`` is the border-distance factor of center(p) in
     g. Non-positive work is clamped to zero and has zero gradient; gradients
     are summed per proposal, weighted by multiplicity when ``literal``.
-    ``iou`` is the ``(M, N)`` IoU matrix of these boxes if already known.
+    ``iou`` holds the pairs' IoUs if already known. Boxes of several scenes
+    may share one call, their pairs indexing the stacked boxes.
     """
     ka = num_attraction
     g = gts.T[:, pairs.gt]
@@ -134,7 +134,7 @@ def pair_work(
     if gradient:
         v, dv = iou_and_grad(g, p)
     elif iou is not None:
-        v = iou[pairs.gt, pairs.proposal]
+        v = iou
     else:
         v = _iou(g, p)[0]
 

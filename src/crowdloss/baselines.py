@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry
-from ._pairs import best_gt, box_array, iou_and_grad, ordered_sum
-from .couloss import CouLossConfig, LossReport, TripletStructure, _couloss
+from ._pairs import best_gt, box_array, iou_and_grad
+from .couloss import CouLossConfig, LossReport, TripletStructure, _couloss, _evaluate, _loss_report
 from .errors import InvalidInputError, NoOverlapError
 from .geometry import BBox
 
@@ -67,13 +68,14 @@ def smooth_l1_gradient(pred: BBox, target: BBox, beta: float = 1.0):
     return tuple(grad[0].tolist())
 
 
-def _smooth_l1(d: np.ndarray, beta: float, gradient: bool = False):
-    """SmoothL1 of each row of coordinate differences ``d`` (N, 4), its four
-    terms added left to right, and with ``gradient`` its (N, 4) gradient (else None)."""
+def _smooth_l1(d: np.ndarray, beta, gradient: bool = False):
+    """SmoothL1 of each row of coordinate differences ``d`` (..., 4), its four
+    terms added left to right, and with ``gradient`` its gradient (else None);
+    ``beta`` broadcasts against ``d``."""
     a = np.abs(d)
     small = a < beta
     t = np.where(small, 0.5 * d * d / beta, a - 0.5 * beta)
-    rows = ((t[:, 0] + t[:, 1]) + t[:, 2]) + t[:, 3]
+    rows = ((t[..., 0] + t[..., 1]) + t[..., 2]) + t[..., 3]
     return rows, (np.where(small, d / beta, np.copysign(1.0, d)) if gradient else None)
 
 
@@ -129,19 +131,44 @@ def regression_targets(gts: list[BBox], proposals: list[BBox]) -> list[int]:
     """
     if not gts:
         raise InvalidInputError("at least one ground-truth box is required")
-    g, p = box_array(gts), box_array(proposals)
-    return _targets(g, p, best_gt(g, p)).tolist()
+    g, p = box_array(gts)[None], box_array(proposals)[None]
+    return _targets(g, p, best_gt(g, p))[0].tolist()
 
 
 def _targets(gts: np.ndarray, proposals: np.ndarray, ranked) -> np.ndarray:
-    """``regression_targets`` of box arrays, from ``ranked = best_gt(gts, proposals)``."""
+    """``regression_targets`` of B scenes' ``(B, M, 4)`` and ``(B, N, 4)`` box
+    arrays, ``(B, N)``, from ``ranked = best_gt(gts, proposals)``."""
     _, best, best_v = ranked
     target = best.copy()
-    gc = (gts[:, :2] + gts[:, 2:]) / 2.0
-    for pi in np.flatnonzero(best_v <= 0.0).tolist():
-        d = gc - (proposals[pi, :2] + proposals[pi, 2:]) / 2.0
-        target[pi] = np.argmin([math.hypot(x, y) for x, y in d.tolist()])
+    gc = (gts[..., :2] + gts[..., 2:]) / 2.0
+    for b, pi in zip(*(i.tolist() for i in np.nonzero(best_v <= 0.0))):
+        d = gc[b] - (proposals[b, pi, :2] + proposals[b, pi, 2:]) / 2.0
+        target[b, pi] = np.argmin([math.hypot(x, y) for x, y in d.tolist()])
     return target
+
+
+class _Weights(NamedTuple):
+    """Per-scene constants of the composite loss of B scenes, from their configs,
+    ``scene_scale``s and proposal count N (or of B configs against one scene).
+    ``parts`` ((2, B)) marks the CouLoss terms that are on and weighed; ``norm``
+    is N times the scale (1 without proposals); ``beta`` (the SmoothL1 beta in
+    scene units) and ``grad_factor`` are shaped (B, 1, 1)."""
+
+    alpha: np.ndarray
+    smoothl1_weight: np.ndarray
+    parts: np.ndarray
+    norm: np.ndarray
+    beta: np.ndarray
+    grad_factor: np.ndarray
+
+    @classmethod
+    def of(cls, cfgs, scale: np.ndarray, num_proposals: int) -> _Weights:
+        rows = [(c.alpha, c.smoothl1_weight, c.smoothl1_beta) for c in cfgs]
+        alpha, weight, beta = np.array(rows, dtype=float).reshape(-1, 3).T
+        parts = np.array([(c.include_attraction, c.include_repulsion) for c in cfgs], bool).reshape(-1, 2).T
+        norm = num_proposals * scale if num_proposals else np.ones_like(scale)
+        factors = ((beta * scale)[:, None, None], (weight / norm)[:, None, None])
+        return cls(alpha, weight, parts & (alpha > 0.0), norm, *factors)
 
 
 def composite_regression_loss(
@@ -162,9 +189,7 @@ def composite_regression_loss(
     term. ``structure`` and ``targets`` accept frozen topology from a
     previous step; both default to being recomputed from the current boxes.
     """
-    cfg, cou_cfg = cfg or CompositeConfig(), cou_cfg or CouLossConfig()
-    g, p = box_array(gts), box_array(proposals)
-    return _composite(g, p, scene_scale(gts), cfg, cou_cfg, structure, targets)[0]
+    return _one_scene(gts, proposals, cfg, cou_cfg, structure, targets)[0]
 
 
 def composite_gradient(
@@ -178,47 +203,63 @@ def composite_gradient(
     warn_kinks: bool = False,
 ) -> np.ndarray:
     """d(composite_regression_loss)/d(proposal coordinates), shape (N, 4)."""
-    cfg, cou_cfg = cfg or CompositeConfig(), cou_cfg or CouLossConfig()
-    g, p = box_array(gts), box_array(proposals)
-    args = (g, p, scene_scale(gts), cfg, cou_cfg, structure, targets)
-    return _composite(*args, gradient=True, warn_kinks=warn_kinks)[1]
+    return _one_scene(gts, proposals, cfg, cou_cfg, structure, targets, True, warn_kinks)[1]
 
 
-def _composite(
-    gts, proposals, scale, cfg, cou_cfg, structure, targets, *, gradient=False, warn_kinks=False,
-    evaluation=None,
-):
-    """The composite report of box arrays and, with ``gradient``, its (N, 4)
-    gradient (else None).
+def _one_scene(gts, proposals, cfg, cou_cfg, structure, targets, gradient=False, warn_kinks=False):
+    """The composite report of one scene's boxes and, with ``gradient``, its
+    ``(N, 4)`` gradient (else None).
 
-    ``scale`` is ``scene_scale`` of the ground truths. Targets and structure
-    left out are rebuilt from one max-IoU assignment, and one kernel call
-    gives the CouLoss value and gradient; ``evaluation`` passes a CouLoss
-    evaluation of these boxes on to ``_couloss`` in place of that call.
+    Targets and structure left out are rebuilt from one max-IoU assignment,
+    and one kernel call gives the CouLoss value and gradient.
     """
+    cfg, cou_cfg = cfg or CompositeConfig(), cou_cfg or CouLossConfig()
+    weights = _Weights.of([cfg], np.array([scene_scale(gts)]), len(proposals))
+    G, P = box_array(gts)[None], box_array(proposals)[None]
     ranked = None
     if targets is None or (structure is None and cfg.alpha > 0.0):
-        ranked = best_gt(gts, proposals)
+        ranked = best_gt(G, P)
     if targets is None:
-        targets = _targets(gts, proposals, ranked)
-    rows, sl1_grad = _smooth_l1(proposals - gts[targets], cfg.smoothl1_beta * scale, gradient)
-    norm = proposals.shape[0] * scale or 1.0  # no proposals: the SmoothL1 sum is 0.0
-    sl1 = ordered_sum(rows) / norm
-    report, cou_grad, cou_total = None, None, 0.0
+        targets = _targets(G, P, ranked)
+    targets = np.asarray(targets, dtype=np.intp).reshape(1, -1)
+    evaluation = None
     if cfg.alpha > 0.0:
-        parts = (cfg.include_attraction, cfg.include_repulsion)
-        kw = dict(ranked=ranked, gradient=gradient, warn_kinks=warn_kinks, evaluation=evaluation)
-        report, cou_grad = _couloss(gts, proposals, cou_cfg, structure, parts, **kw)
-        cou_total = report.total
+        evaluation = _evaluate(G, P, cou_cfg, structure, ranked, gradient, warn=np.array([warn_kinks]))
+    (sl1, cou, total), grad = _composite(G, P, weights, targets, evaluation, gradient)
     composite = CompositeReport(
-        total=cfg.smoothl1_weight * sl1 + cfg.alpha * cou_total,
-        smooth_l1=sl1,
-        couloss_total=cou_total,
-        couloss=report,
+        total=float(total[0]),
+        smooth_l1=float(sl1[0]),
+        couloss_total=float(cou[2][0]),
+        couloss=None if evaluation is None else _loss_report(cou_cfg, len(gts), evaluation, cou),
     )
+    return composite, None if grad is None else grad[0]
+
+
+def _composite(gts, proposals, weights, targets, evaluation=None, gradient=False):
+    """SmoothL1 means, CouLoss sums and composite totals of B scenes'
+    ``(B, M, 4)`` and ``(B, N, 4)`` box arrays and, with ``gradient``, their
+    ``(B, N, 4)`` gradients (else None).
+
+    ``weights`` are the scenes' ``_Weights``, ``targets`` ((B, N)) the SmoothL1
+    targets and ``evaluation`` an ``_evaluate`` of the boxes, or None when no
+    scene weighs the CouLoss term. Returns ``((smooth_l1, (attraction,
+    repulsion, couloss), total), gradient)``, each value ``(B,)``; each scene's
+    values are those it has alone. One scene's boxes broadcast against B configs.
+    """
+    d = proposals - gts[np.arange(targets.shape[0])[:, None], targets]
+    rows, sl1_grad = _smooth_l1(d, weights.beta, gradient)
+    B, N = rows.shape
+    # each scene's rows added left to right (they are never -0.0, so starting from
+    # the first row is starting from 0.0)
+    sl1 = rows.cumsum(axis=1)[:, -1] / weights.norm if N else np.zeros(B)
+    cou, cou_grad = np.zeros((3, B)), None
+    if evaluation is not None:
+        cou, cou_grad = _couloss(weights.parts, evaluation, gts.shape[1], gradient)
+    total = weights.smoothl1_weight * sl1 + weights.alpha * cou[2]
     if not gradient:
-        return composite, None
-    grad = sl1_grad * (cfg.smoothl1_weight / norm)
+        return (sl1, cou, total), None
+    grad = sl1_grad * weights.grad_factor
     if cou_grad is not None:
-        grad += cfg.alpha * cou_grad
-    return composite, grad
+        alpha = weights.alpha[:, None, None]
+        np.add(grad, alpha * cou_grad, out=grad, where=alpha > 0.0)
+    return (sl1, cou, total), grad

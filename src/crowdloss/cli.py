@@ -11,7 +11,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,11 +22,10 @@ from .config import RunConfig, load_run_config
 from .errors import ConfigError, CrowdLossError, DivergenceError
 from .gradcheck import run_gradcheck
 from .simulator import (
+    descend_variants,
     generate_scene,
     load_scene,
     nms_sensitivity_experiment,
-    run_descent,
-    spawn_proposals,
     standard_variants,
 )
 
@@ -60,29 +58,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("CROWDLOSS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"CROWDLOSS_THREADS must be an integer, got {raw!r}")
-
-
-def _map_ordered(fn, items):
-    """Yield ``fn`` applied over items in order, optionally in parallel.
-
-    Lazy so callers can flush already-completed results when a later item
-    aborts.
-    """
-    workers = _thread_cap()
-    if workers <= 1 or len(items) <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        yield from pool.map(fn, items)
 
 
 def _write_csv(path: Path, fieldnames, rows) -> None:
@@ -145,41 +120,25 @@ def cmd_gradcheck(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _simulate_one(task):
-    cfg, seed = task
-    scene = generate_scene(cfg.sim, seed)
-    proposals = spawn_proposals(scene, cfg.sim, seed + 1)
-    targets = [
-        gi for gi in range(len(scene.pedestrians)) for _ in range(cfg.sim.proposals_per_gt)
-    ]
-    rows = []
-    for name, comp in _variant_configs(cfg, cfg.variants).items():
-        result = run_descent(
-            scene, proposals, comp, cfg.couloss, cfg.sim, seed=seed + 2, intended_targets=targets
-        )
-        rows.append(
-            (
-                seed,
-                name,
-                result.drift_rate,
-                result.mean_final_iou,
-                result.overlap_occupancy,
-                result.loss_curve[-1],
-            )
-        )
-    return rows
-
-
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
+    """Descend every (seed, variant) as one batch. The first failed descent in
+    that order decides: a divergence writes the rows of the seeds before its
+    seed and exits 3, any other error is raised."""
     rows = []
     path = out_dir / "simulate.csv"
-    try:
-        for chunk in _map_ordered(_simulate_one, [(cfg, s) for s in cfg.seeds]):
-            rows.extend(chunk)
-    except DivergenceError as exc:
-        _write_csv(path, SIMULATE_FIELDS, rows)
-        print(f"simulate: numerical abort after {len(rows)} rows: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ABORT
+    variants = _variant_configs(cfg, cfg.variants)
+    for seed, _, results in descend_variants(variants, cfg.seeds, cfg.sim, cfg.couloss):
+        failed = [r for r in results.values() if isinstance(r, CrowdLossError)]
+        if failed and isinstance(failed[0], DivergenceError):
+            _write_csv(path, SIMULATE_FIELDS, rows)
+            print(f"simulate: numerical abort after {len(rows)} rows: {failed[0]}", file=sys.stderr)
+            return EXIT_NUMERIC_ABORT
+        if failed:
+            raise failed[0]
+        for name, r in results.items():
+            rows.append(
+                (seed, name, r.drift_rate, r.mean_final_iou, r.overlap_occupancy, r.loss_curve[-1])
+            )
     _write_csv(path, SIMULATE_FIELDS, rows)
     print(f"simulate: wrote {len(rows)} rows to {path}")
     return EXIT_OK

@@ -44,9 +44,26 @@ class NmsSweepConfig:
     match_iou: float = 0.5
     variants: tuple[str, ...] = ("baseline", "couloss")
 
+    def __post_init__(self):
+        lo, hi, step = self.threshold_min, self.threshold_max, self.threshold_step
+        if not (math.isfinite(step) and step > 0.0):
+            raise ConfigError(f"threshold_step must be finite and > 0, got {step!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ConfigError(f"need finite threshold_min <= threshold_max, got {lo!r} and {hi!r}")
+        first, last = self._threshold(0), self._threshold(self._count() - 1)
+        if not (0.0 < first and last < 1.0):
+            raise ConfigError(f"NMS thresholds must lie in (0, 1), got {first!r} to {last!r}")
+        if not self.variants:
+            raise ConfigError("variants must not be empty")
+
+    def _count(self) -> int:
+        return int(round((self.threshold_max - self.threshold_min) / self.threshold_step)) + 1
+
+    def _threshold(self, k: int) -> float:
+        return round(self.threshold_min + k * self.threshold_step, 10)
+
     def thresholds(self) -> tuple[float, ...]:
-        n = int(round((self.threshold_max - self.threshold_min) / self.threshold_step)) + 1
-        return tuple(round(self.threshold_min + k * self.threshold_step, 10) for k in range(n))
+        return tuple(self._threshold(k) for k in range(self._count()))
 
 
 @dataclass(frozen=True)
@@ -105,9 +122,12 @@ def _coerce(raw: str, default, key: str):
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
     if isinstance(default, float):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
+        if not math.isfinite(value) and value != default:  # inf only where it is the default
+            raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+        return value
     if isinstance(default, tuple):
         parts = [p for p in (s.strip() for s in raw.split(",")) if p]
         elem = default[0] if default else 0.0
@@ -164,4 +184,6 @@ def load_run_config(path: str | None = None) -> RunConfig:
         updates[attr] = _fill_section(getattr(cfg, attr), dict(parser.items(section_name)), section_name)
     if not updates.get("seeds", (0,)):
         raise ConfigError("[run] seeds must not be empty")
+    if not updates.get("variants", ("baseline",)):
+        raise ConfigError("[run] variants must not be empty")
     return replace(cfg, **updates)

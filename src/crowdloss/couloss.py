@@ -16,11 +16,13 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry
-from ._pairs import Pairs, best_gt, box_array, iou_matrix, ordered_sum, pair_work
+from ._pairs import PairWork, Pairs, best_gt, box_array, iou_matrix, pair_work
 from .errors import InvalidInputError, NoOverlapError
 from .geometry import BBox
 
@@ -109,7 +111,7 @@ class TripletStructure:
     @classmethod
     def from_boxes(cls, gts: list[BBox], proposals: list[BBox], cfg: CouLossConfig | None = None):
         """Assign proposals and derive the pairs without enumerating triplets."""
-        return _structure(box_array(gts), box_array(proposals), cfg or CouLossConfig())[0]
+        return _structure(box_array(gts)[None], box_array(proposals)[None], cfg or CouLossConfig())[0]
 
     @cached_property
     def assignments(self) -> tuple[Assignment, ...]:
@@ -158,91 +160,139 @@ class LossReport:
         )
 
 
-def _structure(gts: np.ndarray, proposals: np.ndarray, cfg: CouLossConfig, ranked=None):
-    """The pair structure of the boxes, and their IoU matrix.
+def _structure(gts: np.ndarray, proposals: np.ndarray, cfg: CouLossConfig, ranked=None, keep=None):
+    """The pair structure of B scenes' ``(B, M, 4)`` ground truths and
+    ``(B, N, 4)`` proposals, and their ``(B, M, N)`` IoU matrix.
 
     A proposal is assigned to its max-IoU ground truth when that IoU exceeds
     the positive threshold and its center lies inside that ground truth.
-    ``ranked`` is ``best_gt(gts, proposals)`` when already computed.
+    ``ranked`` is ``best_gt(gts, proposals)`` when already computed. Pairs run
+    in (kind, scene, gt, proposal) order and index the stacked ``(B*M, 4)``
+    ground truths and ``(B*N, 4)`` proposals, so each scene's pairs keep their
+    single-scene order. ``keep`` ((2, B) bool) builds only the attraction and
+    repulsion pairs of the scenes it marks; by default all of them.
     """
-    if gts.shape[0] == 0:
+    if gts.shape[1] == 0:
         raise InvalidInputError("at least one ground-truth box is required")
     iou, best, best_v = ranked or best_gt(gts, proposals)
-    p, g = proposals.T, gts.T[:, best]
-    c = (p[:2] + p[2:]) / 2.0
-    inside = ((g[:2] <= c) & (c <= g[2:])).all(axis=0)
+    B, M, N = iou.shape
+    g = gts[np.arange(B)[:, None], best]
+    c = (proposals[..., :2] + proposals[..., 2:]) / 2.0
+    inside = ((g[..., :2] <= c) & (c <= g[..., 2:])).all(axis=-1)
     target = np.where((best_v > cfg.positive_iou_threshold) & inside, best, -1)
     assigned = target >= 0
-    positive = target == np.arange(gts.shape[0])[:, None]
-    negative = assigned & ~positive & (iou > 0.0)
+    positive = target[:, None, :] == np.arange(M)[:, None]
+    negative = assigned[:, None, :] & ~positive & (iou > 0.0)
     # a pair of g exists only if g has both positives and negatives; it sits in
     # |negatives(g)| triplets as an attraction pair, |positives(g)| as a repulsion pair
-    counts = np.array([negative.sum(axis=1), positive.sum(axis=1)])
-    kind, gt, prop = np.nonzero(np.array([positive, negative]) & (counts > 0)[:, :, None])
+    kinds = np.array([positive, negative])
+    counts = kinds.sum(axis=3)[::-1]
+    exists = kinds & (counts > 0)[..., None]
+    if keep is not None:
+        exists &= keep[:, :, None, None]
+    kind, scene, gt, prop = np.nonzero(exists)
+    stacked = target + M * np.arange(B)[:, None]
     structure = TripletStructure(
-        pairs=Pairs(gt, prop, target[prop], counts[kind, gt]),
+        pairs=Pairs(M * scene + gt, N * scene + prop, stacked[scene, prop], counts[kind, scene, gt]),
         num_attraction=len(kind) - int(kind.sum()),
-        assigned=(np.flatnonzero(assigned), target[assigned], best_v[assigned]),
+        assigned=(np.flatnonzero(assigned), stacked[assigned], best_v[assigned]),
     )
     return structure, iou
 
 
-def _evaluate(gts: np.ndarray, proposals: np.ndarray, cfg, structure, ranked=None, gradient=False):
-    """The structure (built from the boxes when not given), the IoU matrix if
-    that build made one, and the kernel's pair work."""
+def _pair_iou(iou: np.ndarray, pairs: Pairs) -> np.ndarray:
+    """The pairs' entries of a ``(B, M, N)`` IoU matrix."""
+    B, M, N = iou.shape
+    return iou.reshape(B * M, N)[pairs.gt, pairs.proposal % N]
+
+
+class _Evaluation(NamedTuple):
+    """One kernel evaluation of B scenes' boxes. ``iou`` is their IoU matrix if
+    the structure was built from them; ``sums`` ((2, B)) holds each scene's
+    attraction and repulsion work, its pairs added left to right."""
+
+    structure: TripletStructure
+    iou: np.ndarray | None
+    work: PairWork
+    sums: np.ndarray
+
+
+def _evaluate(gts, proposals, cfg, structure=None, ranked=None, gradient=False, keep=None, warn=None):
+    """The :class:`_Evaluation` of B scenes' ``(B, M, 4)`` and ``(B, N, 4)``
+    boxes, from one kernel call; the structure is built from the boxes, with
+    ``keep``, when not given. Each scene that ``warn`` ((B,) bool) marks raises
+    one :class:`KinkWarning` if its boxes sit near a non-differentiable point.
+    """
     iou = None
     if structure is None:
-        structure, iou = _structure(gts, proposals, cfg, ranked)
+        structure, iou = _structure(gts, proposals, cfg, ranked, keep)
     literal = cfg.aggregation_mode == "triplet-literal"
     args = (structure.pairs, structure.num_attraction, cfg.iou_floor)
-    work = pair_work(gts, proposals, *args, literal=literal, gradient=gradient, iou=iou)
-    return structure, iou, work
-
-
-def _couloss(
-    gts, proposals, cfg, structure, parts, *, ranked=None, gradient=False, warn_kinks=False,
-    evaluation=None,
-):
-    """The loss report of box arrays and, with ``gradient``, its ``(N, 4)``
-    gradient (else None), both from one kernel call.
-
-    ``parts`` switches (attraction, repulsion) on or off. ``ranked`` is
-    ``best_gt(gts, proposals)`` when already computed; with ``warn_kinks``
-    the kink check reuses that IoU matrix and the pair work. ``evaluation``
-    is an ``_evaluate`` of these boxes (same ``gradient``) to use instead.
-    """
-    if gts.shape[0] == 0:
-        raise InvalidInputError("couloss requires at least one ground-truth box")
-    structure, iou, work = evaluation or _evaluate(gts, proposals, cfg, structure, ranked, gradient)
-    if warn_kinks:
-        kinks = _kinks(gts, proposals, cfg, cfg.kink_tolerance, structure, iou, work)
-        if kinks:
-            warnings.warn(
-                f"gradient evaluated near {len(kinks)} non-differentiable point(s): {kinks[0]}",
-                KinkWarning,
-                stacklevel=3,
-            )
-    literal = cfg.aggregation_mode == "triplet-literal"
-    weighted = work.work * structure.pairs.mult if literal else work.work
-    ka = structure.num_attraction
-    att_sum = ordered_sum(weighted[:ka]) if parts[0] else 0.0
-    rep_sum = ordered_sum(weighted[ka:]) if parts[1] else 0.0
-    n = gts.shape[0]
-    report = LossReport(
-        total=att_sum / n + rep_sum / n,
-        attractive_work=att_sum,
-        repulsive_work=rep_sum,
-        mode=cfg.aggregation_mode,
-        num_gts=n,
-        structure=structure,
-        pair_work=work.work,
+    pair_iou = None if iou is None else _pair_iou(iou, structure.pairs)
+    work = pair_work(
+        gts.reshape(-1, 4), proposals.reshape(-1, 4), *args,
+        literal=literal, gradient=gradient, iou=pair_iou,
     )
+    if warn is not None and warn.any():
+        kinks = _kinks(gts, proposals, cfg, cfg.kink_tolerance, structure, iou, work)
+        for lines in compress(kinks, warn):
+            if lines:
+                warnings.warn(
+                    f"gradient evaluated near {len(lines)} non-differentiable point(s): {lines[0]}",
+                    KinkWarning,
+                    stacklevel=4,
+                )
+    B, N = proposals.shape[:2]
+    weighted = work.work * structure.pairs.mult if literal else work.work
+    scene, ka = structure.pairs.proposal // N, structure.num_attraction
+    sums = [np.bincount(scene[k], weighted[k], minlength=B) for k in (slice(ka), slice(ka, None))]
+    return _Evaluation(structure, iou, work, np.array(sums))
+
+
+def _couloss(parts, evaluation: _Evaluation, num_gts: int, gradient=False):
+    """Attraction sums, repulsion sums and losses of B scenes with ``num_gts``
+    ground truths each, each ``(B,)``, and with ``gradient`` their ``(B, N, 4)``
+    gradients (else None), from an ``_evaluate`` of their boxes.
+
+    ``parts`` ((2, B) bool) switches attraction and repulsion on per scene;
+    against one scene's evaluation it gives B variants of that scene.
+    """
+    att, rep = np.where(parts, evaluation.sums, 0.0)
+    losses = (att, rep, att / num_gts + rep / num_gts)
     if not gradient:
-        return report, None
-    zero = np.zeros((proposals.shape[0], 4))
-    grad_att = work.grad_attraction if parts[0] else zero
-    grad_rep = work.grad_repulsion if parts[1] else zero
-    return report, grad_att / n + grad_rep / n
+        return losses, None
+    work, scenes = evaluation.work, evaluation.sums.shape[1]
+    grad_att, grad_rep = (
+        np.where(on[:, None, None], grad.reshape(scenes, -1, 4), 0.0)
+        for on, grad in zip(parts, (work.grad_attraction, work.grad_repulsion))
+    )
+    return losses, grad_att / num_gts + grad_rep / num_gts
+
+
+def _scene_loss(gts, proposals, cfg, structure, parts, gradient=False, warn_kinks=False):
+    """The :class:`LossReport` of one scene's boxes and, with ``gradient``, its
+    ``(N, 4)`` gradient (else None)."""
+    if not gts:
+        raise InvalidInputError("couloss requires at least one ground-truth box")
+    cfg = cfg or CouLossConfig()
+    G, P = box_array(gts)[None], box_array(proposals)[None]
+    evaluation = _evaluate(G, P, cfg, structure, gradient=gradient, warn=np.array([warn_kinks]))
+    losses, grad = _couloss(np.array(parts)[:, None], evaluation, len(gts), gradient)
+    return _loss_report(cfg, len(gts), evaluation, losses), None if grad is None else grad[0]
+
+
+def _loss_report(cfg: CouLossConfig, num_gts: int, evaluation, losses) -> LossReport:
+    """The :class:`LossReport` of one scene from its ``_evaluate`` and ``_couloss`` sums."""
+    att, rep, total = (float(x[0]) for x in losses)
+    return LossReport(
+        total=total,
+        attractive_work=att,
+        repulsive_work=rep,
+        mode=cfg.aggregation_mode,
+        num_gts=num_gts,
+        structure=evaluation.structure,
+        pair_work=evaluation.work.work,
+    )
 
 
 def attractive_force(g: BBox, p: BBox, cfg: CouLossConfig | None = None) -> float:
@@ -340,8 +390,7 @@ def couloss(
     boxes. The attraction/repulsion switches zero out one component while
     keeping the other bit-identical to the full computation.
     """
-    parts = (include_attraction, include_repulsion)
-    return _couloss(box_array(gts), box_array(proposals), cfg or CouLossConfig(), structure, parts)[0]
+    return _scene_loss(gts, proposals, cfg, structure, (include_attraction, include_repulsion))[0]
 
 
 def couloss_gradient(
@@ -362,9 +411,8 @@ def couloss_gradient(
     sits within ``cfg.kink_tolerance`` (relative) of a non-differentiable
     switch.
     """
-    g, p, parts = box_array(gts), box_array(proposals), (include_attraction, include_repulsion)
-    cfg = cfg or CouLossConfig()
-    return _couloss(g, p, cfg, structure, parts, gradient=True, warn_kinks=warn_kinks)[1]
+    parts = (include_attraction, include_repulsion)
+    return _scene_loss(gts, proposals, cfg, structure, parts, True, warn_kinks)[1]
 
 
 def detect_kinks(
@@ -384,23 +432,26 @@ def detect_kinks(
     """
     cfg = cfg or CouLossConfig()
     tol = cfg.kink_tolerance if tolerance is None else tolerance
-    G, P = box_array(gts), box_array(proposals)
-    return _kinks(G, P, cfg, tol, *_evaluate(G, P, cfg, structure))
+    G, P = box_array(gts)[None], box_array(proposals)[None]
+    return _kinks(G, P, cfg, tol, *_evaluate(G, P, cfg, structure)[:3])[0]
 
 
 def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, structure, iou, work):
-    """``detect_kinks`` from the structure and pair work of an evaluation;
-    ``iou`` is the IoU matrix of the boxes, or None to compute it."""
+    """``detect_kinks`` of B scenes' boxes, one list per scene, from the
+    structure and pair work of an evaluation; ``iou`` is the ``(B, M, N)`` IoU
+    matrix of the boxes, or None to compute it."""
     if iou is None:
         iou = iou_matrix(G, P)
+    B, M, N = iou.shape
+    G, P = G.reshape(-1, 4), P.reshape(-1, 4)
 
     def near(a, b, scale=1.0):
         return np.abs(a - b) <= tol * scale
 
     # per proposal: switches of the assignment
-    ranked = np.sort(iou, axis=0)[::-1]
-    second = ranked[1] if len(ranked) > 1 else np.inf
-    target = np.full(P.shape[0], -1)
+    ranked = np.sort(iou, axis=1)[:, ::-1].transpose(1, 0, 2).reshape(M, B * N)
+    second = ranked[1] if M > 1 else np.inf
+    target = np.full(B * N, -1)
     target[structure.assigned[0]] = structure.assigned[1]
     g, p = G.T[:, target], P.T
     c = (p[:2] + p[2:]) / 2.0
@@ -411,13 +462,15 @@ def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, structu
         ((ranked[0] > 0.0) & near(ranked[0], second), "argmax IoU tie between ground truths"),
         (on_border, "center at the boundary of its target"),
     )
-    out = _report("proposal {}", (range(P.shape[0]),), checks)
+    out = [[] for _ in range(B)]
+    proposal = np.arange(B * N)
+    _report(out, proposal // N, "proposal {}", (proposal % N,), checks)
 
     # per pair, attraction pairs first: switches inside the work terms
     pairs = structure.pairs
     repulsive = np.arange(len(pairs.gt)) >= structure.num_attraction
     g, p = G.T[:, pairs.gt], P.T[:, pairs.proposal]
-    v = iou[pairs.gt, pairs.proposal]
+    v = _pair_iou(iou, pairs)
     wh = g[2:] - g[:2]
     c = (p[:2] + p[2:]) / 2.0
     to_lo, to_hi = np.abs(c - g[:2]), np.abs(c - g[2:])
@@ -433,16 +486,17 @@ def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, structu
         (repulsive & (np.abs(work.raw) <= tol), "work at the zero clamp"),
     )
     kind = np.where(repulsive, "repulsive", "attractive")
-    return out + _report("{} pair (gt {}, proposal {})", (kind, pairs.gt, pairs.proposal), checks)
+    fields = (kind, pairs.gt % M, pairs.proposal % N)
+    _report(out, pairs.proposal // N, "{} pair (gt {}, proposal {})", fields, checks)
+    return out
 
 
-def _report(label: str, fields, checks) -> list[str]:
-    """``label: text`` for each flagged item, items in order, each item's checks in order."""
-    flagged = np.zeros(len(fields[0]), dtype=bool)
+def _report(out: list[list[str]], owner, label: str, fields, checks) -> None:
+    """Append ``label: text`` for each flagged item to the list ``out[owner[item]]``,
+    items in order, each item's checks in order."""
+    flagged = np.zeros(len(owner), dtype=bool)
     for mask, _ in checks:
         flagged |= mask
-    out = []
     for k in np.flatnonzero(flagged).tolist():
         prefix = label.format(*(f[k] for f in fields))
-        out.extend(f"{prefix}: {text}" for mask, text in checks if mask[k])
-    return out
+        out[owner[k]].extend(f"{prefix}: {text}" for mask, text in checks if mask[k])

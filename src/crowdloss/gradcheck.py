@@ -7,46 +7,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pairs import best_gt, box_array, check_boxes
-from .baselines import CompositeConfig, _composite, _targets, scene_scale
+from .baselines import CompositeConfig, _composite, _targets, _Weights, scene_scale
 from .couloss import CouLossConfig, _couloss, _evaluate, detect_kinks
 from .geometry import BBox
 from .simulator import SimConfig, generate_scene, spawn_proposals
 
 TERMS = ("couloss", "couloss_attraction", "couloss_repulsion", "smooth_l1", "composite")
 # (attraction, repulsion) of the three CouLoss terms, and the config of the SmoothL1 term
-_COULOSS_PARTS = ((True, True), (True, False), (False, True))
+_COULOSS_PARTS = np.array([[True, True, False], [True, False, True]])
 _SMOOTH_L1 = CompositeConfig(alpha=0.0)
 
 
-def _terms(gts, proposals, scale, comp_cfg, cou_cfg, gradient=False):
+def _terms(gts, proposals, weights, cou_cfg, gradient=False):
     """Values of the five ``TERMS`` at the box arrays and, with ``gradient``,
-    their ``(N, 4)`` gradients, from one IoU matrix and one kernel call.
+    their ``(5, N, 4)`` gradients, from one IoU matrix and one kernel call.
 
     The CouLoss terms read the kernel's attraction/repulsion split; the
-    SmoothL1 term is the composite under ``CompositeConfig(alpha=0.0)``.
+    SmoothL1 and composite terms are the composite under ``weights``, the
+    ``_Weights`` of ``CompositeConfig(alpha=0.0)`` and of the checked config,
+    both broadcast against the one scene.
     """
-    ranked = best_gt(gts, proposals)
-    targets = _targets(gts, proposals, ranked)
-    evaluation = _evaluate(gts, proposals, cou_cfg, None, ranked, gradient)
-    kw = dict(gradient=gradient, evaluation=evaluation)
-    out = [_couloss(gts, proposals, cou_cfg, None, parts, **kw) for parts in _COULOSS_PARTS]
-    for cfg in (_SMOOTH_L1, comp_cfg):
-        out.append(_composite(gts, proposals, scale, cfg, cou_cfg, evaluation[0], targets, **kw))
-    return np.array([report.total for report, _ in out]), [grad for _, grad in out]
+    G, P = gts[None], proposals[None]
+    ranked = best_gt(G, P)
+    evaluation = _evaluate(G, P, cou_cfg, None, ranked, gradient)
+    (_, _, couloss), cou_grad = _couloss(_COULOSS_PARTS, evaluation, G.shape[1], gradient)
+    args = (G, P, weights, _targets(G, P, ranked), evaluation, gradient)
+    (_, _, composite), comp_grad = _composite(*args)
+    grads = np.concatenate([cou_grad, comp_grad]) if gradient else None
+    return np.concatenate([couloss, composite]), grads
 
 
 def finite_difference(loss_fn, coords: np.ndarray, h: float) -> np.ndarray:
     """Central finite differences of the ``TERMS`` values ``loss_fn`` returns,
     over the ``(N, 4)`` proposal coordinates: shape ``(len(TERMS), N, 4)``.
     Every perturbed point must be valid boxes."""
+    n = coords.size
+    # the +h and -h copies of each coordinate in turn, all checked at once
+    points = np.repeat(coords[None], 2 * n, axis=0)
+    flat, k = points.reshape(2 * n, n), np.arange(n)
+    flat[2 * k, k] += h
+    flat[2 * k + 1, k] -= h
+    check_boxes(points.reshape(-1, 4))
     grad = np.zeros((len(TERMS), *coords.shape))
-    for pi, ci in np.ndindex(coords.shape):
-        plus = coords.copy()
-        minus = coords.copy()
-        plus[pi, ci] += h
-        minus[pi, ci] -= h
-        check_boxes(np.concatenate([plus, minus]))
-        grad[:, pi, ci] = (loss_fn(plus) - loss_fn(minus)) / (2.0 * h)
+    for k, (pi, ci) in enumerate(np.ndindex(coords.shape)):
+        grad[:, pi, ci] = (loss_fn(points[2 * k]) - loss_fn(points[2 * k + 1])) / (2.0 * h)
     return grad
 
 
@@ -70,10 +74,9 @@ def check_scene(
     for all five terms.
     """
     G, P, scale = box_array(gts), box_array(proposals), scene_scale(gts)
-    analytic = _terms(G, P, scale, comp_cfg, cou_cfg, gradient=True)[1]
-    numeric = finite_difference(
-        lambda coords: _terms(G, coords, scale, comp_cfg, cou_cfg)[0], P, fd_step_fraction * scale
-    )
+    args = (_Weights.of([_SMOOTH_L1, comp_cfg], np.array([scale]), len(proposals)), cou_cfg)
+    analytic = _terms(G, P, *args, gradient=True)[1]
+    numeric = finite_difference(lambda coords: _terms(G, coords, *args)[0], P, fd_step_fraction * scale)
     return {t: relative_error(a, n) for t, a, n in zip(TERMS, analytic, numeric)}
 
 

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from ._pairs import box_array, check_boxes, iou_matrix
-from .baselines import CompositeConfig, _composite, regression_targets, scene_scale
-from .couloss import CouLossConfig, TripletStructure
+from ._pairs import best_gt, box_array, check_boxes, iou_matrix, valid_boxes
+from .baselines import CompositeConfig, _composite, _targets, _Weights, scene_scale
+from .couloss import CouLossConfig, _evaluate, _structure
 from .errors import (
+    CrowdLossError,
     DivergenceError,
     InfeasibleConfigError,
     InvalidAnnotationError,
@@ -294,14 +295,16 @@ def spawn_proposals(scene: Scene, cfg: SimConfig, seed: int) -> list[BBox]:
     return out
 
 
-def _project_min_size(coords: np.ndarray, min_size: float) -> np.ndarray:
-    """Push degenerate-width or -height rows back to a minimal box, in place."""
+def _project_min_size(coords: np.ndarray, min_size) -> np.ndarray:
+    """Push degenerate-width or -height boxes (rows of the last axis) back to a
+    minimal box, in place; ``min_size`` broadcasts over the boxes."""
     for lo, hi in ((0, 2), (1, 3)):
-        bad = coords[:, hi] - coords[:, lo] < min_size
+        bad = coords[..., hi] - coords[..., lo] < min_size
         if bad.any():
-            mid = (coords[bad, lo] + coords[bad, hi]) / 2.0
-            coords[bad, lo] = mid - min_size / 2.0
-            coords[bad, hi] = mid + min_size / 2.0
+            size = np.broadcast_to(min_size, bad.shape)[bad]
+            mid = (coords[..., lo][bad] + coords[..., hi][bad]) / 2.0
+            coords[..., lo][bad] = mid - size / 2.0
+            coords[..., hi][bad] = mid + size / 2.0
     return coords
 
 
@@ -337,6 +340,17 @@ def _summarize(
     )
 
 
+@dataclass(frozen=True)
+class Descent:
+    """One member of :func:`run_descents`, with the arguments of :func:`run_descent`."""
+
+    scene: Scene
+    proposals: list[BBox]
+    comp_cfg: CompositeConfig = field(default_factory=CompositeConfig)
+    seed: int = 0
+    intended_targets: list[int] | None = None
+
+
 def run_descent(
     scene: Scene,
     proposals: list[BBox],
@@ -356,60 +370,149 @@ def run_descent(
     ``divergence_factor`` times the initial loss aborts with the partial
     result attached to the raised :class:`DivergenceError`.
     """
-    comp_cfg = comp_cfg or CompositeConfig()
+    member = Descent(scene, proposals, comp_cfg or CompositeConfig(), seed or 0, intended_targets)
+    (result,) = run_descents([member], cou_cfg, sim_cfg)
+    if isinstance(result, CrowdLossError):
+        raise result
+    return result
+
+
+_NOISE_STEPS = 16  # steps of gradient noise drawn at once
+
+
+def run_descents(
+    descents: list[Descent], cou_cfg: CouLossConfig | None = None, sim_cfg: SimConfig | None = None
+) -> list[SimResult | CrowdLossError]:
+    """:func:`run_descent` of every member, stepped in lockstep as one batch.
+
+    The members share the configs and their pedestrian and proposal counts;
+    each step makes one IoU matrix and one CouLoss kernel call for all, and
+    each member's values equal those of its own :func:`run_descent` bit for
+    bit. A member that diverges or leaves invalid boxes stops, its entry the
+    error :func:`run_descent` would raise; the others run on.
+    """
     cou_cfg = cou_cfg or CouLossConfig()
     sim_cfg = sim_cfg or SimConfig()
-    gts = scene.gt_boxes
-    if not gts:
-        raise InvalidInputError("scene has no pedestrians")
-    G = box_array(gts)
-    coords = box_array(proposals)
-    if not proposals:
-        return _summarize(coords, G, [], [], 0)
+    if not descents:
+        return []
+    for d in descents:
+        gts = d.scene.gt_boxes
+        if not gts:
+            raise InvalidInputError("scene has no pedestrians")
+        if d.intended_targets is None:
+            continue
+        if len(d.intended_targets) != len(d.proposals):
+            raise InvalidInputError("intended_targets length must match proposals")
+        if not all(0 <= t < len(gts) for t in d.intended_targets):
+            raise InvalidInputError(f"intended_targets must index the {len(gts)} pedestrians")
+    shapes = {(len(d.scene.pedestrians), len(d.proposals)) for d in descents}
+    if len(shapes) > 1:
+        raise InvalidInputError("batched descents need equal pedestrian and proposal counts")
+    G = np.array([box_array(d.scene.gt_boxes) for d in descents])
+    coords = np.array([box_array(d.proposals) for d in descents])
+    (B, N), steps = coords.shape[:2], sim_cfg.descent_steps
+    if N == 0:
+        return [_summarize(coords[b], G[b], [], [], 0) for b in range(B)]
 
-    if intended_targets is None:
-        intended_targets = regression_targets(gts, proposals)
-    elif len(intended_targets) != len(proposals):
-        raise InvalidInputError("intended_targets length must match proposals")
-    elif not all(0 <= t < len(gts) for t in intended_targets):
-        raise InvalidInputError(f"intended_targets must index the {len(gts)} pedestrians")
+    scale = np.array([scene_scale(d.scene.gt_boxes) for d in descents])
+    weights = _Weights.of([d.comp_cfg for d in descents], scale, N)
+    weighs = weights.alpha > 0.0
+    any_weighs = bool(weighs.any())
+    # each member's pairs, unless it leaves them out of its loss and its kink check
+    keep = np.broadcast_to(weighs, (2, B)) if sim_cfg.warn_kinks else weights.parts
+    rngs = [np.random.default_rng(d.seed) for d in descents]
+    max_extent = np.array([max(d.scene.extent) for d in descents])
+    step = (sim_cfg.step_size * max_extent * max_extent)[:, None, None]
+    min_size = (1e-3 * max_extent)[:, None]
 
-    rng = np.random.default_rng(0 if seed is None else seed)
-    max_extent = max(scene.extent)
-    step = sim_cfg.step_size * max_extent * max_extent
-    min_size = 1e-3 * max_extent
-    scale = scene_scale(gts)
-
-    # pair structure and SmoothL1 targets: rebuilt every step (None) or frozen at the start
-    frozen = (None, None)
+    # SmoothL1 targets and pair structure: rebuilt every step or frozen at the start
+    frozen = None
     if not sim_cfg.recompute_assignments:
-        targets = np.array(regression_targets(gts, proposals))
-        frozen = (TripletStructure.from_boxes(gts, proposals, cou_cfg), targets)
+        ranked = best_gt(G, coords)
+        frozen = (_targets(G, coords, ranked), _structure(G, coords, cou_cfg, ranked, keep)[0])
+    active = np.ones(B, dtype=bool)
 
-    losses: list[float] = []
-    divergence_limit = None
-    for step_idx in range(sim_cfg.descent_steps):
-        report, grad = _composite(
-            G, coords, scale, comp_cfg, cou_cfg, *frozen, gradient=True, warn_kinks=sim_cfg.warn_kinks
-        )
-        losses.append(report.total)
-        if divergence_limit is None:
-            divergence_limit = max(sim_cfg.divergence_factor * report.total, 1e-6)
-        elif report.total > divergence_limit:
-            partial = _summarize(coords, G, intended_targets, losses, step_idx, aborted=True)
-            raise DivergenceError(
-                f"loss {report.total:.6g} exceeded {divergence_limit:.6g} at step {step_idx}",
+    def evaluate(gradient):
+        targets, structure = frozen or (None, None)
+        ranked = None if frozen else best_gt(G, coords)
+        if targets is None:
+            targets = _targets(G, coords, ranked)
+        evaluation = None
+        if any_weighs:
+            warn = active & weighs if sim_cfg.warn_kinks and gradient else None
+            evaluation = _evaluate(G, coords, cou_cfg, structure, ranked, gradient, keep, warn)
+        (_, _, total), grad = _composite(G, coords, weights, targets, evaluation, gradient)
+        return targets, total, grad
+
+    intended = [d.intended_targets for d in descents]
+    outcome: list[SimResult | CrowdLossError | None] = [None] * B
+    losses = np.empty((steps + 1, B))
+    for step_idx in range(steps):
+        targets, losses[step_idx], grad = evaluate(gradient=True)
+        if step_idx == 0:
+            intended = [t if t is not None else s.tolist() for t, s in zip(intended, targets)]
+            limit = np.maximum(sim_cfg.divergence_factor * losses[0], 1e-6)
+        for b in np.flatnonzero(active & (losses[step_idx] > limit)).tolist():
+            curve = losses[: step_idx + 1, b].tolist()
+            partial = _summarize(coords[b], G[b], intended[b], curve, step_idx, aborted=True)
+            outcome[b] = DivergenceError(
+                f"loss {curve[-1]:.6g} exceeded {limit[b]:.6g} at step {step_idx}",
                 partial_result=partial,
             )
+            active[b] = False
         if sim_cfg.gradient_noise > 0.0:
-            grad = grad + rng.normal(0.0, sim_cfg.gradient_noise, grad.shape)
-        coords -= step * grad
-        _project_min_size(coords, min_size)
-        check_boxes(coords)
+            # a (k, N, 4) draw gives the values of k successive (N, 4) draws
+            if step_idx % _NOISE_STEPS == 0:
+                shape = (min(_NOISE_STEPS, steps - step_idx), N, 4)
+                noise = np.stack([rng.normal(0.0, sim_cfg.gradient_noise, shape) for rng in rngs], 1)
+            grad = grad + noise[step_idx % _NOISE_STEPS]
+        moved = _project_min_size(coords - step * grad, min_size)
+        for b in np.flatnonzero(active & ~valid_boxes(moved).all(axis=1)).tolist():
+            try:
+                check_boxes(moved[b])
+            except InvalidInputError as exc:
+                outcome[b] = exc
+            active[b] = False
+        np.copyto(coords, moved, where=active[:, None, None])
+        if not active.any():
+            return outcome
 
-    final = _composite(G, coords, scale, comp_cfg, cou_cfg, *frozen)[0]
-    losses.append(final.total)
-    return _summarize(coords, G, intended_targets, losses, sim_cfg.descent_steps)
+    losses[steps] = evaluate(gradient=False)[1]
+    for b in np.flatnonzero(active).tolist():
+        outcome[b] = _summarize(coords[b], G[b], intended[b], losses[:, b].tolist(), steps)
+    return outcome
+
+
+def descend_variants(
+    variants: dict[str, CompositeConfig],
+    seeds,
+    sim_cfg: SimConfig | None = None,
+    cou_cfg: CouLossConfig | None = None,
+) -> list[tuple[int, Scene | None, dict[str, SimResult | CrowdLossError]]]:
+    """``(seed, scene, {variant: result or error})`` per seed, all descended as one batch.
+
+    Seed ``s`` draws the scene, the proposals and the noise from ``s``,
+    ``s + 1`` and ``s + 2``; each proposal's intended target is the pedestrian
+    it was spawned from. A seed whose scene cannot be made ends the list, its
+    error standing for every variant.
+    """
+    sim_cfg = sim_cfg or SimConfig()
+    seeded, descents = [], []
+    for seed in seeds:
+        try:
+            scene = generate_scene(sim_cfg, seed)
+            proposals = spawn_proposals(scene, sim_cfg, seed + 1)
+        except CrowdLossError as exc:
+            seeded.append((seed, None, exc))
+            break
+        targets = [gi for gi in range(len(scene.pedestrians)) for _ in range(sim_cfg.proposals_per_gt)]
+        seeded.append((seed, scene, None))
+        descents.extend(Descent(scene, proposals, c, seed + 2, targets) for c in variants.values())
+    results = iter(run_descents(descents, cou_cfg, sim_cfg))
+    return [
+        (seed, scene, {name: error or next(results) for name in variants})
+        for seed, scene, error in seeded
+    ]
 
 
 def score_detections(scene: Scene, boxes: list[BBox], scene_id: str) -> list[Detection]:
@@ -460,25 +563,13 @@ def nms_sensitivity_experiment(
     ground truths. The per-variant spread (max - min) and variance of miss
     counts across thresholds quantify threshold sensitivity.
     """
-    sim_cfg = sim_cfg or SimConfig()
-    cou_cfg = cou_cfg or CouLossConfig()
     per_variant_dets: dict[str, list[tuple[Scene, list[Detection]]]] = {
         name: [] for name in variants
     }
-    for seed in seeds:
-        scene = generate_scene(sim_cfg, seed)
-        proposals = spawn_proposals(scene, sim_cfg, seed + 1)
-        targets = [gi for gi in range(len(scene.pedestrians)) for _ in range(sim_cfg.proposals_per_gt)]
-        for name, comp_cfg in variants.items():
-            result = run_descent(
-                scene,
-                proposals,
-                comp_cfg,
-                cou_cfg,
-                sim_cfg,
-                seed=seed + 2,
-                intended_targets=targets,
-            )
+    for seed, scene, results in descend_variants(variants, seeds, sim_cfg, cou_cfg):
+        for name, result in results.items():
+            if isinstance(result, CrowdLossError):
+                raise result
             dets = score_detections(scene, result.final_boxes, f"seed{seed}")
             per_variant_dets[name].append((scene, dets))
 

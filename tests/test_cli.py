@@ -5,6 +5,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crowdloss import evalkit
@@ -79,10 +80,38 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
-    def test_bad_value_rejected(self, tmp_path):
-        path = write_config(tmp_path / "run.cfg", "[sim]\npedestrian_count = lots\n")
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[sim]\npedestrian_count = lots\n", r"\[sim\] pedestrian_count"),
+            # nan > 0 is false, so a nan noise level silently switched the noise off
+            ("[sim]\ngradient_noise = nan\n", r"\[sim\] gradient_noise: expected a finite"),
+            ("[sim]\nstep_size = nan\n", r"\[sim\] step_size: expected a finite"),
+            ("[sim]\nheight_range = 0.3, inf\n", r"\[sim\] height_range: expected a finite"),
+            ("[eval]\nmin_height = inf\n", r"\[eval\] min_height: expected a finite"),
+            ("[nms]\nthreshold_step = 0\n", r"\[nms\].*threshold_step must be finite and > 0"),
+            ("[nms]\nthreshold_step = -0.05\n", r"\[nms\].*threshold_step must be finite and > 0"),
+            ("[nms]\nthreshold_min = 0.9\n", r"\[nms\].*threshold_min <= threshold_max"),
+            ("[nms]\nthreshold_max = 1.0\n", r"\[nms\].*must lie in \(0, 1\)"),
+            ("[nms]\nthreshold_min = 0.0\n", r"\[nms\].*must lie in \(0, 1\)"),
+            ("[nms]\nvariants =\n", r"\[nms\].*variants must not be empty"),
+            ("[run]\nvariants =\n", r"\[run\] variants must not be empty"),
+        ],
+        ids=[
+            "not-a-number", "nan-noise", "nan-step", "inf-tuple", "inf-finite-default",
+            "nms-step-zero", "nms-step-negative", "nms-min-above-max", "nms-threshold-one",
+            "nms-threshold-zero", "nms-no-variants", "run-no-variants",
+        ],
+    )
+    def test_bad_value_rejected(self, tmp_path, text, message):
+        path = write_config(tmp_path / "run.cfg", text)
+        with pytest.raises(ConfigError, match=message):
             load_run_config(path)
+
+    def test_infinite_default_accepts_inf(self, tmp_path):
+        path = write_config(tmp_path / "run.cfg", "[eval]\nmax_height = inf\nmin_height = 5\n")
+        cfg = load_run_config(path)
+        assert cfg.eval.max_height == float("inf") and cfg.eval.min_height == 5.0
 
     def test_nms_threshold_grid(self):
         grid = NmsSweepConfig().thresholds()
@@ -105,6 +134,12 @@ class TestExitCodes:
     def test_bad_variant_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", "[run]\nvariants = bogus\n")
         assert main(["simulate", "--config", cfg, "--seeds", "1", "--out", str(tmp_path)]) == 1
+
+    def test_zero_nms_step_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", "[nms]\nthreshold_step = 0\n")
+        assert main(["nms-sweep", "--config", cfg, "--seeds", "1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid values in section [nms]") and err.count("\n") == 1
 
 
 def fast_sim_section(**over):
@@ -145,15 +180,6 @@ class TestSimulate:
         cou = next(r for r in rows if r[1] == "couloss")
         assert base[2:] == cou[2:]
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path / "run.cfg", fast_sim_section())
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        assert main(["simulate", "--config", cfg, "--seeds", "1,2,3", "--out", str(serial)]) == 0
-        monkeypatch.setenv("CROWDLOSS_THREADS", "3")
-        assert main(["simulate", "--config", cfg, "--seeds", "1,2,3", "--out", str(parallel)]) == 0
-        assert (serial / "simulate.csv").read_bytes() == (parallel / "simulate.csv").read_bytes()
-
     def test_divergence_exits_three_with_partial_rows(self, tmp_path, capsys):
         # oversized step diverges on seed 1 but not seed 2: the completed
         # seed's rows must be flushed before the abort
@@ -168,6 +194,19 @@ class TestSimulate:
         rows = read_csv(out / "simulate.csv")
         assert len(rows) == 2  # header + the completed seed-2 row
         assert rows[1][0] == "2"
+
+    def test_invalid_boxes_exit_one_without_csv(self, tmp_path, capsys):
+        # a vast SmoothL1 weight throws the boxes out of range at the first step
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            fast_sim_section() + "[composite]\nsmoothl1_weight = 1e300\n[run]\nvariants = couloss\n",
+        )
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--config", cfg, "--seeds", "2,1", "--out", str(out)])
+        assert code == 1
+        assert "box" in capsys.readouterr().err
+        assert not (out / "simulate.csv").exists()
 
     def test_default_twenty_seed_suite_within_budget(self, tmp_path):
         import time

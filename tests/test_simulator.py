@@ -11,6 +11,7 @@ from crowdloss import _pairs
 from crowdloss.baselines import CompositeConfig, regression_targets
 from crowdloss.couloss import CouLossConfig
 from crowdloss.errors import (
+    CrowdLossError,
     DivergenceError,
     InfeasibleConfigError,
     InvalidAnnotationError,
@@ -18,13 +19,16 @@ from crowdloss.errors import (
 )
 from crowdloss.geometry import BBox, iou
 from crowdloss.simulator import (
+    Descent,
     Pedestrian,
     Scene,
     SimConfig,
+    descend_variants,
     generate_scene,
     load_scene,
     nms_sensitivity_experiment,
     run_descent,
+    run_descents,
     save_scene,
     spawn_proposals,
     standard_variants,
@@ -334,6 +338,122 @@ class TestRunDescent:
         run_descent(scene, proposals, sim_cfg=cfg, seed=1, intended_targets=targets)
         assert steps <= calls["pair_work"] <= steps + 1
         assert steps <= calls["best_gt"] <= steps + 1
+
+
+def outcome(result):
+    """A descent's result or error, as a value that ``==`` compares bit for bit."""
+    if isinstance(result, CrowdLossError):
+        partial = getattr(result, "partial_result", None)
+        return type(result), str(result), partial and outcome(partial)
+    boxes = [b.as_tuple() for b in result.final_boxes]
+    return boxes, result.per_proposal, result.loss_curve, result.steps, result.targets, result.aborted
+
+
+def sequential(members, cou_cfg, sim_cfg):
+    out = []
+    for m in members:
+        try:
+            out.append(run_descent(m.scene, m.proposals, m.comp_cfg, cou_cfg, sim_cfg, seed=m.seed,
+                                   intended_targets=m.intended_targets))
+        except CrowdLossError as exc:
+            out.append(exc)
+    return out
+
+
+MIXED_VARIANTS = [
+    *standard_variants().values(),
+    CompositeConfig(alpha=0.0, include_attraction=False),
+    CompositeConfig(alpha=2.5, smoothl1_beta=0.5, smoothl1_weight=7.0),
+    CompositeConfig(include_attraction=False, include_repulsion=False),
+]
+
+
+class TestBatchedDescent:
+    """Every member of a batch equals its own ``run_descent`` bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["deduplicated", "triplet-literal"])
+    @pytest.mark.parametrize("recompute, noise", [(True, 0.0), (True, 0.03), (False, 0.055), (False, 0.0)])
+    def test_members_equal_sequential_runs(self, mode, recompute, noise):
+        sim = SimConfig(descent_steps=40, recompute_assignments=recompute, gradient_noise=noise,
+                        proposals_per_gt=4, proposal_jitter=0.3)
+        cou = CouLossConfig(aggregation_mode=mode)
+        members = []
+        for seed in range(3):
+            scene = generate_scene(sim, seed)
+            proposals = spawn_proposals(scene, sim, seed + 1)
+            targets = None if seed == 1 else [gi for gi in range(2) for _ in range(4)]
+            members += [Descent(scene, proposals, c, seed + 2, targets) for c in MIXED_VARIANTS]
+        batch = run_descents(members, cou, sim)
+        assert [outcome(r) for r in batch] == [outcome(r) for r in sequential(members, cou, sim)]
+        assert not any(isinstance(r, CrowdLossError) for r in batch)
+
+    def test_failures_keep_sequential_order(self):
+        # seed 1 / couloss diverges at step 22; every member with a vast SmoothL1
+        # weight leaves invalid boxes at step 0, before that divergence
+        sim = SimConfig(descent_steps=40, step_size=0.05, proposals_per_gt=3)
+        members = []
+        for seed in (1, 2, 3):
+            scene = generate_scene(sim, seed)
+            proposals = spawn_proposals(scene, sim, seed + 1)
+            for comp in (CompositeConfig(), CompositeConfig(alpha=0.0), CompositeConfig(smoothl1_weight=1e300)):
+                members.append(Descent(scene, proposals, comp, seed + 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = run_descents(members, sim_cfg=sim)
+            expected = sequential(members, CouLossConfig(), sim)
+        assert [outcome(r) for r in batch] == [outcome(r) for r in expected]
+        kinds = [type(r).__name__ for r in batch]
+        assert kinds[:3] == ["DivergenceError", "SimResult", "InvalidInputError"]
+        assert batch[0].partial_result.steps == 22 and batch[0].partial_result.aborted
+        assert kinds.count("SimResult") >= 2
+
+    def test_kink_warnings_match_detect_kinks(self):
+        from crowdloss.couloss import KinkWarning, detect_kinks
+
+        # one step: each weighing member warns once, in member order, about the
+        # kinks of all its pairs, also those of a switched-off part
+        sim = SimConfig(descent_steps=1, proposal_jitter=0.0, proposals_per_gt=2, warn_kinks=True)
+        members = []
+        for seed in (3, 4):
+            scene = generate_scene(sim, seed)
+            members += [Descent(scene, spawn_proposals(scene, sim, 9), c) for c in MIXED_VARIANTS]
+        with pytest.warns(KinkWarning) as caught:
+            run_descents(members, sim_cfg=sim)
+        expected = []
+        for m in members:
+            kinks = detect_kinks(m.scene.gt_boxes, m.proposals) if m.comp_cfg.alpha > 0.0 else []
+            if kinks:
+                expected.append(f"gradient evaluated near {len(kinks)} non-differentiable point(s): {kinks[0]}")
+        assert [str(w.message) for w in caught] == expected
+        assert len(expected) >= 8
+
+    def test_unequal_members_rejected(self):
+        sim = SimConfig(descent_steps=2)
+        scene = generate_scene(sim, 0)
+        proposals = spawn_proposals(scene, sim, 1)
+        with pytest.raises(InvalidInputError, match="equal pedestrian and proposal counts"):
+            run_descents([Descent(scene, proposals), Descent(scene, proposals[:-1])], sim_cfg=sim)
+
+    def test_one_assignment_and_one_kernel_call_per_step_for_the_batch(self, monkeypatch):
+        steps = 20
+        sim = SimConfig(descent_steps=steps)
+        calls = Counter()
+        wrapped = {n: counted(getattr(_pairs, n), calls, n) for n in ("pair_work", "best_gt")}
+        for mod_name in ("couloss", "baselines", "simulator"):
+            module = importlib.import_module(f"crowdloss.{mod_name}")
+            for name, wrapper in wrapped.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        outcomes = descend_variants(standard_variants(), range(5), sim)
+        assert len(outcomes) == 5 and all(len(results) == 4 for _, _, results in outcomes)
+        assert steps <= calls["pair_work"] <= steps + 1
+        assert steps <= calls["best_gt"] <= steps + 1
+
+    def test_infeasible_seed_ends_the_run(self):
+        sim = SimConfig(descent_steps=5, pedestrian_count=3, height_range=(0.95, 0.95),
+                        crowd_iou_min=0.0, crowd_iou_max=0.01, distractor_count=0)
+        ((seed, scene, results),) = descend_variants(standard_variants(), [0, 1], sim)
+        assert seed == 0 and scene is None
+        assert all(isinstance(r, InfeasibleConfigError) for r in results.values())
 
 
 class TestNmsSensitivity:
