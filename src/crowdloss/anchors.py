@@ -332,10 +332,7 @@ def bump_probability_map(
 
 def save_probability_map(pmap: ProbabilityMap, path) -> None:
     """Plain-text grid: header ``width height stride``, then row-major values."""
-    with open(path, "w") as fh:
-        fh.write(f"{pmap.width} {pmap.height} {pmap.stride!r}\n")
-        for row in pmap.values:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    _write_grid(path, pmap.stride, pmap.values, lambda v: repr(float(v)))
 
 
 def load_probability_map(path) -> ProbabilityMap:
@@ -354,10 +351,7 @@ def _probability(text: str) -> float:
 
 def save_target_map(tmap: TargetMap, path) -> None:
     """Plain-text grid: header ``width height stride``, then P/I/N symbols."""
-    with open(path, "w") as fh:
-        fh.write(f"{tmap.width} {tmap.height} {tmap.stride!r}\n")
-        for row in tmap.labels:
-            fh.write(" ".join(row) + "\n")
+    _write_grid(path, tmap.stride, tmap.labels, str)
 
 
 def load_target_map(path) -> TargetMap:
@@ -371,6 +365,15 @@ def _label(text: str) -> str:
     if text not in (POSITIVE, IGNORED, NEGATIVE):
         raise InvalidInputError(f"unknown target label {text!r}")
     return text
+
+
+def _write_grid(path, stride: float, grid: np.ndarray, token) -> None:
+    """Header ``width height stride``, then each row of ``grid`` as its cells'
+    ``token`` text, space-separated."""
+    with open(path, "w") as fh:
+        fh.write(f"{grid.shape[1]} {grid.shape[0]} {stride!r}\n")
+        for row in grid:
+            fh.write(" ".join(map(token, row)) + "\n")
 
 
 def _parse_grid_header(line: str, path):

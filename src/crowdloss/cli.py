@@ -8,7 +8,6 @@ usage/config error, 2 acceptance-check failure, 3 numerical abort.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from . import evalkit, svgplot
-from .config import RunConfig, load_run_config
+from .config import RunConfig, _coerce, load_run_config
 from .errors import ConfigError, CrowdLossError, DivergenceError
 from .gradcheck import run_gradcheck
 from .simulator import (
@@ -60,21 +59,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_csv(path: Path, fieldnames, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else repr(v) for v in row])
-
-
 def _resolve(cfg: RunConfig, args) -> tuple[RunConfig, Path]:
     seeds = cfg.seeds
     if args.seeds:
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-        except ValueError:
-            raise ConfigError(f"--seeds expects a comma-separated integer list, got {args.seeds!r}")
+        seeds = _coerce(args.seeds, (0,), "--seeds")
         if not seeds:
             raise ConfigError("--seeds list is empty")
     out_dir = Path(args.out or cfg.out_dir)
@@ -130,7 +118,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     for seed, _, results in descend_variants(variants, cfg.seeds, cfg.sim, cfg.couloss):
         failed = [r for r in results.values() if isinstance(r, CrowdLossError)]
         if failed and isinstance(failed[0], DivergenceError):
-            _write_csv(path, SIMULATE_FIELDS, rows)
+            evalkit._write_csv(path, SIMULATE_FIELDS, rows)
             print(f"simulate: numerical abort after {len(rows)} rows: {failed[0]}", file=sys.stderr)
             return EXIT_NUMERIC_ABORT
         if failed:
@@ -139,7 +127,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
             rows.append(
                 (seed, name, r.drift_rate, r.mean_final_iou, r.overlap_occupancy, r.loss_curve[-1])
             )
-    _write_csv(path, SIMULATE_FIELDS, rows)
+    evalkit._write_csv(path, SIMULATE_FIELDS, rows)
     print(f"simulate: wrote {len(rows)} rows to {path}")
     return EXIT_OK
 
@@ -159,21 +147,11 @@ def cmd_nms_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
     except DivergenceError as exc:
         print(f"nms-sweep: numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ABORT
-    path = out_dir / "nms_sweep.csv"
-    _write_csv(
-        path,
-        NMS_FIELDS,
-        [(r.variant, r.threshold, r.kept, r.false_positives, r.misses, r.miss_rate) for r in result.rows],
-    )
-    summary = out_dir / "nms_summary.csv"
-    _write_csv(
-        summary,
-        NMS_SUMMARY_FIELDS,
-        [
-            (name, lo, hi, hi - lo, result.miss_variance[name])
-            for name, (lo, hi) in result.miss_spread.items()
-        ],
-    )
+    path, summary = out_dir / "nms_sweep.csv", out_dir / "nms_summary.csv"
+    rows = [(r.variant, r.threshold, r.kept, r.false_positives, r.misses, r.miss_rate) for r in result.rows]
+    evalkit._write_csv(path, NMS_FIELDS, rows)
+    spreads = [(v, lo, hi, hi - lo, result.miss_variance[v]) for v, (lo, hi) in result.miss_spread.items()]
+    evalkit._write_csv(summary, NMS_SUMMARY_FIELDS, spreads)
     if svg:
         series = {}
         for r in result.rows:
@@ -201,12 +179,8 @@ def _anchor_map(cfg: RunConfig, scene, seed: int):
         )
     if a.map_kind == "indicator":
         return anchors_mod.indicator_probability_map(scene, a.stride)
-    if a.map_kind == "flat":
-        height, width = anchors_mod.scene_grid(scene, a.stride)
-        return anchors_mod.ProbabilityMap(
-            stride=a.stride, values=np.full((height, width), a.flat_value)
-        )
-    raise ConfigError(f"unknown [anchors] map_kind {a.map_kind!r}")
+    height, width = anchors_mod.scene_grid(scene, a.stride)  # flat
+    return anchors_mod.ProbabilityMap(stride=a.stride, values=np.full((height, width), a.flat_value))
 
 
 def cmd_anchor_demo(cfg: RunConfig, out_dir: Path) -> int:
@@ -240,7 +214,7 @@ def cmd_anchor_demo(cfg: RunConfig, out_dir: Path) -> int:
         if first_map is None:
             first_map, first_tmap = pmap, tmap
     stats_path = out_dir / "anchor_stats.csv"
-    _write_csv(stats_path, ANCHOR_FIELDS, rows)
+    evalkit._write_csv(stats_path, ANCHOR_FIELDS, rows)
     anchors_mod.save_probability_map(first_map, out_dir / "probability_map.txt")
     anchors_mod.save_target_map(first_tmap, out_dir / "target_map.txt")
     print(f"anchor-demo: wrote {stats_path}, probability_map.txt, target_map.txt")

@@ -5,12 +5,26 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .baselines import CompositeConfig
 from .couloss import CouLossConfig
 from .errors import ConfigError
 from .simulator import SimConfig
+
+_MAP_KINDS = ("bump", "indicator", "flat", "file")
+
+
+def _positive(value) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+def _check(cfg, keys, ok, rule: str) -> None:
+    """Reject the first of ``keys`` whose value in ``cfg`` fails ``ok``."""
+    for key in keys:
+        value = getattr(cfg, key)
+        if not ok(value):
+            raise ConfigError(f"{key} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -18,13 +32,20 @@ class AnchorDemoConfig:
     stride: float = 2.0
     scales: tuple[float, ...] = (40.0,)
     ratios: tuple[float, ...] = (0.41,)
-    map_kind: str = "bump"  # bump | indicator | flat | file
+    map_kind: str = "bump"  # one of _MAP_KINDS
     map_file: str = ""
     scene_file: str = ""
     flat_value: float = 0.5
     peak: float = 0.9
     background: float = 0.08
     negative_iou_threshold: float = 0.3
+
+    def __post_init__(self):
+        _check(self, ("stride",), _positive, "finite and > 0")
+        _check(
+            self, ("scales", "ratios"), lambda v: v and all(map(_positive, v)), "non-empty, each finite and > 0"
+        )
+        _check(self, ("map_kind",), _MAP_KINDS.__contains__, f"one of {', '.join(_MAP_KINDS)}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +55,11 @@ class GradCheckConfig:
     fd_step_fraction: float = 1e-5
     kink_tolerance: float = 1e-3
     max_perturb_retries: int = 20
+
+    def __post_init__(self):
+        _check(self, ("tolerance", "fd_step_fraction"), _positive, "finite and > 0")
+        _check(self, ("kink_tolerance",), lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
+        _check(self, ("num_scenes", "max_perturb_retries"), lambda v: v >= 1, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -45,9 +71,8 @@ class NmsSweepConfig:
     variants: tuple[str, ...] = ("baseline", "couloss")
 
     def __post_init__(self):
-        lo, hi, step = self.threshold_min, self.threshold_max, self.threshold_step
-        if not (math.isfinite(step) and step > 0.0):
-            raise ConfigError(f"threshold_step must be finite and > 0, got {step!r}")
+        lo, hi = self.threshold_min, self.threshold_max
+        _check(self, ("threshold_step",), _positive, "finite and > 0")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ConfigError(f"need finite threshold_min <= threshold_max, got {lo!r} and {hi!r}")
         first, last = self._threshold(0), self._threshold(self._count() - 1)
@@ -55,6 +80,7 @@ class NmsSweepConfig:
             raise ConfigError(f"NMS thresholds must lie in (0, 1), got {first!r} to {last!r}")
         if not self.variants:
             raise ConfigError("variants must not be empty")
+        _check(self, ("match_iou",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
     def _count(self) -> int:
         return int(round((self.threshold_max - self.threshold_min) / self.threshold_step)) + 1
@@ -77,6 +103,9 @@ class EvalConfig:
     min_visibility: float = 0.0
     max_visibility: float = 1.0
 
+    def __post_init__(self):
+        _check(self, ("match_iou",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -91,16 +120,6 @@ class RunConfig:
     out_dir: str = "."
     variants: tuple[str, ...] = ("baseline", "couloss", "only_att", "only_rep")
 
-
-_SECTIONS = {
-    "sim": ("sim", SimConfig),
-    "couloss": ("couloss", CouLossConfig),
-    "composite": ("composite", CompositeConfig),
-    "anchors": ("anchors", AnchorDemoConfig),
-    "gradcheck": ("gradcheck", GradCheckConfig),
-    "nms": ("nms", NmsSweepConfig),
-    "eval": ("eval", EvalConfig),
-}
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -158,17 +177,18 @@ def load_run_config(path: str | None = None) -> RunConfig:
         return cfg
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
 
+    # each section fills the config-dataclass field of its name
+    sections = {f.name: f.default for f in fields(RunConfig) if is_dataclass(f.default)}
     updates = {}
     for section_name in parser.sections():
         if section_name == "run":
-            run = dict(parser.items("run"))
-            for key, raw in run.items():
+            for key, raw in parser.items("run"):
                 if key == "seeds":
                     updates["seeds"] = _coerce(raw, (0,), "[run] seeds")
                 elif key == "out":
@@ -178,10 +198,10 @@ def load_run_config(path: str | None = None) -> RunConfig:
                 else:
                     raise ConfigError(f"unknown key {key!r} in section [run]")
             continue
-        if section_name not in _SECTIONS:
+        if section_name not in sections:
             raise ConfigError(f"unknown config section [{section_name}]")
-        attr, _ = _SECTIONS[section_name]
-        updates[attr] = _fill_section(getattr(cfg, attr), dict(parser.items(section_name)), section_name)
+        section = dict(parser.items(section_name))
+        updates[section_name] = _fill_section(sections[section_name], section, section_name)
     if not updates.get("seeds", (0,)):
         raise ConfigError("[run] seeds must not be empty")
     if not updates.get("variants", ("baseline",)):

@@ -214,56 +214,50 @@ DETECTION_FIELDS = ("scene_id", "x1", "y1", "x2", "y2", "score")
 CURVE_FIELDS = ("threshold", "fppi", "miss_rate")
 
 
-def save_detections(dets: list[Detection], path) -> None:
-    """CSV with header ``scene_id,x1,y1,x2,y2,score``; full-precision reals."""
+def _write_csv(path, fields, rows) -> None:
+    """CSV with header row ``fields``: strings as they are, every other value
+    by ``repr``, so reals keep full precision."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(DETECTION_FIELDS)
-        for d in dets:
-            writer.writerow(
-                [d.scene_id, repr(d.box.x1), repr(d.box.y1), repr(d.box.x2), repr(d.box.y2), repr(d.score)]
-            )
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else repr(v) for v in row])
 
 
-def load_detections(path) -> list[Detection]:
+def _read_csv(path, fields, convert) -> list:
+    """``convert(*row)`` of each row of a CSV whose header is ``fields``; a bad
+    header or row is rejected at its ``path:line``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(DETECTION_FIELDS):
-            raise InvalidInputError(f"{path}:1: expected header {','.join(DETECTION_FIELDS)}")
+        if next(reader, None) != list(fields):
+            raise InvalidInputError(f"{path}:1: expected header {','.join(fields)}")
         out = []
         for row in reader:
             with at_line(path, reader.line_num):
-                if len(row) != 6:
+                if len(row) != len(fields):
                     raise InvalidInputError(f"malformed row {row}")
-                sid, x1, y1, x2, y2, score = row
-                out.append(
-                    Detection(BBox(float(x1), float(y1), float(x2), float(y2)), float(score), sid)
-                )
+                out.append(convert(*row))
     return out
+
+
+def save_detections(dets: list[Detection], path) -> None:
+    """CSV with header ``scene_id,x1,y1,x2,y2,score``; full-precision reals."""
+    _write_csv(path, DETECTION_FIELDS, ((d.scene_id, *d.box.as_tuple(), d.score) for d in dets))
+
+
+def _detection(sid, x1, y1, x2, y2, score) -> Detection:
+    return Detection(BBox(float(x1), float(y1), float(x2), float(y2)), float(score), sid)
+
+
+def load_detections(path) -> list[Detection]:
+    return _read_csv(path, DETECTION_FIELDS, _detection)
 
 
 def save_curve(curve: EvalCurve, path) -> None:
     """CSV with header ``threshold,fppi,miss_rate``; full-precision reals."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_FIELDS)
-        for t, (fppi, miss) in zip(curve.thresholds, curve.points):
-            writer.writerow([repr(t), repr(fppi), repr(miss)])
+    _write_csv(path, CURVE_FIELDS, ((t, *p) for t, p in zip(curve.thresholds, curve.points)))
 
 
 def load_curve(path) -> EvalCurve:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CURVE_FIELDS):
-            raise InvalidInputError(f"{path}:1: expected header {','.join(CURVE_FIELDS)}")
-        thresholds = []
-        points = []
-        for row in reader:
-            with at_line(path, reader.line_num):
-                if len(row) != 3:
-                    raise InvalidInputError(f"malformed row {row}")
-                thresholds.append(float(row[0]))
-                points.append((float(row[1]), float(row[2])))
-    return EvalCurve(tuple(thresholds), tuple(points))
+    rows = _read_csv(path, CURVE_FIELDS, lambda t, fppi, miss: (float(t), (float(fppi), float(miss))))
+    return EvalCurve(tuple(t for t, _ in rows), tuple(p for _, p in rows))

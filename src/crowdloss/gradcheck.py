@@ -89,7 +89,8 @@ class GradCheckOutcome:
     kink_lines: list
 
     def passed(self, tolerance: float) -> bool:
-        return self.scenes_checked > 0 and max(self.max_error.values()) < tolerance
+        # a NaN error fails: it is not < tolerance
+        return self.scenes_checked > 0 and all(e < tolerance for e in self.max_error.values())
 
 
 def run_gradcheck(
@@ -126,7 +127,8 @@ def run_gradcheck(
     return GradCheckOutcome(
         scenes_checked=checked,
         scenes_skipped=len(seeds) - checked,
-        max_error={t: max([0.0] + [e[t] for e in errors]) for t in TERMS},
+        # np.max keeps a NaN error, which Python's max would drop
+        max_error={t: float(np.max([0.0] + [e[t] for e in errors])) for t in TERMS},
         mean_error={t: sum(e[t] for e in errors) / checked if checked else 0.0 for t in TERMS},
         kink_lines=kink_lines,
     )

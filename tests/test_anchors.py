@@ -380,6 +380,16 @@ class TestSerialization:
         assert loaded.stride == original.stride
         assert np.array_equal(loaded.labels, original.labels)
 
+    def test_probability_bytes(self, tmp_path):
+        path = tmp_path / "map.txt"
+        save_probability_map(pmap([[0.1, 0.5, 1 / 3], [0.0, 1.0, 0.25]], stride=2.5), path)
+        assert path.read_bytes() == b"3 2 2.5\n0.1 0.5 0.3333333333333333\n0.0 1.0 0.25\n"
+
+    def test_target_bytes(self, tmp_path):
+        path = tmp_path / "targets.txt"
+        save_target_map(TargetMap(stride=1.5, labels=[["P", "I"], ["N", "N"], ["I", "P"]]), path)
+        assert path.read_bytes() == b"2 3 1.5\nP I\nN N\nI P\n"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("5 x 1.0\n")

@@ -10,7 +10,7 @@ import pytest
 
 from crowdloss import evalkit
 from crowdloss.anchors import load_probability_map, load_target_map
-from crowdloss.cli import main
+from crowdloss.cli import _resolve, build_parser, main
 from crowdloss.config import NmsSweepConfig, RunConfig, load_run_config
 from crowdloss.errors import ConfigError, InvalidInputError
 from crowdloss.evalkit import load_curve, load_detections
@@ -96,17 +96,48 @@ class TestConfigFile:
             ("[nms]\nthreshold_min = 0.0\n", r"\[nms\].*must lie in \(0, 1\)"),
             ("[nms]\nvariants =\n", r"\[nms\].*variants must not be empty"),
             ("[run]\nvariants =\n", r"\[run\] variants must not be empty"),
+            ("[gradcheck]\ntolerance = 0\n", r"\[gradcheck\].*tolerance must be finite and > 0"),
+            ("[gradcheck]\nfd_step_fraction = 0\n", r"\[gradcheck\].*fd_step_fraction must be finite and > 0"),
+            ("[gradcheck]\nkink_tolerance = -0.001\n", r"\[gradcheck\].*kink_tolerance must be finite and >= 0"),
+            ("[gradcheck]\nnum_scenes = 0\n", r"\[gradcheck\].*num_scenes must be >= 1"),
+            ("[gradcheck]\nmax_perturb_retries = 0\n", r"\[gradcheck\].*max_perturb_retries must be >= 1"),
+            ("[anchors]\nstride = 0\n", r"\[anchors\].*stride must be finite and > 0"),
+            ("[anchors]\nscales = -5\n", r"\[anchors\].*scales must be non-empty, each finite and > 0"),
+            ("[anchors]\nscales =\n", r"\[anchors\].*scales must be non-empty"),
+            ("[anchors]\nratios = 0\n", r"\[anchors\].*ratios must be non-empty, each finite and > 0"),
+            ("[anchors]\nmap_kind = bogus\n", r"\[anchors\].*map_kind must be one of bump, indicator, flat, file"),
+            ("[nms]\nmatch_iou = 1.5\n", r"\[nms\].*match_iou must be in \(0, 1\]"),
+            ("[eval]\nmatch_iou = 0\n", r"\[eval\].*match_iou must be in \(0, 1\]"),
+            ("[sim]\nstep_size = 5%\n", r"\[sim\] step_size: expected a number"),
         ],
         ids=[
             "not-a-number", "nan-noise", "nan-step", "inf-tuple", "inf-finite-default",
             "nms-step-zero", "nms-step-negative", "nms-min-above-max", "nms-threshold-one",
             "nms-threshold-zero", "nms-no-variants", "run-no-variants",
+            "gradcheck-tolerance-zero", "gradcheck-step-zero", "gradcheck-kink-negative",
+            "gradcheck-no-scenes", "gradcheck-no-retries", "anchors-stride-zero", "anchors-scale-negative",
+            "anchors-no-scales", "anchors-ratio-zero", "anchors-map-kind", "nms-match-iou-above-one",
+            "eval-match-iou-zero", "percent-sign",
         ],
     )
     def test_bad_value_rejected(self, tmp_path, text, message):
         path = write_config(tmp_path / "run.cfg", text)
         with pytest.raises(ConfigError, match=message):
             load_run_config(path)
+
+    def test_values_are_literal(self, tmp_path):
+        path = write_config(tmp_path / "run.cfg", "[run]\nout = a%(b)s\n")
+        assert load_run_config(path).out_dir == "a%(b)s"
+
+    def test_attribute_name_is_no_section(self, tmp_path):
+        path = write_config(tmp_path / "run.cfg", "[__class__]\nx = 1\n")
+        with pytest.raises(ConfigError, match=r"unknown config section \[__class__\]"):
+            load_run_config(path)
+
+    def test_seeds_flag_follows_run_seeds(self, tmp_path):
+        from_file = load_run_config(write_config(tmp_path / "run.cfg", "[run]\nseeds = 4, 5\n"))
+        args = build_parser().parse_args(["simulate", "--seeds", " 4, 5", "--out", str(tmp_path / "out")])
+        assert _resolve(RunConfig(), args)[0].seeds == from_file.seeds == (4, 5)
 
     def test_infinite_default_accepts_inf(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", "[eval]\nmax_height = inf\nmin_height = 5\n")
@@ -130,6 +161,10 @@ class TestExitCodes:
 
     def test_bad_seeds_exits_one(self, tmp_path, capsys):
         assert main(["simulate", "--seeds", "a,b", "--out", str(tmp_path)]) == 1
+
+    def test_bad_seed_names_flag(self, tmp_path, capsys):
+        assert main(["simulate", "--seeds", "1,x", "--out", str(tmp_path)]) == 1
+        assert "--seeds" in capsys.readouterr().err
 
     def test_bad_variant_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", "[run]\nvariants = bogus\n")
@@ -428,7 +463,6 @@ class TestBenchmarkReferences:
         ids=["simulate-default", "crowd-dense"],
     )
     def test_simulate_csv_matches_reference(self, tmp_path, monkeypatch, workload, seeds, config):
-        monkeypatch.delenv("CROWDLOSS_THREADS", raising=False)
         argv = ["simulate", "--seeds", ",".join(map(str, seeds)), "--out", str(tmp_path / "out")]
         if config:
             argv += ["--config", write_config(tmp_path / "run.cfg", config)]
@@ -436,16 +470,15 @@ class TestBenchmarkReferences:
         expected = (REFERENCE / workload / "chunk0" / "simulate.csv").read_bytes()
         assert (tmp_path / "out" / "simulate.csv").read_bytes() == expected
 
-    def test_gradcheck_report_matches_reference(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("CROWDLOSS_THREADS", raising=False)
+    @pytest.mark.parametrize("chunk", range(4), ids=lambda c: f"chunk{c}")
+    def test_gradcheck_report_matches_reference(self, tmp_path, monkeypatch, chunk):
         cfg = write_config(tmp_path / "run.cfg", "[gradcheck]\nnum_scenes = 12\n")
         out = tmp_path / "out"
-        assert main(["gradcheck", "--config", cfg, "--seeds", "100000", "--out", str(out)]) == 0
-        expected = (REFERENCE / "gradcheck" / "chunk0" / "gradcheck_report.txt").read_bytes()
+        assert main(["gradcheck", "--config", cfg, "--seeds", str(100000 + 12 * chunk), "--out", str(out)]) == 0
+        expected = (REFERENCE / "gradcheck" / f"chunk{chunk}" / "gradcheck_report.txt").read_bytes()
         assert (out / "gradcheck_report.txt").read_bytes() == expected
 
     def test_eval_anchors_outputs_match_reference(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("CROWDLOSS_THREADS", raising=False)
         workload = bench_workloads(monkeypatch).EvalAnchors()
         workload.write_inputs(0, 0, tmp_path)
         monkeypatch.chdir(tmp_path)

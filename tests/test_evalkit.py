@@ -349,6 +349,20 @@ class TestCsvIO:
         save_curve(curve, path)
         assert load_curve(path) == curve
 
+    def test_detection_bytes(self, tmp_path):
+        dets = [det(0.0, 1.5, 10.0, 20.25, 0.1, 's,"1'), det(1 / 3, 3.0, 4.5, 7.0, 1.0, "b")]
+        path = tmp_path / "dets.csv"
+        save_detections(dets, path)
+        assert path.read_bytes() == (
+            b'scene_id,x1,y1,x2,y2,score\r\n"s,""1",0.0,1.5,10.0,20.25,0.1\r\n'
+            b"b,0.3333333333333333,3.0,4.5,7.0,1.0\r\n"
+        )
+
+    def test_curve_bytes(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        save_curve(EvalCurve((0.9, 0.5), ((0.0, 0.75), (1 / 3, 0.25))), path)
+        assert path.read_bytes() == b"threshold,fppi,miss_rate\r\n0.9,0.0,0.75\r\n0.5,0.3333333333333333,0.25\r\n"
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n")

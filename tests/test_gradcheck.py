@@ -1,9 +1,11 @@
 """The finite-difference gradcheck: one evaluation per point, same errors as five sweeps."""
 
 import importlib
+import math
 import pkgutil
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import crowdloss
@@ -11,7 +13,7 @@ from crowdloss import _pairs
 from crowdloss.baselines import CompositeConfig
 from crowdloss.couloss import CouLossConfig
 from crowdloss.errors import InvalidInputError
-from crowdloss.gradcheck import TERMS, check_scene
+from crowdloss.gradcheck import TERMS, check_scene, run_gradcheck
 from crowdloss.simulator import SimConfig, generate_scene, spawn_proposals
 from oracles import five_sweep_check_scene
 from util import counted
@@ -69,3 +71,12 @@ def test_degenerate_perturbed_box_rejected():
     # a step of the whole scene scale pushes x1 past x2
     with pytest.raises(InvalidInputError, match="degenerate box"):
         check_scene(gts, proposals, CompositeConfig(), CouLossConfig(), fd_step_fraction=1.0)
+
+
+def test_nan_errors_fail():
+    # a zero step makes every central difference 0/0
+    with np.errstate(invalid="ignore"):
+        outcome = run_gradcheck(SimConfig(), CompositeConfig(), CouLossConfig(), num_scenes=2, fd_step_fraction=0.0)
+    assert outcome.scenes_checked > 0
+    assert all(math.isnan(e) for e in outcome.max_error.values())
+    assert not outcome.passed(1e-4)
