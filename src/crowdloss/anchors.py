@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._pairs import box_array, check_boxes, iou_matrix
+from .baselines import CompositeConfig, _focal
 from .errors import InvalidAnnotationError, InvalidInputError, at_line
-from .geometry import BBox
 
 POSITIVE = "P"
 IGNORED = "I"
@@ -28,8 +28,8 @@ class ProbabilityMap:
     """2-D grid of pedestrian-existence probabilities.
 
     ``values`` has shape (height, width); ``stride`` converts cell indices
-    to scene units. Cell (row, col) covers the square with center
-    ((col + 0.5) * stride, (row + 0.5) * stride).
+    to scene units. Cell (row, col) is the stride-wide square centered on
+    ``stride`` times (col + 1/2, row + 1/2).
     """
 
     stride: float
@@ -53,9 +53,6 @@ class ProbabilityMap:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        return ((col + 0.5) * self.stride, (row + 0.5) * self.stride)
 
 
 @dataclass
@@ -84,18 +81,14 @@ class TargetMap:
         return self.labels.shape[1]
 
 
-@dataclass(frozen=True)
-class Anchor:
-    row: int
-    col: int
-    box: BBox
-
-
 @dataclass
 class AnchorSet:
-    """Anchors retained by the dynamic threshold, with their provenance."""
+    """Anchors retained by the dynamic threshold, with their provenance.
 
-    anchors: list[Anchor]
+    ``anchors`` is a ``(K, 4)`` box array in (cell, scale, ratio) order.
+    """
+
+    anchors: np.ndarray
     threshold: float
     fallback: bool
     grid_height: int
@@ -105,10 +98,31 @@ class AnchorSet:
     ratios: tuple[float, ...]
     cells: list[tuple[int, int]] = field(default_factory=list)
 
+    def __post_init__(self):
+        self.anchors = np.asarray(self.anchors, dtype=float).reshape(-1, 4)
+        check_boxes(self.anchors)
+
 
 def dynamic_threshold(pmap: ProbabilityMap) -> float:
     """Root mean square of all cell values."""
     return float(np.sqrt(np.mean(np.square(pmap.values))))
+
+
+def _cell_centers(index, stride: float):
+    """Scene coordinate of the center of cell ``index`` along either axis."""
+    return (index + 0.5) * stride
+
+
+def _grid_points(grid_shape: tuple[int, int], stride: float):
+    """Cell-center x as a (1, width) row and y as a (height, 1) column."""
+    height, width = grid_shape
+    return _cell_centers(np.arange(width), stride)[None, :], _cell_centers(np.arange(height), stride)[:, None]
+
+
+def _inside(boxes: np.ndarray, x, y) -> np.ndarray:
+    """(B, *point shape) mask of the points (x, y) inside each of ``boxes`` (B, 4), edges included."""
+    x1, y1, x2, y2 = boxes.T.reshape(4, -1, *(1,) * np.ndim(x))
+    return ((x1 <= x) & (x <= x2)) & ((y1 <= y) & (y <= y2))
 
 
 def _anchor_boxes(rows: np.ndarray, cols: np.ndarray, stride: float, scales, ratios) -> np.ndarray:
@@ -120,8 +134,8 @@ def _anchor_boxes(rows: np.ndarray, cols: np.ndarray, stride: float, scales, rat
     half = np.array(
         [(scale * math.sqrt(ratio) / 2.0, scale / math.sqrt(ratio) / 2.0) for scale in scales for ratio in ratios]
     ).reshape(-1, 2)
-    cx = ((cols + 0.5) * stride)[:, None]
-    cy = ((rows + 0.5) * stride)[:, None]
+    cx = _cell_centers(cols, stride)[:, None]
+    cy = _cell_centers(rows, stride)[:, None]
     return np.stack([cx - half[:, 0], cy - half[:, 1], cx + half[:, 0], cy + half[:, 1]], axis=-1).reshape(-1, 4)
 
 
@@ -152,13 +166,8 @@ def select_anchors(
     fallback = rows.size == 0
     if fallback:
         rows, cols = np.nonzero(np.ones_like(pmap.values, dtype=bool))
-    cells = list(zip(rows.tolist(), cols.tolist()))
-    boxes = _anchor_boxes(rows, cols, pmap.stride, scales, ratios).reshape(len(cells), -1, 4)
-    anchors = [
-        Anchor(row, col, BBox(*box)) for (row, col), cell_boxes in zip(cells, boxes.tolist()) for box in cell_boxes
-    ]
     return AnchorSet(
-        anchors=anchors,
+        anchors=_anchor_boxes(rows, cols, pmap.stride, scales, ratios),
         threshold=eps_a,
         fallback=fallback,
         grid_height=pmap.height,
@@ -166,7 +175,7 @@ def select_anchors(
         stride=pmap.stride,
         scales=scales,
         ratios=ratios,
-        cells=cells,
+        cells=list(zip(rows.tolist(), cols.tolist())),
     )
 
 
@@ -189,20 +198,9 @@ def build_target_map(scene, grid_shape: tuple[int, int], stride: float) -> Targe
                 f"visible box {v.as_tuple()} not inside full box {f.as_tuple()}"
             )
 
-    xs = (np.arange(width) + 0.5) * stride
-    ys = (np.arange(height) + 0.5) * stride
-
-    def coverage(box):
-        in_x = (xs >= box.x1) & (xs <= box.x2)
-        in_y = (ys >= box.y1) & (ys <= box.y2)
-        return np.outer(in_y, in_x)
-
-    pos = np.zeros((height, width), dtype=bool)
-    full = np.zeros((height, width), dtype=bool)
-    for ped in scene.pedestrians:
-        pos |= coverage(ped.visible)
-        full |= coverage(ped.full)
-
+    x, y = _grid_points(grid_shape, stride)
+    pos = _inside(box_array(p.visible for p in scene.pedestrians), x, y).any(axis=0)
+    full = _inside(box_array(p.full for p in scene.pedestrians), x, y).any(axis=0)
     labels = np.full((height, width), NEGATIVE, dtype="<U1")
     labels[full & ~pos] = IGNORED
     labels[pos] = POSITIVE
@@ -215,8 +213,6 @@ def location_branch_loss(pmap: ProbabilityMap, targets: TargetMap, cfg=None) -> 
     An all-ignored target map yields 0 by convention (empty mean). The focal
     parameters come from a :class:`~crowdloss.baselines.CompositeConfig`.
     """
-    from .baselines import CompositeConfig
-
     cfg = cfg or CompositeConfig()
     if pmap.values.shape != targets.labels.shape:
         raise InvalidInputError(
@@ -227,15 +223,12 @@ def location_branch_loss(pmap: ProbabilityMap, targets: TargetMap, cfg=None) -> 
         return 0.0
     eps = 1e-6
     probs = pmap.values[mask]
-    labels = (targets.labels[mask] == POSITIVE).astype(float)
+    positive = targets.labels[mask] == POSITIVE
     clamped = (probs <= 0.0) | (probs >= 1.0)
     if clamped.any():
         warnings.warn(f"{int(clamped.sum())} probability cell(s) clamped into ({eps}, {1 - eps})")
         probs = np.clip(probs, eps, 1.0 - eps)
-    p_t = np.where(labels == 1.0, probs, 1.0 - probs)
-    alpha_t = np.where(labels == 1.0, cfg.focal_alpha, 1.0 - cfg.focal_alpha)
-    losses = -alpha_t * np.power(1.0 - p_t, cfg.focal_gamma) * np.log(p_t)
-    return float(np.mean(losses))
+    return float(np.mean(_focal(probs, positive, cfg.focal_gamma, cfg.focal_alpha)))
 
 
 @dataclass(frozen=True)
@@ -266,15 +259,14 @@ def negative_informativeness(
         negative = ~(iou_matrix(gts, boxes) >= negative_iou_threshold).any(axis=0)
         cx = (boxes[:, 0] + boxes[:, 2]) / 2.0
         cy = (boxes[:, 1] + boxes[:, 3]) / 2.0
-        d = distractors.T[:, :, None]
-        inside = ((d[0] <= cx) & (cx <= d[2]) & (d[1] <= cy) & (cy <= d[3])).any(axis=0)
+        inside = _inside(distractors, cx, cy).any(axis=0)
         return int(negative.sum()), int((negative & inside).sum())
 
     rows, cols = np.indices((selected.grid_height, selected.grid_width)).reshape(2, -1)
     uniform = _anchor_boxes(rows, cols, selected.stride, selected.scales, selected.ratios)
     check_boxes(uniform)
 
-    sel_neg, sel_hit = stats(box_array([a.box for a in selected.anchors]))
+    sel_neg, sel_hit = stats(selected.anchors)
     uni_neg, uni_hit = stats(uniform)
     return InformativenessStats(
         selected_fraction=sel_hit / sel_neg if sel_neg else 0.0,
@@ -296,15 +288,9 @@ def scene_grid(scene, stride: float) -> tuple[int, int]:
 
 def indicator_probability_map(scene, stride: float) -> ProbabilityMap:
     """Probability 1 on cells whose center lies in any pedestrian or distractor box."""
-    height, width = scene_grid(scene, stride)
-    xs = (np.arange(width) + 0.5) * stride
-    ys = (np.arange(height) + 0.5) * stride
-    values = np.zeros((height, width))
-    for box in [p.full for p in scene.pedestrians] + list(scene.distractors):
-        in_x = (xs >= box.x1) & (xs <= box.x2)
-        in_y = (ys >= box.y1) & (ys <= box.y2)
-        values[np.outer(in_y, in_x)] = 1.0
-    return ProbabilityMap(stride=stride, values=values)
+    x, y = _grid_points(scene_grid(scene, stride), stride)
+    boxes = box_array([p.full for p in scene.pedestrians] + list(scene.distractors))
+    return ProbabilityMap(stride=stride, values=_inside(boxes, x, y).any(axis=0).astype(float))
 
 
 def bump_probability_map(
@@ -316,12 +302,9 @@ def bump_probability_map(
     it with quarter-extent standard deviations (so the mass stays inside the
     box); cells also carry uniform background noise in [0, background].
     """
-    height, width = scene_grid(scene, stride)
-    rng = np.random.default_rng(seed)
-    xs = (np.arange(width) + 0.5) * stride
-    ys = (np.arange(height) + 0.5) * stride
-    gx, gy = np.meshgrid(xs, ys)
-    values = rng.uniform(0.0, background, (height, width))
+    shape = scene_grid(scene, stride)
+    gx, gy = _grid_points(shape, stride)
+    values = np.random.default_rng(seed).uniform(0.0, background, shape)
     for box in [p.full for p in scene.pedestrians] + list(scene.distractors):
         cx, cy = (box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0
         sx, sy = box.width / 4.0, box.height / 4.0

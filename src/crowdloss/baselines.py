@@ -110,9 +110,14 @@ def focal_loss(
     if prob <= 0.0 or prob >= 1.0:
         warnings.warn(f"focal_loss probability {prob} clamped into ({eps}, {1 - eps})")
         prob = min(max(prob, eps), 1.0 - eps)
-    p_t = prob if label == 1 else 1.0 - prob
-    alpha_t = focal_alpha if label == 1 else 1.0 - focal_alpha
-    return -alpha_t * (1.0 - p_t) ** focal_gamma * math.log(p_t)
+    return float(_focal(np.float64(prob), label == 1, focal_gamma, focal_alpha))
+
+
+def _focal(probs: np.ndarray, positive: np.ndarray, focal_gamma: float, focal_alpha: float) -> np.ndarray:
+    """Alpha-balanced focal loss of each of ``probs`` in (0, 1); ``positive`` marks label 1."""
+    p_t = np.where(positive, probs, 1.0 - probs)
+    alpha_t = np.where(positive, focal_alpha, 1.0 - focal_alpha)
+    return -alpha_t * np.power(1.0 - p_t, focal_gamma) * np.log(p_t)
 
 
 def scene_scale(gts: list[BBox]) -> float:

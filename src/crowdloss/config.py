@@ -46,6 +46,8 @@ class AnchorDemoConfig:
             self, ("scales", "ratios"), lambda v: v and all(map(_positive, v)), "non-empty, each finite and > 0"
         )
         _check(self, ("map_kind",), _MAP_KINDS.__contains__, f"one of {', '.join(_MAP_KINDS)}")
+        _check(self, ("flat_value", "peak", "background"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        _check(self, ("negative_iou_threshold",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,10 @@ class EvalConfig:
 
     def __post_init__(self):
         _check(self, ("match_iou",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+        _check(self, ("target_miss_rate",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        _check(self, ("min_height",), lambda v: 0.0 <= v <= self.max_height, "in [0, max_height]")
+        _check(self, ("max_visibility",), lambda v: v <= 1.0, "<= 1")
+        _check(self, ("min_visibility",), lambda v: 0.0 <= v <= self.max_visibility, "in [0, max_visibility]")
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,7 @@ def _fill_section(instance, section: dict, section_name: str):
 def load_run_config(path: str | None = None) -> RunConfig:
     """Parse a config file into a :class:`RunConfig`; defaults with no path.
 
-    Unknown sections or keys are rejected.
+    Unknown sections or keys, and any key under ``[DEFAULT]``, are rejected.
     """
     cfg = RunConfig()
     if path is None:
@@ -182,6 +188,8 @@ def load_run_config(path: str | None = None) -> RunConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
+    for key in parser.defaults():
+        raise ConfigError(f"unknown key {key!r} in section [DEFAULT]")
 
     # each section fills the config-dataclass field of its name
     sections = {f.name: f.default for f in fields(RunConfig) if is_dataclass(f.default)}

@@ -714,7 +714,7 @@ def scalar_anchor_boxes(cells, stride, scales, ratios):
 def scalar_negative_informativeness(selected, scene, negative_iou_threshold=0.3):
     """Negative and distractor-hit counts, one anchor at a time.
 
-    ``selected`` carries ``.anchors`` (each with ``.box``), the grid shape,
+    ``selected`` carries ``.anchors`` (a ``(K, 4)`` array), the grid shape,
     stride, scales and ratios; the uniform set is rebuilt per cell, scale and
     ratio. Returns the six ``InformativenessStats`` fields in order.
     """
@@ -735,7 +735,7 @@ def scalar_negative_informativeness(selected, scene, negative_iou_threshold=0.3)
     cells = [(row, col) for row in range(selected.grid_height) for col in range(selected.grid_width)]
     uniform = scalar_anchor_boxes(cells, selected.stride, selected.scales, selected.ratios)
 
-    sel_neg, sel_hit = stats([a.box for a in selected.anchors])
+    sel_neg, sel_hit = stats([_Box(*row) for row in selected.anchors.tolist()])
     uni_neg, uni_hit = stats(uniform)
     return (
         sel_hit / sel_neg if sel_neg else 0.0,

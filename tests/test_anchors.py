@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from crowdloss.anchors import (
     IGNORED,
-    Anchor,
     AnchorSet,
     NEGATIVE,
     POSITIVE,
@@ -30,6 +30,7 @@ from crowdloss.errors import InvalidAnnotationError, InvalidInputError
 from crowdloss.geometry import BBox
 from crowdloss.simulator import Pedestrian, Scene
 from oracles import scalar_anchor_boxes, scalar_negative_informativeness
+from util import counted
 
 
 def pmap(values, stride=1.0):
@@ -76,12 +77,30 @@ class TestSelectAnchors:
 
     def test_anchor_geometry(self):
         sel = select_anchors(pmap([[0, 1]], stride=4.0), scales=(8.0,), ratios=(0.25,))
-        (anchor,) = sel.anchors
-        box = anchor.box
-        assert (box.x1 + box.x2) / 2 == pytest.approx(6.0)  # cell (0, 1) center
-        assert (box.y1 + box.y2) / 2 == pytest.approx(2.0)
-        assert box.width / box.height == pytest.approx(0.25)
-        assert box.width * box.height == pytest.approx(64.0)
+        assert sel.anchors.shape == (1, 4)
+        x1, y1, x2, y2 = sel.anchors[0]
+        assert (x1 + x2) / 2 == pytest.approx(6.0)  # cell (0, 1) center
+        assert (y1 + y2) / 2 == pytest.approx(2.0)
+        assert (x2 - x1) / (y2 - y1) == pytest.approx(0.25)
+        assert (x2 - x1) * (y2 - y1) == pytest.approx(64.0)
+
+    def test_no_box_object_per_anchor(self, monkeypatch):
+        scene = Scene(
+            extent=(100.0, 100.0),
+            pedestrians=[Pedestrian(full=BBox(10, 10, 30, 60), visible=BBox(10, 10, 30, 40))],
+            distractors=[BBox(60, 20, 80, 70)],
+        )
+        pm = bump_probability_map(scene, 1.0)
+        calls = Counter()
+        monkeypatch.setattr(BBox, "__post_init__", counted(BBox.__post_init__, calls, "BBox"))
+        sel = select_anchors(pm, (8.0, 16.0), (0.41, 1.0))
+        negative_informativeness(sel, scene)
+        assert len(sel.anchors) > 1000
+        assert calls["BBox"] == 0
+
+    def test_non_finite_anchor_rejected_as_box(self):
+        with pytest.raises(InvalidInputError, match=r"^non-finite box coordinates \(-inf, -inf, inf, inf\)$"):
+            select_anchors(pmap([[0.0, 1.0]]), scales=(math.inf,))
 
     def test_selected_cells_above_threshold(self):
         rng = np.random.default_rng(43)
@@ -181,6 +200,22 @@ class TestTargetMap:
                     p.visible.x1 <= cx <= p.visible.x2 and p.visible.y1 <= cy <= p.visible.y2
                     for p in scene.pedestrians
                 )
+
+    def test_center_on_box_edge_is_inside(self):
+        # stride 2: cell centers at 1, 3, ..., 15, and every box edge lies on one
+        scene = Scene(
+            extent=(16.0, 16.0),
+            pedestrians=[Pedestrian(full=BBox(3, 1, 7, 13), visible=BBox(3, 1, 7, 5))],
+            distractors=[BBox(11, 11, 15, 15)],
+        )
+        expected = np.full((8, 8), NEGATIVE)
+        expected[0:7, 1:4] = IGNORED
+        expected[0:3, 1:4] = POSITIVE
+        assert np.array_equal(build_target_map(scene, (8, 8), 2.0).labels, expected)
+        indicator = np.zeros((8, 8))
+        indicator[0:7, 1:4] = 1.0
+        indicator[5:8, 5:8] = 1.0
+        assert np.array_equal(indicator_probability_map(scene, 2.0).values, indicator)
 
     def test_invalid_annotation(self):
         with pytest.raises(InvalidAnnotationError):
@@ -323,7 +358,7 @@ class TestInformativenessMatchesScalar:
                 pm = bump_probability_map(scene, stride, seed=case)
             sel = select_anchors(pm, scales, ratios)
             assert sel.fallback == (case % 4 == 0)
-            assert [a.box.as_tuple() for a in sel.anchors] == scalar_anchor_boxes(sel.cells, stride, scales, ratios)
+            assert list(map(tuple, sel.anchors.tolist())) == scalar_anchor_boxes(sel.cells, stride, scales, ratios)
             thr = (0.1, 0.3, 0.5)[case % 3]
             got = negative_informativeness(sel, scene, thr)
             assert astuple(got) == scalar_negative_informativeness(sel, scene, thr)
@@ -342,9 +377,8 @@ class TestInformativenessMatchesScalar:
 
     def test_hand_built_anchor_set_scored_as_given(self):
         scene = two_ped_scene()
-        boxes = [BBox(2, 2, 6, 10), BBox(15, 3, 19, 7), BBox(16.5, 4, 17.5, 6), BBox(0, 14, 3, 19)]
         sel = AnchorSet(
-            anchors=[Anchor(0, k, b) for k, b in enumerate(boxes)],
+            anchors=np.array([(2, 2, 6, 10), (15, 3, 19, 7), (16.5, 4, 17.5, 6), (0, 14, 3, 19)], dtype=float),
             threshold=0.5,
             fallback=False,
             grid_height=4,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import os
 import re
@@ -109,6 +110,17 @@ class TestConfigFile:
             ("[nms]\nmatch_iou = 1.5\n", r"\[nms\].*match_iou must be in \(0, 1\]"),
             ("[eval]\nmatch_iou = 0\n", r"\[eval\].*match_iou must be in \(0, 1\]"),
             ("[sim]\nstep_size = 5%\n", r"\[sim\] step_size: expected a number"),
+            ("[anchors]\nflat_value = 2\n", r"\[anchors\].*flat_value must be in \[0, 1\], got 2.0"),
+            ("[anchors]\npeak = 5\n", r"\[anchors\].*peak must be in \[0, 1\], got 5.0"),
+            ("[anchors]\nbackground = -0.1\n", r"\[anchors\].*background must be in \[0, 1\], got -0.1"),
+            ("[anchors]\nnegative_iou_threshold = 5\n", r"\[anchors\].*negative_iou_threshold must be in \(0, 1\]"),
+            ("[anchors]\nnegative_iou_threshold = 0\n", r"\[anchors\].*negative_iou_threshold must be in \(0, 1\]"),
+            ("[eval]\ntarget_miss_rate = -3\n", r"\[eval\].*target_miss_rate must be in \[0, 1\], got -3.0"),
+            ("[eval]\nmin_height = -1\n", r"\[eval\].*min_height must be in \[0, max_height\], got -1.0"),
+            ("[eval]\nmin_height = 50\nmax_height = 40\n", r"\[eval\].*min_height must be in \[0, max_height\]"),
+            ("[eval]\nmin_visibility = -0.5\n", r"\[eval\].*min_visibility must be in \[0, max_visibility\]"),
+            ("[eval]\nmin_visibility = 2\n", r"\[eval\].*min_visibility must be in \[0, max_visibility\], got 2.0"),
+            ("[eval]\nmax_visibility = 1.5\n", r"\[eval\].*max_visibility must be <= 1, got 1.5"),
         ],
         ids=[
             "not-a-number", "nan-noise", "nan-step", "inf-tuple", "inf-finite-default",
@@ -117,13 +129,31 @@ class TestConfigFile:
             "gradcheck-tolerance-zero", "gradcheck-step-zero", "gradcheck-kink-negative",
             "gradcheck-no-scenes", "gradcheck-no-retries", "anchors-stride-zero", "anchors-scale-negative",
             "anchors-no-scales", "anchors-ratio-zero", "anchors-map-kind", "nms-match-iou-above-one",
-            "eval-match-iou-zero", "percent-sign",
+            "eval-match-iou-zero", "percent-sign", "anchors-flat-value", "anchors-peak", "anchors-background",
+            "anchors-negative-iou-above-one", "anchors-negative-iou-zero", "eval-target-miss-rate",
+            "eval-min-height-negative", "eval-min-height-above-max", "eval-min-visibility-negative",
+            "eval-min-visibility-above-max", "eval-max-visibility-above-one",
         ],
     )
     def test_bad_value_rejected(self, tmp_path, text, message):
         path = write_config(tmp_path / "run.cfg", text)
         with pytest.raises(ConfigError, match=message):
             load_run_config(path)
+
+    @pytest.mark.parametrize(
+        "text", ["[DEFAULT]\nwalrus = 1\n", "[DEFAULT]\nwalrus = 1\n[sim]\ndescent_steps = 5\n"], ids=["alone", "beside"]
+    )
+    def test_default_section_key_rejected(self, tmp_path, text):
+        path = write_config(tmp_path / "run.cfg", text)
+        with pytest.raises(ConfigError, match=r"^unknown key 'walrus' in section \[DEFAULT\]$"):
+            load_run_config(path)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        cfg = load_run_config(write_config(tmp_path / "run.cfg", example))
+        assert cfg.seeds == (0, 1, 2, 3)
+        assert cfg.anchors.scales == (30.0,)
 
     def test_values_are_literal(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", "[run]\nout = a%(b)s\n")
@@ -442,6 +472,13 @@ class TestGradcheckCommand:
         assert code == 2  # nothing checkable -> acceptance failure
 
 
+# SHA-256 of the grids the eval-anchors chunk-0 anchor-demo run writes
+EVAL_ANCHORS_GRID_SHA256 = {
+    "probability_map.txt": "57d5e74a8f2ba5a35cc89f86fba8f6a992bef0c3c5304dca753737e9842f4d9d",
+    "target_map.txt": "8e9bdbc4f346ff8cb79ccffee1495fb84aff4793dbe18baf7f1e00fb94115546",
+}
+
+
 def bench_workloads(monkeypatch):
     """``perfbench/workloads.py``, imported without writing a bytecode cache beside it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -487,3 +524,6 @@ class TestBenchmarkReferences:
         for name in ("curve.csv", "eval_summary.txt", "anchor_stats.csv"):
             expected = (REFERENCE / "eval-anchors" / "chunk0" / name).read_bytes()
             assert (tmp_path / "out" / name).read_bytes() == expected, name
+        # the benchmark keeps no grids, so these pin the cell-center rule and the in-box test
+        for name, digest in EVAL_ANCHORS_GRID_SHA256.items():
+            assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
