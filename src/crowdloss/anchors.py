@@ -17,6 +17,7 @@ import numpy as np
 from ._pairs import box_array, check_boxes, iou_matrix
 from .baselines import CompositeConfig, _focal
 from .errors import InvalidAnnotationError, InvalidInputError, at_line
+from .geometry import centers, contains
 
 POSITIVE = "P"
 IGNORED = "I"
@@ -119,10 +120,9 @@ def _grid_points(grid_shape: tuple[int, int], stride: float):
     return _cell_centers(np.arange(width), stride)[None, :], _cell_centers(np.arange(height), stride)[:, None]
 
 
-def _inside(boxes: np.ndarray, x, y) -> np.ndarray:
-    """(B, *point shape) mask of the points (x, y) inside each of ``boxes`` (B, 4), edges included."""
-    x1, y1, x2, y2 = boxes.T.reshape(4, -1, *(1,) * np.ndim(x))
-    return ((x1 <= x) & (x <= x2)) & ((y1 <= y) & (y <= y2))
+def _covered(boxes: np.ndarray, points) -> np.ndarray:
+    """Which of the points ``(x, y)`` lie inside any of ``boxes`` (B, 4), edges included."""
+    return contains(boxes.T.reshape(4, -1, *(1,) * np.ndim(points[0])), points).any(axis=0)
 
 
 def _anchor_boxes(rows: np.ndarray, cols: np.ndarray, stride: float, scales, ratios) -> np.ndarray:
@@ -198,9 +198,9 @@ def build_target_map(scene, grid_shape: tuple[int, int], stride: float) -> Targe
                 f"visible box {v.as_tuple()} not inside full box {f.as_tuple()}"
             )
 
-    x, y = _grid_points(grid_shape, stride)
-    pos = _inside(box_array(p.visible for p in scene.pedestrians), x, y).any(axis=0)
-    full = _inside(box_array(p.full for p in scene.pedestrians), x, y).any(axis=0)
+    points = _grid_points(grid_shape, stride)
+    pos = _covered(box_array(p.visible for p in scene.pedestrians), points)
+    full = _covered(box_array(p.full for p in scene.pedestrians), points)
     labels = np.full((height, width), NEGATIVE, dtype="<U1")
     labels[full & ~pos] = IGNORED
     labels[pos] = POSITIVE
@@ -212,6 +212,8 @@ def location_branch_loss(pmap: ProbabilityMap, targets: TargetMap, cfg=None) -> 
 
     An all-ignored target map yields 0 by convention (empty mean). The focal
     parameters come from a :class:`~crowdloss.baselines.CompositeConfig`.
+    Cells at (or beyond) 0 or 1 are clamped to the eps margin with a warning,
+    as in :func:`~crowdloss.baselines.focal_loss`; the others are used as given.
     """
     cfg = cfg or CompositeConfig()
     if pmap.values.shape != targets.labels.shape:
@@ -227,7 +229,7 @@ def location_branch_loss(pmap: ProbabilityMap, targets: TargetMap, cfg=None) -> 
     clamped = (probs <= 0.0) | (probs >= 1.0)
     if clamped.any():
         warnings.warn(f"{int(clamped.sum())} probability cell(s) clamped into ({eps}, {1 - eps})")
-        probs = np.clip(probs, eps, 1.0 - eps)
+        probs = np.where(clamped, np.clip(probs, eps, 1.0 - eps), probs)
     return float(np.mean(_focal(probs, positive, cfg.focal_gamma, cfg.focal_alpha)))
 
 
@@ -257,9 +259,7 @@ def negative_informativeness(
 
     def stats(boxes):
         negative = ~(iou_matrix(gts, boxes) >= negative_iou_threshold).any(axis=0)
-        cx = (boxes[:, 0] + boxes[:, 2]) / 2.0
-        cy = (boxes[:, 1] + boxes[:, 3]) / 2.0
-        inside = _inside(distractors, cx, cy).any(axis=0)
+        inside = _covered(distractors, centers(np.ascontiguousarray(boxes.T)))
         return int(negative.sum()), int((negative & inside).sum())
 
     rows, cols = np.indices((selected.grid_height, selected.grid_width)).reshape(2, -1)
@@ -288,9 +288,9 @@ def scene_grid(scene, stride: float) -> tuple[int, int]:
 
 def indicator_probability_map(scene, stride: float) -> ProbabilityMap:
     """Probability 1 on cells whose center lies in any pedestrian or distractor box."""
-    x, y = _grid_points(scene_grid(scene, stride), stride)
     boxes = box_array([p.full for p in scene.pedestrians] + list(scene.distractors))
-    return ProbabilityMap(stride=stride, values=_inside(boxes, x, y).any(axis=0).astype(float))
+    covered = _covered(boxes, _grid_points(scene_grid(scene, stride), stride))
+    return ProbabilityMap(stride=stride, values=covered.astype(float))
 
 
 def bump_probability_map(

@@ -16,10 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from ._pairs import best_gt, box_array, iou_and_grad
+from ._pairs import best_gt, box_array
 from .couloss import CouLossConfig, LossReport, TripletStructure, _couloss, _evaluate, _loss_report
 from .errors import InvalidInputError, NoOverlapError
-from .geometry import BBox
+from .geometry import BBox, iou_and_grad
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 from . import geometry
 from ._pairs import PairWork, Pairs, best_gt, box_array, iou_matrix, pair_work
 from .errors import InvalidInputError, NoOverlapError
-from .geometry import BBox
+from .geometry import BBox, border_factor, centers, contains
 
 AGGREGATION_MODES = ("deduplicated", "triplet-literal")
 
@@ -176,9 +176,8 @@ def _structure(gts: np.ndarray, proposals: np.ndarray, cfg: CouLossConfig, ranke
         raise InvalidInputError("at least one ground-truth box is required")
     iou, best, best_v = ranked or best_gt(gts, proposals)
     B, M, N = iou.shape
-    g = gts[np.arange(B)[:, None], best]
-    c = (proposals[..., :2] + proposals[..., 2:]) / 2.0
-    inside = ((g[..., :2] <= c) & (c <= g[..., 2:])).all(axis=-1)
+    g = gts[np.arange(B)[:, None], best].transpose(2, 0, 1)
+    inside = contains(g, centers(proposals.transpose(2, 0, 1)))
     target = np.where((best_v > cfg.positive_iou_threshold) & inside, best, -1)
     assigned = target >= 0
     positive = target[:, None, :] == np.arange(M)[:, None]
@@ -453,8 +452,8 @@ def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, structu
     second = ranked[1] if M > 1 else np.inf
     target = np.full(B * N, -1)
     target[structure.assigned[0]] = structure.assigned[1]
-    g, p = G.T[:, target], P.T
-    c = (p[:2] + p[2:]) / 2.0
+    g = G.T[:, target]
+    c = centers(P.T)
     wh = g[2:] - g[:2]
     on_border = (target >= 0) & (near(c, g[:2], wh) | near(c, g[2:], wh)).any(axis=0)
     checks = (
@@ -472,16 +471,17 @@ def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, structu
     g, p = G.T[:, pairs.gt], P.T[:, pairs.proposal]
     v = _pair_iou(iou, pairs)
     wh = g[2:] - g[:2]
-    c = (p[:2] + p[2:]) / 2.0
+    c = centers(p)
     to_lo, to_hi = np.abs(c - g[:2]), np.abs(c - g[2:])
     closest = np.minimum(to_lo, to_hi)
+    factors = border_factor(c, g)[1]
     checks = (
         (repulsive & near(v, 0.0), "IoU at the overlap-existence boundary"),
         (near(v, cfg.iou_floor) | near(1.0 - v, cfg.iou_floor), "IoU at the log floor"),
         (near(p, g, np.concatenate([wh, wh])).any(axis=0), "intersection corner switch"),
         (near(to_lo, to_hi, wh).any(axis=0), "min(l,r) or min(t,b) tie"),
         (near(closest, 0.0, wh).any(axis=0), "center on a border line"),
-        (near(1.0 - closest / (wh / 2.0), 0.0).any(axis=0), "border-distance factor at the zero clamp"),
+        (near(factors, 0.0).any(axis=0), "border-distance factor at the zero clamp"),
         (repulsive & (work.angle_ray <= tol * np.maximum(wh[0], wh[1])), "degenerate angle vertex"),
         (repulsive & (np.abs(work.raw) <= tol), "work at the zero clamp"),
     )

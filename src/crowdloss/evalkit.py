@@ -7,7 +7,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from . import geometry
+from ._pairs import box_array, iou_matrix
 from .errors import InvalidInputError, at_line
 from .geometry import BBox
 
@@ -69,12 +69,13 @@ def greedy_nms(dets: list[Detection], threshold: float) -> list[Detection]:
     if not 0.0 < threshold < 1.0:
         raise InvalidInputError(f"nms threshold must be in (0, 1), got {threshold}")
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    kept: list[Detection] = []
+    coords = box_array(d.box for d in dets)
+    iou = iou_matrix(coords, coords).tolist()
+    kept: list[int] = []
     for i in order:
-        d = dets[i]
-        if all(geometry.iou(d.box, k.box) <= threshold for k in kept):
-            kept.append(d)
-    return kept
+        if all(iou[i][k] <= threshold for k in kept):
+            kept.append(i)
+    return [dets[i] for i in kept]
 
 
 TRUE_POSITIVE = "tp"
@@ -85,31 +86,32 @@ IGNORED = "ignored"
 def _greedy_pass(dets, gts, iou_threshold, ignored_gts):
     """Yield ``(detection, outcome)`` under :func:`match`'s rule, in its order.
 
-    An outcome depends only on the detections yielded before it.
+    An outcome depends only on the detections yielded before it. One IoU
+    matrix holds every detection against the ground truths, then the ignore
+    regions.
     """
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    matched = [False] * len(gts)
-    ignored_matched = [False] * len(ignored_gts)
+    n = len(gts)
+    regions = [*gts, *ignored_gts]
+    iou = iou_matrix(box_array(d.box for d in dets), box_array(regions)).tolist()
+    matched = [False] * len(regions)
     for i in order:
-        d = dets[i]
+        row = iou[i]
         best_gi, best_v = -1, 0.0
-        for gi, g in enumerate(gts):
-            if matched[gi]:
-                continue
-            v = geometry.iou(d.box, g)
-            if v > best_v:
-                best_gi, best_v = gi, v
+        for gi in range(n):
+            if not matched[gi] and row[gi] > best_v:
+                best_gi, best_v = gi, row[gi]
         if best_gi >= 0 and best_v >= iou_threshold:
             matched[best_gi] = True
-            yield d, TRUE_POSITIVE
+            yield dets[i], TRUE_POSITIVE
             continue
-        for gi, g in enumerate(ignored_gts):
-            if not ignored_matched[gi] and geometry.iou(d.box, g) >= iou_threshold:
-                ignored_matched[gi] = True
-                yield d, IGNORED
+        for gi in range(n, len(row)):
+            if not matched[gi] and row[gi] >= iou_threshold:
+                matched[gi] = True
+                yield dets[i], IGNORED
                 break
         else:
-            yield d, FALSE_POSITIVE
+            yield dets[i], FALSE_POSITIVE
 
 
 def match(

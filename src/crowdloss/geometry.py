@@ -1,13 +1,30 @@
 """Axis-aligned box arithmetic: IoU, centers, angles, border distances.
 
 Boxes use corner form (x1, y1, x2, y2) with strictly positive width and
-height. All operations are pure functions and safe to call concurrently.
+height. Each box quantity is written once, over coordinate-major arrays that
+broadcast: boxes ``(4, ...)`` and points ``(2, ...)``. The helpers on one
+``BBox`` or ``Point`` (``iou``, ``border_distance``, ``cos_angle_at``,
+``contains_center``) evaluate those formulas on one box and return Python
+scalars. All operations are pure functions and safe to call concurrently.
+
+Bit-exact rule: every array formula equals, bit for bit, one evaluation with
+Python floats of the same IEEE operations in the same order. Numpy's +, -, *,
+/ and sqrt are correctly rounded like Python's. Its transcendentals are not:
+``np.log``, ``np.hypot`` and ``np.power`` differ in the last bit from
+``math.log``, ``math.hypot`` and ``**`` on 0.2-5 % of inputs (numpy 2.x,
+AVX-512 x86-64), and fixed-step descent amplifies such ulp differences into
+different runs. So those are applied element by element with the scalar
+functions (:func:`scalar_map`), and clamps whose zero could take the other
+sign than Python's ``max``/``min`` use ``np.where``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .errors import InvalidInputError
 
@@ -63,79 +80,127 @@ def center(b: BBox) -> Point:
     return Point((b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0)
 
 
-def intersection_area(a: BBox, b: BBox) -> float:
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    return iw * ih
+def scalar_map(fn, *args) -> np.ndarray:
+    """``fn`` of Python floats, applied element by element to 1-D arrays and
+    other iterables of floats (such as ``itertools.repeat`` of a constant)."""
+    lists = (a.tolist() if isinstance(a, np.ndarray) else a for a in args)
+    return np.fromiter(map(fn, *lists), dtype=float)
+
+
+def centers(boxes: np.ndarray) -> np.ndarray:
+    """Center points ``(2, ...)`` of boxes ``(4, ...)``."""
+    return (boxes[:2] + boxes[2:]) / 2.0
+
+
+def iou_parts(a: np.ndarray, b: np.ndarray):
+    """IoU of broadcast boxes, with the overlap extents (iw, ih), the overlap
+    mask, the intersection and the union. Disjoint boxes have IoU 0."""
+    iwh = np.minimum(a[2:], b[2:]) - np.maximum(a[:2], b[:2])
+    overlap = np.minimum(iwh[0], iwh[1]) > 0.0
+    inter = np.where(overlap, iwh[0] * iwh[1], 0.0)
+    wa, wb = a[2:] - a[:2], b[2:] - b[:2]
+    union = wa[0] * wa[1] + wb[0] * wb[1] - inter
+    return inter / union, iwh, overlap, inter, union
+
+
+def iou_and_grad(g: np.ndarray, p: np.ndarray):
+    """IoU of broadcast boxes and its gradient ``(4, ...)`` with respect to ``p``;
+    zero when disjoint."""
+    v, iwh, overlap, inter, union = iou_parts(g, p)
+    ihw = iwh[::-1]
+    # d(inter)/d(x1, y1, x2, y2) = (-ih, -iw, ih, iw) where p owns that edge
+    owns = np.concatenate([p[:2] > g[:2], p[2:] < g[2:]])
+    d_inter = np.where(owns, np.concatenate([-ihw, ihw]), 0.0)
+    hw = (p[2:] - p[:2])[::-1]
+    d_area = np.concatenate([-hw, hw])
+    dv = (d_inter * union - inter * (d_area - d_inter)) * (1.0 / (union * union))
+    return v, np.where(overlap, dv, 0.0)
+
+
+def border_factor(points: np.ndarray, boxes: np.ndarray, gradient: bool = False):
+    """Border-distance factor ``s`` of points in broadcast boxes.
+
+    With l, r, t, b the unsigned distances from the point to the four border
+    lines of the box::
+
+        s = sqrt(f_x * f_y)
+        f_x = 1 - min(l, r) / (W / 2)
+        f_y = 1 - min(t, b) / (H / 2)
+
+    Each factor is clamped at 0 before the product (it is at most 1 and never
+    -0.0), so s is 0 at the center of the box (and again once the point strays
+    half an extent past a border) and 1 on a corner. Returns ``s``, the factors
+    ``(f_x, f_y)`` before the clamp and, with ``gradient``, ``ds/d(point)``
+    ``(2, ...)`` with a zero subgradient where s == 0 (else None).
+    """
+    half = (boxes[2:] - boxes[:2]) / 2.0
+    to_lo, to_hi = points - boxes[:2], points - boxes[2:]
+    d_lo, d_hi = np.abs(to_lo), np.abs(to_hi)
+    f = 1.0 - np.minimum(d_lo, d_hi) / half
+    f_xy = np.maximum(f, 0.0)
+    s = np.sqrt(f_xy[0] * f_xy[1])
+    if not gradient:
+        return s, f, None
+    dmin = np.where(d_lo <= d_hi, np.sign(to_lo), np.sign(to_hi))
+    zero = s == 0.0
+    return s, f, np.where(zero, 0.0, -dmin / half * f_xy[::-1] / np.where(zero, 1.0, 2 * s))
+
+
+def angle_cosine(vertex: np.ndarray, a: np.ndarray, c: np.ndarray, gradient: bool = False):
+    """Cosine of the angle at ``vertex`` between the rays toward ``a`` and ``c``,
+    of broadcast points ``(2, n)``.
+
+    Uses the law of cosines. If either ray has zero length the angle is
+    undefined; by convention the cosine is 1 (full effective force). The value
+    is clamped to [-1, 1] against rounding. Returns the cosine, the length of
+    the ray toward ``a`` and, with ``gradient``, ``dcos/da`` ``(2, n)``, zero
+    where the angle is undefined (else None).
+    """
+    u, v = a - vertex, c - vertex
+    nu = scalar_map(math.hypot, u[0], u[1])
+    nv = scalar_map(math.hypot, v[0], v[1])
+    degenerate = (nu == 0.0) | (nv == 0.0)
+    nn = np.where(degenerate, 1.0, nu * nv)
+    dot = u[0] * v[0] + u[1] * v[1]
+    cos = np.where(degenerate, 1.0, np.clip(dot / nn, -1.0, 1.0))
+    if not gradient:
+        return cos, nu, None
+    nu3 = scalar_map(math.pow, nu, repeat(3.0))  # math.pow(r, 3.0) is r**3: both call C pow
+    den3 = np.where(degenerate, 1.0, nu3 * nv)
+    return cos, nu, np.where(degenerate, 0.0, v / nn - dot * u / den3)
+
+
+def contains(boxes: np.ndarray, points) -> np.ndarray:
+    """Mask of the points ``(x, y)`` inside the broadcast boxes, edges included.
+    The axes are tested apart, so a grid of x rows and y columns broadcasts once."""
+    x1, y1, x2, y2 = boxes
+    x, y = points
+    return ((x1 <= x) & (x <= x2)) & ((y1 <= y) & (y <= y2))
+
+
+def _column(coords) -> np.ndarray:
+    """One box or point as a ``(4, 1)`` or ``(2, 1)`` coordinate-major array."""
+    return np.array(coords, dtype=float)[:, None]
 
 
 def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes.
-
-    Returns a value in [0, 1]; 0 for disjoint boxes, 1 only for identical
-    ones. Symmetric in its arguments.
-    """
-    inter = intersection_area(a, b)
-    if inter == 0.0:
-        return 0.0
-    union = a.area + b.area - inter
-    return inter / union
+    """Intersection over union of two boxes: symmetric, in [0, 1], 0 for
+    disjoint boxes and 1 only for identical ones."""
+    return float(iou_parts(_column(a.as_tuple()), _column(b.as_tuple()))[0][0])
 
 
 def cos_angle_at(b: Point, a: Point, c: Point) -> float:
-    """Cosine of the angle at vertex ``b`` between rays toward ``a`` and ``c``.
-
-    Uses the law of cosines on the center coordinates. If either ray has zero
-    length the angle is undefined; by convention the result is 1 (full
-    effective force). The value is clamped to [-1, 1] against rounding.
-    """
-    ux, uy = a.x - b.x, a.y - b.y
-    vx, vy = c.x - b.x, c.y - b.y
-    nu = math.hypot(ux, uy)
-    nv = math.hypot(vx, vy)
-    if nu == 0.0 or nv == 0.0:
-        return 1.0
-    cos = (ux * vx + uy * vy) / (nu * nv)
-    return max(-1.0, min(1.0, cos))
+    """Cosine of the angle at vertex ``b`` between rays toward ``a`` and ``c``
+    (:func:`angle_cosine`)."""
+    return float(angle_cosine(*(_column((q.x, q.y)) for q in (b, a, c)))[0][0])
 
 
 def border_distance(g: BBox, p: BBox) -> float:
-    """Normalized distance of ``p``'s center from ``g``'s center, border-relative.
-
-    With l, r, t, b the unsigned distances from the center of ``p`` to the
-    four border lines of ``g``::
-
-        s = sqrt(f_x * f_y)
-        f_x = 1 - min(l, r) / (W_g / 2)
-        f_y = 1 - min(t, b) / (H_g / 2)
-
-    Each factor is clamped to [0, 1] before the product, so s is 0 at the
-    center of ``g`` (and again once the center strays half an extent past a
-    border) and 1 when the center sits on a corner of ``g``.
-    """
-    cx = (p.x1 + p.x2) / 2.0
-    cy = (p.y1 + p.y2) / 2.0
-    return border_distance_point(g, cx, cy)
-
-
-def border_distance_point(g: BBox, cx: float, cy: float) -> float:
-    """``border_distance`` evaluated at an explicit center point."""
-    fx = _border_factor(cx, g.x1, g.x2)
-    fy = _border_factor(cy, g.y1, g.y2)
-    return math.sqrt(fx * fy)
-
-
-def _border_factor(c: float, lo: float, hi: float) -> float:
-    half = (hi - lo) / 2.0
-    m = min(abs(c - lo), abs(c - hi))
-    f = 1.0 - m / half
-    return max(0.0, min(1.0, f))
+    """:func:`border_factor` of ``p``'s center in ``g``: 0 at the center of ``g``,
+    1 on its corners."""
+    return float(border_factor(centers(_column(p.as_tuple())), _column(g.as_tuple()))[0][0])
 
 
 def contains_center(g: BBox, p: BBox) -> bool:
     """True iff the center of ``p`` lies inside ``g`` (boundary included)."""
-    cx = (p.x1 + p.x2) / 2.0
-    cy = (p.y1 + p.y2) / 2.0
-    return g.x1 <= cx <= g.x2 and g.y1 <= cy <= g.y2
+    return bool(contains(_column(g.as_tuple()), centers(_column(p.as_tuple())))[0])

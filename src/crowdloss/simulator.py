@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import geometry
 from ._pairs import best_gt, box_array, check_boxes, iou_matrix, valid_boxes
 from .baselines import CompositeConfig, _composite, _targets, _Weights, scene_scale
 from .couloss import CouLossConfig, _evaluate, _structure
@@ -27,7 +26,7 @@ from .errors import (
     at_line,
 )
 from .evalkit import Detection, greedy_nms, match
-from .geometry import BBox
+from .geometry import BBox, centers, contains, iou, iou_parts
 
 
 @dataclass(frozen=True)
@@ -158,47 +157,36 @@ def generate_scene(cfg: SimConfig, seed: int) -> Scene:
 def _try_generate(cfg: SimConfig, rng) -> Scene | None:
     ew, eh = cfg.extent
     fulls: list[BBox] = []
+    full_coords = np.empty((4, cfg.pedestrian_count))  # fulls, coordinate-major
     height = rng.uniform(*cfg.height_range) * eh
     for k in range(cfg.pedestrian_count):
         if k > 0:
-            height = float(
-                np.clip(
-                    height * math.exp(rng.uniform(-0.08, 0.08)),
-                    cfg.height_range[0] * eh,
-                    cfg.height_range[1] * eh,
-                )
-            )
+            lo, hi = cfg.height_range
+            height = float(np.clip(height * math.exp(rng.uniform(-0.08, 0.08)), lo * eh, hi * eh))
         width = cfg.aspect_ratio * height
         if width > ew or height > eh:
             return None
-        placed = False
         for _ in range(_PLACEMENT_TRIES):
             if k == 0:
                 x1 = rng.uniform(0.0, ew - width)
                 y1 = rng.uniform(0.0, eh - height)
             else:
-                anchor = fulls[k - 1]
-                cx = (anchor.x1 + anchor.x2) / 2.0 + rng.uniform(-1.0, 1.0) * (
-                    anchor.width + width
-                ) / 2.0
-                cy = (anchor.y1 + anchor.y2) / 2.0 + rng.uniform(-0.5, 0.5) * (
-                    anchor.height + height
-                ) / 2.0
+                a = fulls[k - 1]
+                cx = (a.x1 + a.x2) / 2.0 + rng.uniform(-1.0, 1.0) * (a.width + width) / 2.0
+                cy = (a.y1 + a.y2) / 2.0 + rng.uniform(-0.5, 0.5) * (a.height + height) / 2.0
                 x1 = cx - width / 2.0
                 y1 = cy - height / 2.0
             if x1 < 0.0 or y1 < 0.0 or x1 + width > ew or y1 + height > eh:
                 continue
-            box = BBox(x1, y1, x1 + width, y1 + height)
+            box = (x1, y1, x1 + width, y1 + height)
             if k > 0:
-                v = geometry.iou(box, fulls[k - 1])
-                if not (cfg.crowd_iou_min <= v <= cfg.crowd_iou_max):
+                v = iou_parts(np.array(box)[:, None], full_coords[:, :k])[0].tolist()
+                if not cfg.crowd_iou_min <= v[-1] <= cfg.crowd_iou_max or max(v) > cfg.crowd_iou_max:
                     continue
-                if any(geometry.iou(box, other) > cfg.crowd_iou_max for other in fulls[:-1]):
-                    continue
-            fulls.append(box)
-            placed = True
+            fulls.append(BBox(*box))
+            full_coords[:, k] = box
             break
-        if not placed:
+        else:
             return None
 
     visibles = _carve_visible(fulls)
@@ -209,7 +197,6 @@ def _try_generate(cfg: SimConfig, rng) -> Scene | None:
     if cfg.distractor_count:
         mean_h = sum(f.height for f in fulls) / len(fulls)
         for _ in range(cfg.distractor_count):
-            placed = False
             for _ in range(_PLACEMENT_TRIES):
                 h = mean_h * rng.uniform(0.5, 1.0)
                 w = cfg.aspect_ratio * h * rng.uniform(0.8, 1.2)
@@ -217,12 +204,11 @@ def _try_generate(cfg: SimConfig, rng) -> Scene | None:
                     continue
                 x1 = rng.uniform(0.0, ew - w)
                 y1 = rng.uniform(0.0, eh - h)
-                box = BBox(x1, y1, x1 + w, y1 + h)
-                if all(geometry.iou(box, f) < 0.3 for f in fulls):
-                    distractors.append(box)
-                    placed = True
+                box = (x1, y1, x1 + w, y1 + h)
+                if max(iou_parts(np.array(box)[:, None], full_coords)[0].tolist()) < 0.3:
+                    distractors.append(BBox(*box))
                     break
-            if not placed:
+            else:
                 return None
 
     peds = [Pedestrian(f, v) for f, v in zip(fulls, visibles)]
@@ -237,7 +223,7 @@ def _carve_visible(fulls: list[BBox]) -> list[BBox] | None:
         vis = fulls[idx]
         for occ_idx in order[:rank]:
             occ = fulls[occ_idx]
-            if geometry.intersection_area(vis, occ) == 0.0:
+            if iou(vis, occ) == 0.0:
                 continue
             vis = _largest_free_strip(vis, occ)
             if vis is None:
@@ -317,12 +303,11 @@ def _summarize(
     iou = iou_matrix(gts, coords)
     iou_t = iou[t, np.arange(n)]
     iou_n = np.max(iou, axis=0, initial=0.0, where=np.arange(gts.shape[0])[:, None] != t)
-    # is the center inside the overlap of some two ground truths
+    # is the center inside two ground truths that overlap
     i, j = np.triu_indices(gts.shape[0], 1)
-    lo, hi = np.maximum(gts[i, :2], gts[j, :2]), np.minimum(gts[i, 2:], gts[j, 2:])
-    overlap = (hi > lo).all(axis=1)
-    c = (coords[:, :2] + coords[:, 2:]) / 2.0
-    in_overlap = ((lo[overlap, None] <= c) & (c <= hi[overlap, None])).all(axis=2).any(axis=0)
+    overlap = iou_parts(gts[i].T, gts[j].T)[2]
+    inside = contains(gts.T[:, :, None], centers(coords.T)[:, None])
+    in_overlap = (inside[i[overlap]] & inside[j[overlap]]).any(axis=0)
     columns = (range(n), t.tolist(), iou_t.tolist(), iou_n.tolist(), in_overlap.tolist())
     outcomes = [ProposalOutcome(*o) for o in zip(*columns)]
     return SimResult(
@@ -521,11 +506,8 @@ def score_detections(scene: Scene, boxes: list[BBox], scene_id: str) -> list[Det
     Stand-in for a classifier: confidence mirrors localization quality,
     which is what the NMS-threshold sensitivity question is about.
     """
-    dets = []
-    for box in boxes:
-        score = max((geometry.iou(box, g) for g in scene.gt_boxes), default=0.0)
-        dets.append(Detection(box, score, scene_id))
-    return dets
+    scores = np.max(iou_matrix(box_array(scene.gt_boxes), box_array(boxes)), axis=0, initial=0.0)
+    return [Detection(box, score, scene_id) for box, score in zip(boxes, scores.tolist())]
 
 
 @dataclass(frozen=True)

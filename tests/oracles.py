@@ -637,6 +637,21 @@ def _box_iou(a, b):
     return tuple_iou((a.x1, a.y1, a.x2, a.y2), (b.x1, b.y1, b.x2, b.y2))
 
 
+def scalar_greedy_nms(dets, threshold):
+    """Score-descending suppression, one pair of boxes at a time.
+
+    A detection is dropped when its IoU with any already-kept detection
+    exceeds the threshold; equal scores keep input order.
+    """
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    kept = []
+    for i in order:
+        d = dets[i]
+        if all(_box_iou(d.box, k.box) <= threshold for k in kept):
+            kept.append(d)
+    return kept
+
+
 def scalar_match(dets, gts, iou_threshold=0.5, ignored_gts=()):
     """Greedy matching, one detection and one box at a time: ``(tp, fp, misses)``.
 

@@ -271,6 +271,16 @@ class TestLocationLoss:
         got = location_branch_loss(pmap(values), TargetMap(stride=1.0, labels=labels), cfg)
         assert got == pytest.approx(sum(expected_cells) / len(expected_cells), abs=1e-12)
 
+    def test_clamps_only_out_of_range_cells(self):
+        # a cell at 1e-9 is in range and keeps its value beside a cell clamped from 1.0
+        tmap = TargetMap(stride=1.0, labels=[[POSITIVE, NEGATIVE]])
+        with pytest.warns(UserWarning, match=r"^1 probability cell\(s\) clamped"):
+            got = location_branch_loss(pmap([[1e-9, 1.0]]), tmap)
+        with pytest.warns(UserWarning):
+            cells = [focal_loss(1e-9, 1), focal_loss(1.0, 0)]
+        assert got == pytest.approx(sum(cells) / 2, rel=1e-12)
+        assert got == pytest.approx(7.771, abs=1e-3)
+
     def test_ignored_values_irrelevant(self):
         labels = np.array([[POSITIVE, IGNORED], [NEGATIVE, IGNORED]])
         a = pmap([[0.7, 0.1], [0.3, 0.9]])

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -154,6 +155,16 @@ class TestConfigFile:
         cfg = load_run_config(write_config(tmp_path / "run.cfg", example))
         assert cfg.seeds == (0, 1, 2, 3)
         assert cfg.anchors.scales == (30.0,)
+
+    def test_readme_library_example_runs(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text()
+        (example,) = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, re.S)
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", example], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_values_are_literal(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", "[run]\nout = a%(b)s\n")

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crowdloss._pairs import box_array, iou_matrix
 from crowdloss.errors import InvalidInputError
 from crowdloss.geometry import (
     BBox,
@@ -13,7 +16,7 @@ from crowdloss.geometry import (
     cos_angle_at,
     iou,
 )
-from oracles import raster_iou
+from oracles import raster_iou, tuple_center, tuple_iou, tuple_s
 from util import random_box
 
 
@@ -180,3 +183,55 @@ class TestContainsCenter:
 
     def test_boundary_closed(self):
         assert contains_center(BBox(0, 0, 4, 4), BBox(2, 2, 6, 6))
+
+
+properties = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+# half-unit grid: edges touch, boxes coincide and centers land on borders and corners
+grid = st.integers(0, 16).map(lambda k: k / 2.0)
+
+
+@st.composite
+def grid_boxes(draw):
+    x1, y1 = draw(grid), draw(grid)
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return BBox(x1, y1, x1 + w / 2.0, y1 + h / 2.0)
+
+
+class TestProperties:
+    """The one-box helpers against the tuple oracles, bit for bit, on grid boxes."""
+
+    @properties
+    @given(grid_boxes(), grid_boxes())
+    def test_iou_exact_symmetric_and_bounded(self, a, b):
+        v = iou(a, b)
+        assert type(v) is float
+        assert v == tuple_iou(a.as_tuple(), b.as_tuple())
+        assert v == iou(b, a)
+        assert 0.0 <= v <= 1.0
+
+    @properties
+    @given(st.lists(grid_boxes(), min_size=1, max_size=5), st.lists(grid_boxes(), max_size=5))
+    def test_iou_matrix_entries_equal_iou(self, gts, proposals):
+        m = iou_matrix(box_array(gts), box_array(proposals))
+        assert m.tolist() == [[iou(g, p) for p in proposals] for g in gts]
+
+    @properties
+    @given(grid_boxes(), grid_boxes())
+    def test_border_distance_exact_and_bounded(self, g, p):
+        s = border_distance(g, p)
+        assert type(s) is float
+        assert s == tuple_s(g.as_tuple(), p.as_tuple())
+        assert 0.0 <= s <= 1.0
+
+    @properties
+    @given(grid_boxes(), grid_boxes())
+    def test_contains_center_is_closed_box_test(self, g, p):
+        cx, cy = tuple_center(p.as_tuple())
+        assert contains_center(g, p) is (g.x1 <= cx <= g.x2 and g.y1 <= cy <= g.y2)
+
+    @properties
+    @given(*[st.builds(Point, grid, grid)] * 3)
+    def test_cos_bounded(self, vertex, a, c):
+        v = cos_angle_at(vertex, a, c)
+        assert type(v) is float
+        assert -1.0 <= v <= 1.0

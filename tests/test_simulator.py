@@ -30,10 +30,12 @@ from crowdloss.simulator import (
     run_descent,
     run_descents,
     save_scene,
+    score_detections,
     spawn_proposals,
     standard_variants,
 )
-from util import counted
+from oracles import tuple_iou
+from util import counted, random_box
 
 
 def scale_box(b: BBox, k: float) -> BBox:
@@ -467,6 +469,17 @@ class TestNmsSensitivity:
         fps = [r.false_positives for r in res.rows]
         assert len(set(misses)) == 1 and len(set(fps)) == 1
         assert res.miss_spread["baseline"][1] - res.miss_spread["baseline"][0] == 0
+
+    def test_scores_are_best_iou_with_a_ground_truth(self):
+        rng = np.random.default_rng(64)
+        for seed in range(20):
+            scene = generate_scene(SimConfig(pedestrian_count=3), seed)
+            boxes = [*scene.gt_boxes, *(random_box(rng) for _ in range(6))]
+            dets = score_detections(scene, boxes, "s")
+            gts = [g.as_tuple() for g in scene.gt_boxes]
+            want = [max((tuple_iou(b.as_tuple(), g) for g in gts), default=0.0) for b in boxes]
+            assert [d.score for d in dets] == want
+            assert all(type(d.score) is float and d.box is b for d, b in zip(dets, boxes))
 
     def test_default_grid_has_eleven_thresholds(self):
         from crowdloss.simulator import DEFAULT_NMS_THRESHOLDS
