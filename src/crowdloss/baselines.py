@@ -249,15 +249,16 @@ def _composite(gts, proposals, weights, targets, evaluation=None, gradient=False
     targets and ``evaluation`` an ``_evaluate`` of the boxes, or None when no
     scene weighs the CouLoss term. Returns ``((smooth_l1, (attraction,
     repulsion, couloss), total), gradient)``, each value ``(B,)``; each scene's
-    values are those it has alone. One scene's boxes broadcast against B configs.
+    values are those it has alone. One scene's boxes broadcast against B configs;
+    V configs with a trailing axis on each weight, and sums viewed as (2, 1, B),
+    give each scene V variants: values ``(V, B)``, gradients ``(V, B, N, 4)``.
     """
     d = proposals - gts[np.arange(targets.shape[0])[:, None], targets]
     rows, sl1_grad = _smooth_l1(d, weights.beta, gradient)
-    B, N = rows.shape
     # each scene's rows added left to right (they are never -0.0, so starting from
     # the first row is starting from 0.0)
-    sl1 = rows.cumsum(axis=1)[:, -1] / weights.norm if N else np.zeros(B)
-    cou, cou_grad = np.zeros((3, B)), None
+    sl1 = rows.cumsum(axis=-1)[..., -1] / weights.norm if rows.shape[-1] else np.zeros(rows.shape[:-1])
+    cou, cou_grad = np.zeros((3, *sl1.shape)), None
     if evaluation is not None:
         cou, cou_grad = _couloss(weights.parts, evaluation, gts.shape[1], gradient)
     total = weights.smoothl1_weight * sl1 + weights.alpha * cou[2]
@@ -265,6 +266,6 @@ def _composite(gts, proposals, weights, targets, evaluation=None, gradient=False
         return (sl1, cou, total), None
     grad = sl1_grad * weights.grad_factor
     if cou_grad is not None:
-        alpha = weights.alpha[:, None, None]
+        alpha = weights.alpha[..., None, None]
         np.add(grad, alpha * cou_grad, out=grad, where=alpha > 0.0)
     return (sl1, cou, total), grad

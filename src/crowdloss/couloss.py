@@ -254,13 +254,14 @@ def _couloss(parts, evaluation: _Evaluation, num_gts: int, gradient=False):
     gradients (else None), from an ``_evaluate`` of their boxes.
 
     ``parts`` ((2, B) bool) switches attraction and repulsion on per scene;
-    against one scene's evaluation it gives B variants of that scene.
+    against one scene's evaluation it gives B variants of that scene, and
+    (2, V, 1) against ``sums`` viewed as (2, 1, B) V variants of each scene.
     """
     att, rep = np.where(parts, evaluation.sums, 0.0)
     losses = (att, rep, att / num_gts + rep / num_gts)
     if not gradient:
         return losses, None
-    work, scenes = evaluation.work, evaluation.sums.shape[1]
+    work, scenes = evaluation.work, evaluation.sums.shape[-1]
     grad_att, grad_rep = (
         np.where(on[:, None, None], grad.reshape(scenes, -1, 4), 0.0)
         for on, grad in zip(parts, (work.grad_attraction, work.grad_repulsion))

@@ -13,34 +13,36 @@ from .geometry import BBox
 from .simulator import SimConfig, generate_scene, spawn_proposals
 
 TERMS = ("couloss", "couloss_attraction", "couloss_repulsion", "smooth_l1", "composite")
-# (attraction, repulsion) of the three CouLoss terms, and the config of the SmoothL1 term
-_COULOSS_PARTS = np.array([[True, True, False], [True, False, True]])
+# (attraction, repulsion) of the three CouLoss terms, against K points, and the config of the SmoothL1 term
+_COULOSS_PARTS = np.array([[True, True, False], [True, False, True]])[..., None]
 _SMOOTH_L1 = CompositeConfig(alpha=0.0)
 
 
-def _terms(gts, proposals, weights, cou_cfg, gradient=False):
-    """Values of the five ``TERMS`` at the box arrays and, with ``gradient``,
-    their ``(5, N, 4)`` gradients, from one IoU matrix and one kernel call.
+def _terms(gts, points, weights, cou_cfg, gradient=False):
+    """Values ``(5, K)`` of the five ``TERMS`` at K points ``(K, N, 4)`` and, with
+    ``gradient``, their ``(5, K, N, 4)`` gradients: one batch, from one IoU matrix
+    and one kernel call.
 
     The CouLoss terms read the kernel's attraction/repulsion split; the
     SmoothL1 and composite terms are the composite under ``weights``, the
-    ``_Weights`` of ``CompositeConfig(alpha=0.0)`` and of the checked config,
-    both broadcast against the one scene.
+    ``_Weights`` of ``CompositeConfig(alpha=0.0)`` and of the checked config
+    with a trailing axis, both broadcast against the K points.
     """
-    G, P = gts[None], proposals[None]
-    ranked = best_gt(G, P)
-    evaluation = _evaluate(G, P, cou_cfg, None, ranked, gradient)
-    (_, _, couloss), cou_grad = _couloss(_COULOSS_PARTS, evaluation, G.shape[1], gradient)
-    args = (G, P, weights, _targets(G, P, ranked), evaluation, gradient)
+    G = np.broadcast_to(gts, (len(points), *gts.shape))
+    ranked = best_gt(G, points)
+    evaluation = _evaluate(G, points, cou_cfg, None, ranked, gradient)
+    evaluation = evaluation._replace(sums=evaluation.sums[:, None])  # (2, 1, K), against the parts
+    (_, _, couloss), cou_grad = _couloss(_COULOSS_PARTS, evaluation, len(gts), gradient)
+    args = (G, points, weights, _targets(G, points, ranked), evaluation, gradient)
     (_, _, composite), comp_grad = _composite(*args)
     grads = np.concatenate([cou_grad, comp_grad]) if gradient else None
     return np.concatenate([couloss, composite]), grads
 
 
-def finite_difference(loss_fn, coords: np.ndarray, h: float) -> np.ndarray:
-    """Central finite differences of the ``TERMS`` values ``loss_fn`` returns,
-    over the ``(N, 4)`` proposal coordinates: shape ``(len(TERMS), N, 4)``.
-    Every perturbed point must be valid boxes."""
+def finite_difference(gts, coords, weights, cou_cfg, h: float) -> np.ndarray:
+    """Central finite differences of the ``TERMS`` values of ``_terms`` over the
+    ``(N, 4)`` proposal coordinates: shape ``(len(TERMS), N, 4)``. The 8N
+    perturbed points are evaluated as one batch, and must all be valid boxes."""
     n = coords.size
     # the +h and -h copies of each coordinate in turn, all checked at once
     points = np.repeat(coords[None], 2 * n, axis=0)
@@ -48,17 +50,13 @@ def finite_difference(loss_fn, coords: np.ndarray, h: float) -> np.ndarray:
     flat[2 * k, k] += h
     flat[2 * k + 1, k] -= h
     check_boxes(points.reshape(-1, 4))
-    grad = np.zeros((len(TERMS), *coords.shape))
-    for k, (pi, ci) in enumerate(np.ndindex(coords.shape)):
-        grad[:, pi, ci] = (loss_fn(points[2 * k]) - loss_fn(points[2 * k + 1])) / (2.0 * h)
-    return grad
+    values = _terms(gts, points, weights, cou_cfg)[0]
+    return ((values[:, 0::2] - values[:, 1::2]) / (2.0 * h)).reshape(len(TERMS), *coords.shape)
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = max(float(np.abs(analytic).max(initial=0.0)), float(np.abs(numeric).max(initial=0.0)))
-    if denom == 0.0:
-        return 0.0
-    return float(np.abs(analytic - numeric).max()) / max(denom, 1e-8)
+    return float(np.abs(analytic - numeric).max()) / max(denom, 1e-8) if denom else 0.0
 
 
 def check_scene(
@@ -70,13 +68,14 @@ def check_scene(
 ) -> dict[str, float]:
     """Per-term relative errors between analytic gradients and central differences.
 
-    Each point, the analytic one and every perturbed one, is evaluated once
-    for all five terms.
+    The analytic point is one evaluation of all five terms with their
+    gradients; the 8N central-difference points are one batched evaluation.
     """
     G, P, scale = box_array(gts), box_array(proposals), scene_scale(gts)
-    args = (_Weights.of([_SMOOTH_L1, comp_cfg], np.array([scale]), len(proposals)), cou_cfg)
-    analytic = _terms(G, P, *args, gradient=True)[1]
-    numeric = finite_difference(lambda coords: _terms(G, coords, *args)[0], P, fd_step_fraction * scale)
+    weights = _Weights.of([_SMOOTH_L1, comp_cfg], np.array([scale]), len(proposals))
+    args = (_Weights(*(w[..., None] for w in weights)), cou_cfg)  # the two configs against the points
+    analytic = _terms(G, P[None], *args, gradient=True)[1][:, 0]
+    numeric = finite_difference(G, P, *args, fd_step_fraction * scale)
     return {t: relative_error(a, n) for t, a, n in zip(TERMS, analytic, numeric)}
 
 
@@ -109,8 +108,7 @@ def run_gradcheck(
     re-jittered (fresh proposal seed) up to the retry budget; an
     irreducibly kinky scene is skipped and recorded as a warning line.
     """
-    errors = []
-    kink_lines = []
+    errors, kink_lines = [], []
     seeds = range(seed_base, seed_base + num_scenes)
     for seed in seeds:
         scene = generate_scene(sim_cfg, seed)

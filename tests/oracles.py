@@ -3,7 +3,8 @@
 Everything here works on plain (x1, y1, x2, y2) tuples, or reads box,
 detection and anchor-set fields by name, and deliberately shares no code
 with the package under test, except
-:func:`five_sweep_check_scene`, which drives the package's public losses.
+:func:`five_sweep_check_scene`, which drives the package's public losses, and
+:func:`per_point_finite_difference`, which drives its gradcheck terms.
 """
 
 import math
@@ -631,6 +632,25 @@ def five_sweep_check_scene(gts, proposals, comp_cfg, cou_cfg, fd_step_fraction=1
         term: relative_error(analytic, finite_difference(loss_fn, h))
         for term, (analytic, loss_fn) in pairs.items()
     }
+
+
+def per_point_finite_difference(gts, coords, weights, cou_cfg, h):
+    """``gradcheck.finite_difference`` one point at a time.
+
+    Each of the 8N perturbed points is its own ``gradcheck._terms`` call, a
+    batch of one, and each coordinate's central difference is taken from its
+    two calls. Returns the ``(5, N, 4)`` array.
+    """
+    from crowdloss.gradcheck import TERMS, _terms
+
+    grad = np.zeros((len(TERMS), *coords.shape))
+    for pi, ci in np.ndindex(coords.shape):
+        plus, minus = coords.copy(), coords.copy()
+        plus[pi, ci] += h
+        minus[pi, ci] -= h
+        fp, fm = (_terms(gts, point[None], weights, cou_cfg)[0][:, 0] for point in (plus, minus))
+        grad[:, pi, ci] = (fp - fm) / (2.0 * h)
+    return grad
 
 
 def _box_iou(a, b):

@@ -1,5 +1,6 @@
-"""The finite-difference gradcheck: one evaluation per point, same errors as five sweeps."""
+"""The finite-difference gradcheck: one batch per scene, same errors as five sweeps."""
 
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -7,15 +8,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crowdloss
-from crowdloss import _pairs
-from crowdloss.baselines import CompositeConfig
-from crowdloss.couloss import CouLossConfig
+from crowdloss import _pairs, gradcheck
+from crowdloss.baselines import CompositeConfig, regression_targets
+from crowdloss.couloss import AGGREGATION_MODES, CouLossConfig
 from crowdloss.errors import InvalidInputError
-from crowdloss.gradcheck import TERMS, check_scene, run_gradcheck
+from crowdloss.geometry import BBox
+from crowdloss.gradcheck import TERMS, check_scene, finite_difference, run_gradcheck
 from crowdloss.simulator import SimConfig, generate_scene, spawn_proposals
-from oracles import five_sweep_check_scene
+from oracles import five_sweep_check_scene, per_point_finite_difference
 from util import counted
 
 CONFIGS = {
@@ -47,7 +51,7 @@ def test_errors_equal_five_sweep_oracle(pedestrians):
             assert got == five_sweep_check_scene(gts, proposals, comp_cfg, cou_cfg), (seed, name)
 
 
-def test_one_assignment_and_one_kernel_call_per_point(monkeypatch):
+def test_two_assignments_and_two_kernel_calls_per_scene(monkeypatch):
     gts, proposals = scene_and_proposals(2, 3, proposals_per_gt=6)
     n = len(proposals)
     calls = Counter()
@@ -61,9 +65,53 @@ def test_one_assignment_and_one_kernel_call_per_point(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     check_scene(gts, proposals, CompositeConfig(), CouLossConfig())
-    # the analytic point and 2 perturbed points per coordinate
-    assert 8 * n <= calls["pair_work"] <= 8 * n + 1
-    assert 8 * n <= calls["best_gt"] <= 8 * n + 1
+    # the analytic point, and the 2 perturbed points per coordinate as one batch
+    assert n == 12
+    assert calls["pair_work"] == 2
+    assert calls["best_gt"] == 2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    pedestrians=st.integers(1, 6),
+    proposals_per_gt=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+    config=st.sampled_from(sorted(CONFIGS)),
+    mode=st.sampled_from(AGGREGATION_MODES),
+)
+def test_batched_points_equal_per_point_evaluation(pedestrians, proposals_per_gt, seed, config, mode):
+    gts, proposals = scene_and_proposals(pedestrians, seed, proposals_per_gt)
+    comp_cfg, cou_cfg = CONFIGS[config]
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        # the arguments check_scene hands to the batched sweep
+        mp.setattr(gradcheck, "finite_difference", lambda *args: captured.append(args) or finite_difference(*args))
+        check_scene(gts, proposals, comp_cfg, dataclasses.replace(cou_cfg, aggregation_mode=mode))
+    (args,) = captured
+    batched = finite_difference(*args)
+    assert batched.shape == (len(TERMS), len(proposals), 4)
+    assert np.array_equal(batched, per_point_finite_difference(*args))
+
+
+@pytest.mark.parametrize("mode", AGGREGATION_MODES)
+def test_no_proposals_gives_zero_errors(mode):
+    gts, _ = scene_and_proposals(2, 3)
+    for comp_cfg, _ in CONFIGS.values():
+        got = check_scene(gts, [], comp_cfg, CouLossConfig(aggregation_mode=mode))
+        assert got == dict.fromkeys(TERMS, 0.0)
+
+
+@pytest.mark.parametrize("mode", AGGREGATION_MODES)
+def test_disjoint_proposal_uses_nearest_center_target(mode):
+    gts = [BBox(0.0, 0.0, 10.0, 20.0), BBox(30.0, 0.0, 40.0, 20.0)]
+    # overlaps no ground truth and is nearest the second one, beside one that is assigned
+    proposals = [BBox(60.0, 60.0, 70.0, 80.0), BBox(1.0, 1.0, 11.0, 21.0)]
+    assert regression_targets(gts, proposals) == [1, 0]
+    for name, (comp_cfg, _) in CONFIGS.items():
+        cou_cfg = CouLossConfig(aggregation_mode=mode)
+        got = check_scene(gts, proposals, comp_cfg, cou_cfg)
+        assert all(math.isfinite(e) and e < 1e-4 for e in got.values()), name
+        assert got == five_sweep_check_scene(gts, proposals, comp_cfg, cou_cfg), name
 
 
 def test_degenerate_perturbed_box_rejected():
