@@ -3,7 +3,9 @@
 Boxes travel as ``(K, 4)`` float arrays and are read coordinate-major,
 ``(4, K)``, inside the kernel, which composes the box quantities of
 ``geometry`` (IoU, border-distance factor, angle cosine and their
-derivatives).
+derivatives). The ground-truth side does not move: :func:`center_distances`
+is built once per run and a structure's :class:`PairFrame` once per structure.
+Only repulsion pairs compute an angle; an attraction pair's cosine is 1.
 
 Bit-exact contract: every value equals, bit for bit, a scalar evaluation of
 one pair at a time with Python floats: the same IEEE operations in the same
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BBox, angle_cosine, border_factor, centers, iou_and_grad, iou_parts, scalar_map
+from .geometry import BBox, angle_cosine, border_factor, centers, iou_and_grad, iou_parts, ray_length, scalar_map
 
 
 class Pairs(NamedTuple):
@@ -41,9 +43,39 @@ class Pairs(NamedTuple):
 class PairWork(NamedTuple):
     work: np.ndarray  # per pair, clamped at zero
     raw: np.ndarray  # per pair, before the W <= 0 clamp
-    angle_ray: np.ndarray  # per pair, |center(p) - center(g)|
+    angle_ray: np.ndarray  # per repulsion pair, |center(p) - center(g)|
     grad_attraction: np.ndarray | None  # (N, 4), weighted by multiplicity
     grad_repulsion: np.ndarray | None
+
+
+def center_distances(gts: np.ndarray) -> np.ndarray:
+    """``(S*M, M)`` center distances between the ``(S, M, 4)`` ground truths of each scene."""
+    c = centers(gts.transpose(2, 0, 1))  # rays [:, s, g, t] from center(g) to center(t)
+    return ray_length(c[:, :, None, :] - c[:, :, :, None]).reshape(-1, gts.shape[1])
+
+
+class PairFrame(NamedTuple):
+    """What :func:`pair_work` reads that does not move with the proposals."""
+
+    pairs: Pairs
+    num_attraction: int
+    boxes: np.ndarray  # (4, P): each pair's ground truth
+    vertex: np.ndarray  # (2, R): each repulsion pair's center(g), center(target) - center(g) and its length
+    ray: np.ndarray
+    ray_len: np.ndarray
+    bins: np.ndarray  # (4, P): the gradient sums' bincount bins, (kind, coordinate, proposal) flat
+
+    @classmethod
+    def of(cls, gts: np.ndarray, distances: np.ndarray, pairs: Pairs, num_attraction: int, n: int) -> PairFrame:
+        """Of ``pairs`` over ``n`` proposals and ``(K, 4)`` ground truths, stacked; the pairs
+        index them modulo the rows of ``distances``, so one scene's table serves its copies."""
+        ka, k = num_attraction, len(distances)
+        gt, target = pairs.gt % k, pairs.target[ka:] % k
+        g = gts.T.take(gt, axis=1)  # row-contiguous, as every ufunc of the kernel prefers
+        vertex = centers(g[:, ka:])
+        bins = pairs.proposal + n * (np.arange(4)[:, None] + 4 * (np.arange(len(gt)) >= ka))
+        ray_len = distances[gt[ka:], target % distances.shape[1]]
+        return cls(pairs, ka, g, vertex, centers(gts.T.take(target, axis=1)) - vertex, ray_len, bins)
 
 
 def box_array(boxes) -> np.ndarray:
@@ -76,18 +108,10 @@ def best_gt(gts: np.ndarray, proposals: np.ndarray):
     return iou, iou.argmax(axis=-2), iou.max(axis=-2)
 
 
-def pair_work(
-    gts: np.ndarray,
-    proposals: np.ndarray,
-    pairs: Pairs,
-    num_attraction: int,
-    iou_floor: float,
-    *,
-    literal: bool,
-    gradient: bool = False,
-    iou: np.ndarray | None = None,
-) -> PairWork:
-    """Work ``F * cos * s`` of every pair, and optionally its gradient.
+def pair_work(frame: PairFrame, proposals: np.ndarray, iou_floor: float, *, literal: bool, gradient: bool = False,
+              iou: np.ndarray | None = None) -> PairWork:
+    """Work ``F * cos * s`` of every pair of ``frame`` at the stacked ``(n, 4)``
+    proposals, and optionally its gradient.
 
     The first ``num_attraction`` pairs attract: ``F = -ln(max(IoU, floor))``.
     The rest repel: ``F = -ln(max(1 - IoU, floor))``, zero unless the pair
@@ -99,9 +123,8 @@ def pair_work(
     ``iou`` holds the pairs' IoUs if already known. Boxes of several scenes
     may share one call, their pairs indexing the stacked boxes.
     """
-    ka = num_attraction
-    g = gts.T[:, pairs.gt]
-    p = proposals.T[:, pairs.proposal]
+    pairs, ka, g = frame.pairs, frame.num_attraction, frame.boxes
+    p = proposals.T.take(pairs.proposal, axis=1)
     if gradient:
         v, dv = iou_and_grad(g, p)
     elif iou is not None:
@@ -113,7 +136,8 @@ def pair_work(
     x = np.concatenate([v[:ka], 1.0 - v[ka:]])
     above = x > iou_floor
     force = -scalar_map(math.log, np.where(above, x, iou_floor))
-    cos, ray, dcos_dc = angle_cosine(centers(g), c, centers(gts.T[:, pairs.target]), gradient)
+    cos, ray, dcos_dc = angle_cosine(frame.vertex, c[:, ka:], frame.ray, frame.ray_len, gradient)
+    cos = np.concatenate([np.ones(ka), cos])
 
     fc = force * cos
     valid = v > 0.0
@@ -124,18 +148,16 @@ def pair_work(
     if not gradient:
         return work
 
-    # a center moves by half of each coordinate: d/d(x1, y1, x2, y2) = 0.5 * (d/dcx, d/dcy, d/dcx, d/dcy)
-    ds = np.concatenate([0.5 * ds_dc] * 2)
-    dcos = np.concatenate([0.5 * dcos_dc] * 2)
     # dF = -dIoU / IoU for attraction and dIoU / (1 - IoU) for repulsion; zero at the floor
     np.negative(dv[:, :ka], out=dv[:, :ka])
     df = np.where(above, dv / np.where(above, x, 1.0), 0.0)
-    grad = df * cos * s + force * dcos * s + fc * ds
+    # rows (x1, y1), (x2, y2): a center moves by half of each coordinate; attraction has dcos 0
+    grad = (df * cos * s).reshape(2, 2, -1)
+    grad[..., ka:] += force[ka:] * (0.5 * dcos_dc) * s[ka:]
+    grad += fc * (0.5 * ds_dc)
 
     # bincount adds each bin's weights in input order: (gt, proposal) order per proposal
-    n = proposals.shape[0]
+    n, grad = proposals.shape[0], grad.reshape(4, -1)
     contrib = np.where(live, grad * pairs.mult if literal else grad, 0.0)
-    bins = pairs.proposal + n * np.arange(4)[:, None]
-    bins[:, ka:] += 4 * n
-    total = np.bincount(bins.ravel(), contrib.ravel(), minlength=8 * n).reshape(2, 4, n)
+    total = np.bincount(frame.bins.ravel(), contrib.ravel(), minlength=8 * n).reshape(2, 4, n)
     return work._replace(grad_attraction=total[0].T, grad_repulsion=total[1].T)

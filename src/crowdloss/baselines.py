@@ -16,10 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from ._pairs import best_gt, box_array
+from ._pairs import best_gt, box_array, center_distances
 from .couloss import CouLossConfig, LossReport, TripletStructure, _couloss, _evaluate, _loss_report
 from .errors import InvalidInputError, NoOverlapError
-from .geometry import BBox, iou_and_grad
+from .geometry import BBox, centers, iou_and_grad, ray_length
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,10 @@ def _targets(gts: np.ndarray, proposals: np.ndarray, ranked) -> np.ndarray:
     arrays, ``(B, N)``, from ``ranked = best_gt(gts, proposals)``."""
     _, best, best_v = ranked
     target = best.copy()
-    gc = (gts[..., :2] + gts[..., 2:]) / 2.0
-    for b, pi in zip(*(i.tolist() for i in np.nonzero(best_v <= 0.0))):
-        d = gc[b] - (proposals[b, pi, :2] + proposals[b, pi, 2:]) / 2.0
-        target[b, pi] = np.argmin([math.hypot(x, y) for x, y in d.tolist()])
+    far = np.nonzero(best_v <= 0.0)
+    if far[0].size:  # rays (2, F, M) from each disjoint proposal's center to its scene's centers
+        d = centers(gts[far[0]].transpose(2, 0, 1)) - centers(proposals[far].T)[:, :, None]
+        target[far] = ray_length(d).argmin(axis=-1)
     return target
 
 
@@ -220,7 +220,7 @@ def _one_scene(gts, proposals, cfg, cou_cfg, structure, targets, gradient=False,
     """
     cfg, cou_cfg = cfg or CompositeConfig(), cou_cfg or CouLossConfig()
     weights = _Weights.of([cfg], np.array([scene_scale(gts)]), len(proposals))
-    G, P = box_array(gts)[None], box_array(proposals)[None]
+    G, P, warn = box_array(gts)[None], box_array(proposals)[None], np.array([warn_kinks])
     ranked = None
     if targets is None or (structure is None and cfg.alpha > 0.0):
         ranked = best_gt(G, P)
@@ -229,7 +229,7 @@ def _one_scene(gts, proposals, cfg, cou_cfg, structure, targets, gradient=False,
     targets = np.asarray(targets, dtype=np.intp).reshape(1, -1)
     evaluation = None
     if cfg.alpha > 0.0:
-        evaluation = _evaluate(G, P, cou_cfg, structure, ranked, gradient, warn=np.array([warn_kinks]))
+        evaluation = _evaluate(G, P, cou_cfg, center_distances(G), structure, ranked, gradient, warn=warn)
     (sl1, cou, total), grad = _composite(G, P, weights, targets, evaluation, gradient)
     composite = CompositeReport(
         total=float(total[0]),

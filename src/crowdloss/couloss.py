@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from ._pairs import PairWork, Pairs, best_gt, box_array, iou_matrix, pair_work
+from ._pairs import PairFrame, PairWork, Pairs, best_gt, box_array, center_distances, iou_matrix, pair_work
 from .errors import InvalidInputError, NoOverlapError
 from .geometry import BBox, border_factor, centers, contains
 
@@ -216,21 +216,23 @@ class _Evaluation(NamedTuple):
     sums: np.ndarray
 
 
-def _evaluate(gts, proposals, cfg, structure=None, ranked=None, gradient=False, keep=None, warn=None):
-    """The :class:`_Evaluation` of B scenes' ``(B, M, 4)`` and ``(B, N, 4)``
-    boxes, from one kernel call; the structure is built from the boxes, with
-    ``keep``, when not given. Each scene that ``warn`` ((B,) bool) marks raises
-    one :class:`KinkWarning` if its boxes sit near a non-differentiable point.
+def _evaluate(gts, proposals, cfg, distances, structure=None, ranked=None, gradient=False, keep=None, warn=None,
+              frame=None):
+    """The :class:`_Evaluation` of B scenes' ``(B, M, 4)`` and ``(B, N, 4)`` boxes, from
+    one kernel call, with the ``center_distances`` of ``gts`` (or of the one scene they
+    repeat). The structure (with ``keep``) and its ``PairFrame`` are built when not given.
+    Each scene that ``warn`` ((B,) bool) marks raises one :class:`KinkWarning` if its
+    boxes sit near a non-differentiable point.
     """
     iou = None
     if structure is None:
         structure, iou = _structure(gts, proposals, cfg, ranked, keep)
+    B, N = proposals.shape[:2]
+    frame = frame or PairFrame.of(gts.reshape(-1, 4), distances, structure.pairs, structure.num_attraction, B * N)
     literal = cfg.aggregation_mode == "triplet-literal"
-    args = (structure.pairs, structure.num_attraction, cfg.iou_floor)
     pair_iou = None if iou is None else _pair_iou(iou, structure.pairs)
     work = pair_work(
-        gts.reshape(-1, 4), proposals.reshape(-1, 4), *args,
-        literal=literal, gradient=gradient, iou=pair_iou,
+        frame, proposals.reshape(-1, 4), cfg.iou_floor, literal=literal, gradient=gradient, iou=pair_iou
     )
     if warn is not None and warn.any():
         kinks = _kinks(gts, proposals, cfg, cfg.kink_tolerance, structure, iou, work)
@@ -241,7 +243,6 @@ def _evaluate(gts, proposals, cfg, structure=None, ranked=None, gradient=False, 
                     KinkWarning,
                     stacklevel=4,
                 )
-    B, N = proposals.shape[:2]
     weighted = work.work * structure.pairs.mult if literal else work.work
     scene, ka = structure.pairs.proposal // N, structure.num_attraction
     sums = [np.bincount(scene[k], weighted[k], minlength=B) for k in (slice(ka), slice(ka, None))]
@@ -275,8 +276,8 @@ def _scene_loss(gts, proposals, cfg, structure, parts, gradient=False, warn_kink
     if not gts:
         raise InvalidInputError("couloss requires at least one ground-truth box")
     cfg = cfg or CouLossConfig()
-    G, P = box_array(gts)[None], box_array(proposals)[None]
-    evaluation = _evaluate(G, P, cfg, structure, gradient=gradient, warn=np.array([warn_kinks]))
+    G, P, warn = box_array(gts)[None], box_array(proposals)[None], np.array([warn_kinks])
+    evaluation = _evaluate(G, P, cfg, center_distances(G), structure, gradient=gradient, warn=warn)
     losses, grad = _couloss(np.array(parts)[:, None], evaluation, len(gts), gradient)
     return _loss_report(cfg, len(gts), evaluation, losses), None if grad is None else grad[0]
 
@@ -343,9 +344,9 @@ def work_terms(
     cfg = cfg or CouLossConfig()
     # gts (g_i, g_j), proposals (p_p, p_n): attraction pair (0, 0), repulsion pair (0, 1)
     pairs = Pairs(*(np.array(a, dtype=np.intp) for a in ([0, 0], [0, 1], [0, 1], [1, 1])))
-    work = pair_work(
-        box_array([g_i, g_j]), box_array([p_p, p_n]), pairs, 1, cfg.iou_floor, literal=False
-    ).work
+    G = box_array([g_i, g_j])
+    frame = PairFrame.of(G, center_distances(G[None]), pairs, 1, 2)
+    work = pair_work(frame, box_array([p_p, p_n]), cfg.iou_floor, literal=False).work
     return float(work[0]), float(work[1])
 
 
@@ -433,7 +434,7 @@ def detect_kinks(
     cfg = cfg or CouLossConfig()
     tol = cfg.kink_tolerance if tolerance is None else tolerance
     G, P = box_array(gts)[None], box_array(proposals)[None]
-    return _kinks(G, P, cfg, tol, *_evaluate(G, P, cfg, structure)[:3])[0]
+    return _kinks(G, P, cfg, tol, *_evaluate(G, P, cfg, center_distances(G), structure)[:3])[0]
 
 
 def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, structure, iou, work):
@@ -467,8 +468,8 @@ def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, structu
     _report(out, proposal // N, "proposal {}", (proposal % N,), checks)
 
     # per pair, attraction pairs first: switches inside the work terms
-    pairs = structure.pairs
-    repulsive = np.arange(len(pairs.gt)) >= structure.num_attraction
+    pairs, ka = structure.pairs, structure.num_attraction
+    repulsive = np.arange(len(pairs.gt)) >= ka  # only these have an angle_ray
     g, p = G.T[:, pairs.gt], P.T[:, pairs.proposal]
     v = _pair_iou(iou, pairs)
     wh = g[2:] - g[:2]
@@ -483,7 +484,7 @@ def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, structu
         (near(to_lo, to_hi, wh).any(axis=0), "min(l,r) or min(t,b) tie"),
         (near(closest, 0.0, wh).any(axis=0), "center on a border line"),
         (near(factors, 0.0).any(axis=0), "border-distance factor at the zero clamp"),
-        (repulsive & (work.angle_ray <= tol * np.maximum(wh[0], wh[1])), "degenerate angle vertex"),
+        (np.r_[np.zeros(ka, bool), work.angle_ray <= tol * np.maximum(*wh)[ka:]], "degenerate angle vertex"),
         (repulsive & (np.abs(work.raw) <= tol), "work at the zero clamp"),
     )
     kind = np.where(repulsive, "repulsive", "attractive")

@@ -92,6 +92,11 @@ def centers(boxes: np.ndarray) -> np.ndarray:
     return (boxes[:2] + boxes[2:]) / 2.0
 
 
+def ray_length(v: np.ndarray) -> np.ndarray:
+    """``math.hypot`` length of each vector of ``(2, ...)`` ``v``."""
+    return scalar_map(math.hypot, v[0].ravel(), v[1].ravel()).reshape(v.shape[1:])
+
+
 def iou_parts(a: np.ndarray, b: np.ndarray):
     """IoU of broadcast boxes, with the overlap extents (iw, ih), the overlap
     mask, the intersection and the union. Disjoint boxes have IoU 0."""
@@ -146,9 +151,9 @@ def border_factor(points: np.ndarray, boxes: np.ndarray, gradient: bool = False)
     return s, f, np.where(zero, 0.0, -dmin / half * f_xy[::-1] / np.where(zero, 1.0, 2 * s))
 
 
-def angle_cosine(vertex: np.ndarray, a: np.ndarray, c: np.ndarray, gradient: bool = False):
-    """Cosine of the angle at ``vertex`` between the rays toward ``a`` and ``c``,
-    of broadcast points ``(2, n)``.
+def angle_cosine(vertex: np.ndarray, a: np.ndarray, v: np.ndarray, nv: np.ndarray, gradient=False):
+    """Cosine of the angle at ``vertex`` between the rays toward ``a`` and ``vertex + v``,
+    ``v`` of :func:`ray_length` ``nv``, of broadcast points and vectors ``(2, n)``.
 
     Uses the law of cosines. If either ray has zero length the angle is
     undefined; by convention the cosine is 1 (full effective force). The value
@@ -156,9 +161,8 @@ def angle_cosine(vertex: np.ndarray, a: np.ndarray, c: np.ndarray, gradient: boo
     the ray toward ``a`` and, with ``gradient``, ``dcos/da`` ``(2, n)``, zero
     where the angle is undefined (else None).
     """
-    u, v = a - vertex, c - vertex
-    nu = scalar_map(math.hypot, u[0], u[1])
-    nv = scalar_map(math.hypot, v[0], v[1])
+    u = a - vertex
+    nu = ray_length(u)
     degenerate = (nu == 0.0) | (nv == 0.0)
     nn = np.where(degenerate, 1.0, nu * nv)
     dot = u[0] * v[0] + u[1] * v[1]
@@ -192,7 +196,8 @@ def iou(a: BBox, b: BBox) -> float:
 def cos_angle_at(b: Point, a: Point, c: Point) -> float:
     """Cosine of the angle at vertex ``b`` between rays toward ``a`` and ``c``
     (:func:`angle_cosine`)."""
-    return float(angle_cosine(*(_column((q.x, q.y)) for q in (b, a, c)))[0][0])
+    vertex, a, c = (_column((q.x, q.y)) for q in (b, a, c))
+    return float(angle_cosine(vertex, a, c - vertex, ray_length(c - vertex))[0][0])
 
 
 def border_distance(g: BBox, p: BBox) -> float:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pairs import best_gt, box_array, check_boxes
+from ._pairs import best_gt, box_array, center_distances, check_boxes
 from .baselines import CompositeConfig, _composite, _targets, _Weights, scene_scale
 from .couloss import CouLossConfig, _couloss, _evaluate, detect_kinks
 from .geometry import BBox
@@ -21,7 +21,7 @@ _SMOOTH_L1 = CompositeConfig(alpha=0.0)
 def _terms(gts, points, weights, cou_cfg, gradient=False):
     """Values ``(5, K)`` of the five ``TERMS`` at K points ``(K, N, 4)`` and, with
     ``gradient``, their ``(5, K, N, 4)`` gradients: one batch, from one IoU matrix
-    and one kernel call.
+    and one kernel call; the ground truths' center distances are built once, from the M boxes.
 
     The CouLoss terms read the kernel's attraction/repulsion split; the
     SmoothL1 and composite terms are the composite under ``weights``, the
@@ -30,7 +30,7 @@ def _terms(gts, points, weights, cou_cfg, gradient=False):
     """
     G = np.broadcast_to(gts, (len(points), *gts.shape))
     ranked = best_gt(G, points)
-    evaluation = _evaluate(G, points, cou_cfg, None, ranked, gradient)
+    evaluation = _evaluate(G, points, cou_cfg, center_distances(gts[None]), None, ranked, gradient)
     evaluation = evaluation._replace(sums=evaluation.sums[:, None])  # (2, 1, K), against the parts
     (_, _, couloss), cou_grad = _couloss(_COULOSS_PARTS, evaluation, len(gts), gradient)
     args = (G, points, weights, _targets(G, points, ranked), evaluation, gradient)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._pairs import best_gt, box_array, check_boxes, iou_matrix, valid_boxes
+from ._pairs import PairFrame, best_gt, box_array, center_distances, check_boxes, iou_matrix, valid_boxes
 from .baselines import CompositeConfig, _composite, _targets, _Weights, scene_scale
 from .couloss import CouLossConfig, _evaluate, _structure
 from .errors import (
@@ -162,7 +162,7 @@ def _try_generate(cfg: SimConfig, rng) -> Scene | None:
     for k in range(cfg.pedestrian_count):
         if k > 0:
             lo, hi = cfg.height_range
-            height = float(np.clip(height * math.exp(rng.uniform(-0.08, 0.08)), lo * eh, hi * eh))
+            height = min(max(height * math.exp(rng.uniform(-0.08, 0.08)), lo * eh), hi * eh)
         width = cfg.aspect_ratio * height
         if width > ew or height > eh:
             return None
@@ -275,8 +275,8 @@ def spawn_proposals(scene: Scene, cfg: SimConfig, seed: int) -> list[BBox]:
             cy = cy0 + rng.normal(0.0, sigma * full.height)
             w = min(full.width * math.exp(rng.normal(0.0, sigma)), ew)
             h = min(full.height * math.exp(rng.normal(0.0, sigma)), eh)
-            cx = float(np.clip(cx, w / 2.0, ew - w / 2.0))
-            cy = float(np.clip(cy, h / 2.0, eh - h / 2.0))
+            cx = min(max(cx, w / 2.0), ew - w / 2.0)
+            cy = min(max(cy, h / 2.0), eh - h / 2.0)
             out.append(BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0))
     return out
 
@@ -410,22 +410,24 @@ def run_descents(
     step = (sim_cfg.step_size * max_extent * max_extent)[:, None, None]
     min_size = (1e-3 * max_extent)[:, None]
 
-    # SmoothL1 targets and pair structure: rebuilt every step or frozen at the start
-    frozen = None
+    # SmoothL1 targets, pair structure and pair frame: rebuilt every step or frozen at the start
+    distances, frozen = center_distances(G), None
     if not sim_cfg.recompute_assignments:
         ranked = best_gt(G, coords)
-        frozen = (_targets(G, coords, ranked), _structure(G, coords, cou_cfg, ranked, keep)[0])
+        structure = _structure(G, coords, cou_cfg, ranked, keep)[0]
+        frame = PairFrame.of(G.reshape(-1, 4), distances, structure.pairs, structure.num_attraction, B * N)
+        frozen = (_targets(G, coords, ranked), structure, frame)
     active = np.ones(B, dtype=bool)
 
     def evaluate(gradient):
-        targets, structure = frozen or (None, None)
+        targets, structure, frame = frozen or (None, None, None)
         ranked = None if frozen else best_gt(G, coords)
         if targets is None:
             targets = _targets(G, coords, ranked)
         evaluation = None
         if any_weighs:
             warn = active & weighs if sim_cfg.warn_kinks and gradient else None
-            evaluation = _evaluate(G, coords, cou_cfg, structure, ranked, gradient, keep, warn)
+            evaluation = _evaluate(G, coords, cou_cfg, distances, structure, ranked, gradient, keep, warn, frame)
         (_, _, total), grad = _composite(G, coords, weights, targets, evaluation, gradient)
         return targets, total, grad
 

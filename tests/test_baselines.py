@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from crowdloss._pairs import best_gt
 from crowdloss.baselines import (
     CompositeConfig,
+    _targets,
     composite_gradient,
     composite_regression_loss,
     focal_loss,
@@ -18,7 +20,7 @@ from crowdloss.baselines import (
 from crowdloss.couloss import CouLossConfig, couloss
 from crowdloss.errors import InvalidInputError, NoOverlapError
 from crowdloss.geometry import BBox, iou
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, scalar_regression_targets
 from util import jittered_box, overlapping_pair
 
 
@@ -147,6 +149,34 @@ class TestRegressionTargets:
         g1 = BBox(40, 0, 44, 8)
         p = BBox(30, 20, 32, 24)  # disjoint from both, nearer g1
         assert regression_targets([g0, g1], [p]) == [1]
+
+    def test_batch_matches_scalar_oracle_with_disjoint_proposals(self):
+        # ground-truth centers (10, 10), (16, 18) and (20, 10), each box 2 x 4; a
+        # proposal centered at (13, 14) is 5 from the first two and one at
+        # (15, 10) is 5 from the first and the last: ties toward the lowest index
+        centers = [(10, 10), (16, 18), (20, 10)]
+        gts = [(x - 1, y - 2, x + 1, y + 2) for x, y in centers]
+        proposals = [
+            (12.5, 13.5, 13.5, 14.5),
+            (14.5, 9.5, 15.5, 10.5),
+            (9.5, 8.5, 11.5, 12.5),  # overlaps (10, 10)
+            (60.0, 70.0, 64.0, 71.0),
+            (15.0, 17.0, 17.0, 21.0),  # overlaps (16, 18)
+        ]
+        far = [(x, y, x + 1.5, y + 2.5) for x, y in np.random.default_rng(5).uniform(30.0, 90.0, (5, 2)).tolist()]
+        members = [
+            ([gts[i] for i in (0, 1, 2)], proposals),
+            ([gts[i] for i in (2, 1, 0)], proposals),
+            ([gts[i] for i in (1, 2, 0)], proposals[::-1]),
+            ([gts[i] for i in (0, 2, 1)], [proposals[k] for k in (2, 4, 2, 4, 2)]),  # none disjoint
+            ([gts[i] for i in (1, 0, 2)], far),
+        ]
+        G = np.array([m[0] for m in members], dtype=float)
+        P = np.array([m[1] for m in members], dtype=float)
+        got = _targets(G, P, best_gt(G, P))
+        expected = [scalar_regression_targets(g, p) for g, p in members]
+        assert got.tolist() == expected
+        assert expected[0][:2] == [0, 0] and expected[1][:2] == [1, 0] and expected[2][-2:] == [1, 0]
 
 
 class TestComposite:

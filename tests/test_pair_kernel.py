@@ -6,13 +6,18 @@ descent amplifies any last-bit difference, so approximate agreement is not
 enough.
 """
 
+import importlib
 import math
+import pkgutil
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import crowdloss
 import oracles
+from crowdloss import _pairs, geometry
 from crowdloss.baselines import CompositeConfig, regression_targets
 from crowdloss.couloss import (
     CouLossConfig,
@@ -335,3 +340,41 @@ class TestDescentMatchesScalar:
         assert len(fast.loss_curve) == sim_cfg.descent_steps + 1
         assert fast.loss_curve == losses
         assert [b.as_tuple() for b in fast.final_boxes] == boxes
+
+
+class TestStepMapsOnlyWhatMoves:
+    def test_scalar_map_floats_per_step(self, monkeypatch):
+        # frozen assignments: the ground-truth side is built once per run, so a
+        # step maps log over the P pairs and hypot and pow over the R repulsion
+        # pairs only; an attraction pair's cosine is 1 without a map
+        sim_cfg = replace(DENSE, descent_steps=6)
+        scene, seed = _feasible_scene(sim_cfg, 11)
+        proposals = spawn_proposals(scene, sim_cfg, seed + 1)
+        structure = TripletStructure.from_boxes(scene.gt_boxes, proposals)
+        pairs = len(structure.pairs.gt)
+        repulsion = pairs - structure.num_attraction
+        assert structure.num_attraction > 0 and repulsion > 0
+        floats = []  # per kernel call: the floats mapped from its start to the next call
+        scalar_map, pair_work = geometry.scalar_map, _pairs.pair_work
+
+        def counting_map(fn, *args):
+            out = scalar_map(fn, *args)
+            if floats:
+                floats[-1] += out.size
+            return out
+
+        def counting_work(*args, **kwargs):
+            floats.append(0)
+            return pair_work(*args, **kwargs)
+
+        for info in pkgutil.iter_modules(crowdloss.__path__):
+            if info.name == "__main__":
+                continue
+            # by module path: the package attribute crowdloss.couloss is the function
+            module = importlib.import_module(f"crowdloss.{info.name}")
+            for name, wrapper in (("scalar_map", counting_map), ("pair_work", counting_work)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        run_descent(scene, proposals, CompositeConfig(smoothl1_weight=7.0), sim_cfg=sim_cfg, seed=5)
+        assert len(floats) == sim_cfg.descent_steps + 1
+        assert all(0 < n <= pairs + 2 * repulsion for n in floats), (floats, pairs, repulsion)

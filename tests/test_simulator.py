@@ -9,7 +9,7 @@ import pytest
 import crowdloss
 from crowdloss import _pairs
 from crowdloss.baselines import CompositeConfig, regression_targets
-from crowdloss.couloss import CouLossConfig
+from crowdloss.couloss import CouLossConfig, TripletStructure
 from crowdloss.errors import (
     CrowdLossError,
     DivergenceError,
@@ -387,6 +387,29 @@ class TestBatchedDescent:
             members += [Descent(scene, proposals, c, seed + 2, targets) for c in MIXED_VARIANTS]
         batch = run_descents(members, cou, sim)
         assert [outcome(r) for r in batch] == [outcome(r) for r in sequential(members, cou, sim)]
+        assert not any(isinstance(r, CrowdLossError) for r in batch)
+
+    @pytest.mark.parametrize("recompute", [True, False])
+    def test_four_pedestrian_members_equal_sequential_runs(self, recompute):
+        # four ground truths per scene: a repulsion pair's reference ray ends at one
+        # of three other centers, so an index slipping across scenes or rows of the
+        # center-distance table reads a wrong entry
+        sim = SimConfig(pedestrian_count=4, descent_steps=25, recompute_assignments=recompute,
+                        gradient_noise=0.03, proposals_per_gt=3, proposal_jitter=0.3)
+        members, seed, repulsion = [], 0, 0
+        while len(members) < 3 * len(MIXED_VARIANTS):
+            seed += 1
+            try:
+                scene = generate_scene(sim, seed)
+            except InfeasibleConfigError:
+                continue
+            proposals = spawn_proposals(scene, sim, seed + 1)
+            structure = TripletStructure.from_boxes(scene.gt_boxes, proposals)
+            repulsion += len(structure.pairs.gt) - structure.num_attraction
+            members += [Descent(scene, proposals, c, seed + 2) for c in MIXED_VARIANTS]
+        assert repulsion > 0
+        batch = run_descents(members, CouLossConfig(), sim)
+        assert [outcome(r) for r in batch] == [outcome(r) for r in sequential(members, CouLossConfig(), sim)]
         assert not any(isinstance(r, CrowdLossError) for r in batch)
 
     def test_failures_keep_sequential_order(self):
