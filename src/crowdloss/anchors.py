@@ -16,7 +16,7 @@ import numpy as np
 
 from ._pairs import box_array, check_boxes, iou_matrix
 from .baselines import CompositeConfig, _focal
-from .errors import InvalidAnnotationError, InvalidInputError, at_line
+from .errors import InvalidInputError, at_line
 from .geometry import centers, contains
 
 POSITIVE = "P"
@@ -192,11 +192,7 @@ def build_target_map(scene, grid_shape: tuple[int, int], stride: float) -> Targe
     if stride <= 0.0:
         raise InvalidInputError("stride must be > 0")
     for ped in scene.pedestrians:
-        f, v = ped.full, ped.visible
-        if not (f.x1 <= v.x1 and v.x2 <= f.x2 and f.y1 <= v.y1 and v.y2 <= f.y2):
-            raise InvalidAnnotationError(
-                f"visible box {v.as_tuple()} not inside full box {f.as_tuple()}"
-            )
+        ped.check()
 
     points = _grid_points(grid_shape, stride)
     pos = _covered(box_array(p.visible for p in scene.pedestrians), points)

@@ -42,9 +42,11 @@ class CompositeConfig:
     include_repulsion: bool = True
 
     def __post_init__(self):
-        for name in ("alpha", "gamma", "focal_gamma", "focal_alpha", "smoothl1_weight"):
+        for name in ("alpha", "gamma", "focal_gamma", "smoothl1_weight"):
             if getattr(self, name) < 0.0:
                 raise InvalidInputError(f"{name} must be >= 0")
+        if not 0.0 <= self.focal_alpha <= 1.0:
+            raise InvalidInputError(f"focal_alpha must be in [0, 1], got {self.focal_alpha}")
         if self.smoothl1_beta <= 0.0:
             raise InvalidInputError("smoothl1_beta must be > 0")
 
@@ -213,24 +215,13 @@ def composite_gradient(
 
 def _one_scene(gts, proposals, cfg, cou_cfg, structure, targets, gradient=False, warn_kinks=False):
     """The composite report of one scene's boxes and, with ``gradient``, its
-    ``(N, 4)`` gradient (else None).
-
-    Targets and structure left out are rebuilt from one max-IoU assignment,
-    and one kernel call gives the CouLoss value and gradient.
-    """
+    ``(N, 4)`` gradient (else None)."""
     cfg, cou_cfg = cfg or CompositeConfig(), cou_cfg or CouLossConfig()
     weights = _Weights.of([cfg], np.array([scene_scale(gts)]), len(proposals))
     G, P, warn = box_array(gts)[None], box_array(proposals)[None], np.array([warn_kinks])
-    ranked = None
-    if targets is None or (structure is None and cfg.alpha > 0.0):
-        ranked = best_gt(G, P)
-    if targets is None:
-        targets = _targets(G, P, ranked)
-    targets = np.asarray(targets, dtype=np.intp).reshape(1, -1)
-    evaluation = None
-    if cfg.alpha > 0.0:
-        evaluation = _evaluate(G, P, cou_cfg, center_distances(G), structure, ranked, gradient, warn=warn)
-    (sl1, cou, total), grad = _composite(G, P, weights, targets, evaluation, gradient)
+    targets = None if targets is None else np.asarray(targets, dtype=np.intp).reshape(1, -1)
+    args = (G, P, weights, cou_cfg, center_distances(G), gradient, targets, structure)
+    (sl1, cou, total), grad, evaluation, _ = _composite(*args, warn=warn)
     composite = CompositeReport(
         total=float(total[0]),
         smooth_l1=float(sl1[0]),
@@ -240,32 +231,42 @@ def _one_scene(gts, proposals, cfg, cou_cfg, structure, targets, gradient=False,
     return composite, None if grad is None else grad[0]
 
 
-def _composite(gts, proposals, weights, targets, evaluation=None, gradient=False):
+def _composite(gts, proposals, weights, cou_cfg, distances, gradient, targets=None, structure=None, frame=None,
+               keep=None, warn=None):
     """SmoothL1 means, CouLoss sums and composite totals of B scenes'
     ``(B, M, 4)`` and ``(B, N, 4)`` box arrays and, with ``gradient``, their
-    ``(B, N, 4)`` gradients (else None).
+    ``(B, N, 4)`` gradients (else None): every evaluation of the objective.
 
-    ``weights`` are the scenes' ``_Weights``, ``targets`` ((B, N)) the SmoothL1
-    targets and ``evaluation`` an ``_evaluate`` of the boxes, or None when no
-    scene weighs the CouLoss term. Returns ``((smooth_l1, (attraction,
-    repulsion, couloss), total), gradient)``, each value ``(B,)``; each scene's
-    values are those it has alone. One scene's boxes broadcast against B configs;
-    V configs with a trailing axis on each weight, and sums viewed as (2, 1, B),
-    give each scene V variants: values ``(V, B)``, gradients ``(V, B, N, 4)``.
+    ``weights`` are the scenes' ``_Weights`` and ``distances`` the
+    ``center_distances`` of ``gts`` (or of the one scene they repeat). What is
+    not given is rebuilt from one ``best_gt``: the SmoothL1 ``targets`` ((B, N))
+    and, when some scene weighs CouLoss, the pair structure (with ``keep``) and
+    ``frame`` of its ``_evaluate``, whose kink warnings ``warn`` selects. Returns
+    ``((smooth_l1, (attraction, repulsion, couloss), total), gradient,
+    evaluation, targets)``, each value ``(B,)`` and ``evaluation`` None when no
+    scene weighs CouLoss; each scene's values are those it has alone. One
+    scene's boxes broadcast against B configs; V configs with a trailing axis on
+    each weight give each scene V variants: values ``(V, B)``, gradients
+    ``(V, B, N, 4)``.
     """
+    weighs = bool((weights.alpha > 0.0).any())
+    ranked = best_gt(gts, proposals) if targets is None or (structure is None and weighs) else None
+    if targets is None:
+        targets = _targets(gts, proposals, ranked)
     d = proposals - gts[np.arange(targets.shape[0])[:, None], targets]
     rows, sl1_grad = _smooth_l1(d, weights.beta, gradient)
     # each scene's rows added left to right (they are never -0.0, so starting from
     # the first row is starting from 0.0)
     sl1 = rows.cumsum(axis=-1)[..., -1] / weights.norm if rows.shape[-1] else np.zeros(rows.shape[:-1])
-    cou, cou_grad = np.zeros((3, *sl1.shape)), None
-    if evaluation is not None:
+    cou, cou_grad, evaluation = np.zeros((3, *sl1.shape)), None, None
+    if weighs:
+        evaluation = _evaluate(gts, proposals, cou_cfg, distances, structure, ranked, gradient, keep, warn, frame)
         cou, cou_grad = _couloss(weights.parts, evaluation, gts.shape[1], gradient)
-    total = weights.smoothl1_weight * sl1 + weights.alpha * cou[2]
+    values = (sl1, cou, weights.smoothl1_weight * sl1 + weights.alpha * cou[2])
     if not gradient:
-        return (sl1, cou, total), None
+        return values, None, evaluation, targets
     grad = sl1_grad * weights.grad_factor
     if cou_grad is not None:
         alpha = weights.alpha[..., None, None]
         np.add(grad, alpha * cou_grad, out=grad, where=alpha > 0.0)
-    return (sl1, cou, total), grad
+    return values, grad, evaluation, targets

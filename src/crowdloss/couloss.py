@@ -51,6 +51,8 @@ class CouLossConfig:
             raise InvalidInputError(
                 f"aggregation_mode must be one of {AGGREGATION_MODES}, got {self.aggregation_mode!r}"
             )
+        if not (math.isfinite(self.kink_tolerance) and self.kink_tolerance >= 0.0):
+            raise InvalidInputError(f"kink_tolerance must be finite and >= 0, got {self.kink_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,7 @@ class _Evaluation(NamedTuple):
     iou: np.ndarray | None
     work: PairWork
     sums: np.ndarray
+    frame: PairFrame  # the structure's
 
 
 def _evaluate(gts, proposals, cfg, distances, structure=None, ranked=None, gradient=False, keep=None, warn=None,
@@ -234,19 +237,19 @@ def _evaluate(gts, proposals, cfg, distances, structure=None, ranked=None, gradi
     work = pair_work(
         frame, proposals.reshape(-1, 4), cfg.iou_floor, literal=literal, gradient=gradient, iou=pair_iou
     )
+    weighted = work.work * structure.pairs.mult if literal else work.work
+    scene, ka = structure.pairs.proposal // N, structure.num_attraction
+    sums = [np.bincount(scene[k], weighted[k], minlength=B) for k in (slice(ka), slice(ka, None))]
+    evaluation = _Evaluation(structure, iou, work, np.array(sums), frame)
     if warn is not None and warn.any():
-        kinks = _kinks(gts, proposals, cfg, cfg.kink_tolerance, structure, iou, work)
-        for lines in compress(kinks, warn):
+        for lines in compress(_kinks(gts, proposals, cfg, cfg.kink_tolerance, evaluation), warn):
             if lines:
                 warnings.warn(
                     f"gradient evaluated near {len(lines)} non-differentiable point(s): {lines[0]}",
                     KinkWarning,
                     stacklevel=4,
                 )
-    weighted = work.work * structure.pairs.mult if literal else work.work
-    scene, ka = structure.pairs.proposal // N, structure.num_attraction
-    sums = [np.bincount(scene[k], weighted[k], minlength=B) for k in (slice(ka), slice(ka, None))]
-    return _Evaluation(structure, iou, work, np.array(sums))
+    return evaluation
 
 
 def _couloss(parts, evaluation: _Evaluation, num_gts: int, gradient=False):
@@ -256,9 +259,10 @@ def _couloss(parts, evaluation: _Evaluation, num_gts: int, gradient=False):
 
     ``parts`` ((2, B) bool) switches attraction and repulsion on per scene;
     against one scene's evaluation it gives B variants of that scene, and
-    (2, V, 1) against ``sums`` viewed as (2, 1, B) V variants of each scene.
+    (2, V, 1) V variants of each scene, with values (V, B).
     """
-    att, rep = np.where(parts, evaluation.sums, 0.0)
+    sums = evaluation.sums.reshape(2, *[1] * (parts.ndim - 2), -1)  # against a trailing variant axis
+    att, rep = np.where(parts, sums, 0.0)
     losses = (att, rep, att / num_gts + rep / num_gts)
     if not gradient:
         return losses, None
@@ -434,13 +438,13 @@ def detect_kinks(
     cfg = cfg or CouLossConfig()
     tol = cfg.kink_tolerance if tolerance is None else tolerance
     G, P = box_array(gts)[None], box_array(proposals)[None]
-    return _kinks(G, P, cfg, tol, *_evaluate(G, P, cfg, center_distances(G), structure)[:3])[0]
+    return _kinks(G, P, cfg, tol, _evaluate(G, P, cfg, center_distances(G), structure))[0]
 
 
-def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, structure, iou, work):
-    """``detect_kinks`` of B scenes' boxes, one list per scene, from the
-    structure and pair work of an evaluation; ``iou`` is the ``(B, M, N)`` IoU
-    matrix of the boxes, or None to compute it."""
+def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, evaluation: _Evaluation):
+    """``detect_kinks`` of B scenes' boxes, one list per scene, from an
+    ``_evaluate`` of them (its IoU matrix computed here if it has none)."""
+    structure, iou, work, frame = evaluation.structure, evaluation.iou, evaluation.work, evaluation.frame
     if iou is None:
         iou = iou_matrix(G, P)
     B, M, N = iou.shape
@@ -454,7 +458,7 @@ def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, structu
     second = ranked[1] if M > 1 else np.inf
     target = np.full(B * N, -1)
     target[structure.assigned[0]] = structure.assigned[1]
-    g = G.T[:, target]
+    g = G.T.take(target, axis=1)  # row-contiguous, as are the pairs' boxes below
     c = centers(P.T)
     wh = g[2:] - g[:2]
     on_border = (target >= 0) & (near(c, g[:2], wh) | near(c, g[2:], wh)).any(axis=0)
@@ -470,7 +474,7 @@ def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, structu
     # per pair, attraction pairs first: switches inside the work terms
     pairs, ka = structure.pairs, structure.num_attraction
     repulsive = np.arange(len(pairs.gt)) >= ka  # only these have an angle_ray
-    g, p = G.T[:, pairs.gt], P.T[:, pairs.proposal]
+    g, p = frame.boxes, P.T.take(pairs.proposal, axis=1)
     v = _pair_iou(iou, pairs)
     wh = g[2:] - g[:2]
     c = centers(p)

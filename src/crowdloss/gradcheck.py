@@ -2,41 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pairs import best_gt, box_array, center_distances, check_boxes
-from .baselines import CompositeConfig, _composite, _targets, _Weights, scene_scale
-from .couloss import CouLossConfig, _couloss, _evaluate, detect_kinks
+from ._pairs import box_array, center_distances, check_boxes
+from .baselines import CompositeConfig, _composite, _Weights, scene_scale
+from .couloss import CouLossConfig, detect_kinks
 from .geometry import BBox
 from .simulator import SimConfig, generate_scene, spawn_proposals
 
 TERMS = ("couloss", "couloss_attraction", "couloss_repulsion", "smooth_l1", "composite")
-# (attraction, repulsion) of the three CouLoss terms, against K points, and the config of the SmoothL1 term
-_COULOSS_PARTS = np.array([[True, True, False], [True, False, True]])[..., None]
-_SMOOTH_L1 = CompositeConfig(alpha=0.0)
+# the first four terms' configs: CouLoss (0 * SmoothL1 + 1 * CouLoss is CouLoss bit for bit), its parts, SmoothL1
+_COULOSS = CompositeConfig(smoothl1_weight=0.0)
+_FIXED_TERMS = (_COULOSS, replace(_COULOSS, include_repulsion=False), replace(_COULOSS, include_attraction=False),
+                CompositeConfig(alpha=0.0))
 
 
 def _terms(gts, points, weights, cou_cfg, gradient=False):
     """Values ``(5, K)`` of the five ``TERMS`` at K points ``(K, N, 4)`` and, with
-    ``gradient``, their ``(5, K, N, 4)`` gradients: one batch, from one IoU matrix
-    and one kernel call; the ground truths' center distances are built once, from the M boxes.
-
-    The CouLoss terms read the kernel's attraction/repulsion split; the
-    SmoothL1 and composite terms are the composite under ``weights``, the
-    ``_Weights`` of ``CompositeConfig(alpha=0.0)`` and of the checked config
-    with a trailing axis, both broadcast against the K points.
+    ``gradient``, their ``(5, K, N, 4)`` gradients: one composite evaluation of the
+    batch under ``weights``, the ``_Weights`` of the five terms' configs with a trailing
+    axis, broadcast against the K points; the ground truths' center distances are
+    built once, from the M boxes.
     """
     G = np.broadcast_to(gts, (len(points), *gts.shape))
-    ranked = best_gt(G, points)
-    evaluation = _evaluate(G, points, cou_cfg, center_distances(gts[None]), None, ranked, gradient)
-    evaluation = evaluation._replace(sums=evaluation.sums[:, None])  # (2, 1, K), against the parts
-    (_, _, couloss), cou_grad = _couloss(_COULOSS_PARTS, evaluation, len(gts), gradient)
-    args = (G, points, weights, _targets(G, points, ranked), evaluation, gradient)
-    (_, _, composite), comp_grad = _composite(*args)
-    grads = np.concatenate([cou_grad, comp_grad]) if gradient else None
-    return np.concatenate([couloss, composite]), grads
+    (_, _, values), grads, _, _ = _composite(G, points, weights, cou_cfg, center_distances(gts[None]), gradient)
+    return values, grads
 
 
 def finite_difference(gts, coords, weights, cou_cfg, h: float) -> np.ndarray:
@@ -72,8 +64,8 @@ def check_scene(
     gradients; the 8N central-difference points are one batched evaluation.
     """
     G, P, scale = box_array(gts), box_array(proposals), scene_scale(gts)
-    weights = _Weights.of([_SMOOTH_L1, comp_cfg], np.array([scale]), len(proposals))
-    args = (_Weights(*(w[..., None] for w in weights)), cou_cfg)  # the two configs against the points
+    weights = _Weights.of([*_FIXED_TERMS, comp_cfg], np.array([scale]), len(proposals))
+    args = (_Weights(*(w[..., None] for w in weights)), cou_cfg)  # the five configs against the points
     analytic = _terms(G, P[None], *args, gradient=True)[1][:, 0]
     numeric = finite_difference(G, P, *args, fd_step_fraction * scale)
     return {t: relative_error(a, n) for t, a, n in zip(TERMS, analytic, numeric)}

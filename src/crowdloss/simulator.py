@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._pairs import PairFrame, best_gt, box_array, center_distances, check_boxes, iou_matrix, valid_boxes
-from .baselines import CompositeConfig, _composite, _targets, _Weights, scene_scale
-from .couloss import CouLossConfig, _evaluate, _structure
+from ._pairs import box_array, center_distances, check_boxes, iou_matrix, valid_boxes
+from .baselines import CompositeConfig, _composite, _Weights, scene_scale
+from .couloss import CouLossConfig
 from .errors import (
     CrowdLossError,
     DivergenceError,
@@ -34,6 +34,12 @@ class Pedestrian:
     full: BBox
     visible: BBox
 
+    def check(self) -> None:
+        """Reject a visible box that is not inside the full box."""
+        f, v = self.full, self.visible
+        if not (f.x1 <= v.x1 and v.x2 <= f.x2 and f.y1 <= v.y1 and v.y2 <= f.y2):
+            raise InvalidAnnotationError(f"visible box {v.as_tuple()} not inside full box {f.as_tuple()}")
+
 
 @dataclass
 class Scene:
@@ -46,11 +52,7 @@ class Scene:
         if w <= 0.0 or h <= 0.0:
             raise InvalidInputError(f"extent must be positive, got {self.extent}")
         for ped in self.pedestrians:
-            f, v = ped.full, ped.visible
-            if not (f.x1 <= v.x1 and v.x2 <= f.x2 and f.y1 <= v.y1 and v.y2 <= f.y2):
-                raise InvalidAnnotationError(
-                    f"visible box {v.as_tuple()} not inside full box {f.as_tuple()}"
-                )
+            ped.check()
         for box in [p.full for p in self.pedestrians] + list(self.distractors):
             if box.x1 < 0.0 or box.y1 < 0.0 or box.x2 > w or box.y2 > h:
                 raise InvalidInputError(f"box {box.as_tuple()} outside extent {self.extent}")
@@ -348,10 +350,10 @@ def run_descent(
 ) -> SimResult:
     """Fixed-step gradient descent of the proposals under the composite loss.
 
-    Assignments are recomputed every step unless the config freezes them.
-    Drift and overlap statistics are measured against ``intended_targets``
-    (max-IoU at step zero when not given). ``seed`` drives the gradient
-    noise and defaults to 0. A loss exceeding
+    Assignments are recomputed every step unless the config freezes them at
+    those of step zero. Drift and overlap statistics are measured against
+    ``intended_targets`` (max-IoU at step zero when not given). ``seed``
+    drives the gradient noise and defaults to 0. A loss exceeding
     ``divergence_factor`` times the initial loss aborts with the partial
     result attached to the raised :class:`DivergenceError`.
     """
@@ -402,7 +404,6 @@ def run_descents(
     scale = np.array([scene_scale(d.scene.gt_boxes) for d in descents])
     weights = _Weights.of([d.comp_cfg for d in descents], scale, N)
     weighs = weights.alpha > 0.0
-    any_weighs = bool(weighs.any())
     # each member's pairs, unless it leaves them out of its loss and its kink check
     keep = np.broadcast_to(weighs, (2, B)) if sim_cfg.warn_kinks else weights.parts
     rngs = [np.random.default_rng(d.seed) for d in descents]
@@ -410,26 +411,18 @@ def run_descents(
     step = (sim_cfg.step_size * max_extent * max_extent)[:, None, None]
     min_size = (1e-3 * max_extent)[:, None]
 
-    # SmoothL1 targets, pair structure and pair frame: rebuilt every step or frozen at the start
-    distances, frozen = center_distances(G), None
-    if not sim_cfg.recompute_assignments:
-        ranked = best_gt(G, coords)
-        structure = _structure(G, coords, cou_cfg, ranked, keep)[0]
-        frame = PairFrame.of(G.reshape(-1, 4), distances, structure.pairs, structure.num_attraction, B * N)
-        frozen = (_targets(G, coords, ranked), structure, frame)
+    # SmoothL1 targets, pair structure and pair frame: rebuilt every step or kept from the first
+    distances, frozen = center_distances(G), {}
     active = np.ones(B, dtype=bool)
 
     def evaluate(gradient):
-        targets, structure, frame = frozen or (None, None, None)
-        ranked = None if frozen else best_gt(G, coords)
-        if targets is None:
-            targets = _targets(G, coords, ranked)
-        evaluation = None
-        if any_weighs:
-            warn = active & weighs if sim_cfg.warn_kinks and gradient else None
-            evaluation = _evaluate(G, coords, cou_cfg, distances, structure, ranked, gradient, keep, warn, frame)
-        (_, _, total), grad = _composite(G, coords, weights, targets, evaluation, gradient)
-        return targets, total, grad
+        warn = active & weighs if sim_cfg.warn_kinks and gradient else None
+        args = (G, coords, weights, cou_cfg, distances, gradient)
+        values, grad, evaluation, targets = _composite(*args, keep=keep, warn=warn, **frozen)
+        if not (sim_cfg.recompute_assignments or frozen):
+            structure, frame = (evaluation.structure, evaluation.frame) if evaluation else (None, None)
+            frozen.update(targets=targets, structure=structure, frame=frame)
+        return targets, values[2], grad
 
     intended = [d.intended_targets for d in descents]
     outcome: list[SimResult | CrowdLossError | None] = [None] * B

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crowdloss._pairs import best_gt
 from crowdloss.baselines import (
@@ -17,9 +19,10 @@ from crowdloss.baselines import (
     smooth_l1,
     smooth_l1_gradient,
 )
-from crowdloss.couloss import CouLossConfig, couloss
-from crowdloss.errors import InvalidInputError, NoOverlapError
+from crowdloss.couloss import AGGREGATION_MODES, CouLossConfig, couloss
+from crowdloss.errors import InfeasibleConfigError, InvalidInputError, NoOverlapError
 from crowdloss.geometry import BBox, iou
+from crowdloss.simulator import SimConfig, generate_scene, spawn_proposals
 from oracles import central_difference_gradient, scalar_regression_targets
 from util import jittered_box, overlapping_pair
 
@@ -271,3 +274,30 @@ class TestComposite:
     def test_empty_gts_error(self):
         with pytest.raises(InvalidInputError):
             composite_regression_loss([], [BBox(0, 0, 1, 1)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    pedestrians=st.integers(1, 4),
+    proposals_per_gt=st.integers(1, 4),
+    jitter=st.sampled_from([0.05, 0.2, 0.5, 1.5]),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_proposal_permutation_permutes_the_gradient(pedestrians, proposals_per_gt, jitter, seed, data):
+    # the composite of a proposal set does not depend on its order: the value
+    # stays (up to the order of the sums) and the gradient's rows move with it
+    sim = SimConfig(pedestrian_count=pedestrians, proposals_per_gt=proposals_per_gt, proposal_jitter=jitter)
+    try:
+        scene = generate_scene(sim, seed)
+    except InfeasibleConfigError:
+        assume(False)
+    gts, proposals = scene.gt_boxes, spawn_proposals(scene, sim, seed + 1)
+    order = data.draw(st.permutations(range(len(proposals))))
+    permuted = [proposals[k] for k in order]
+    for mode in AGGREGATION_MODES:
+        cou = CouLossConfig(aggregation_mode=mode)
+        value = composite_regression_loss(gts, proposals, cou_cfg=cou).total
+        assert composite_regression_loss(gts, permuted, cou_cfg=cou).total == pytest.approx(value, rel=1e-12, abs=0)
+        grad = composite_gradient(gts, proposals, cou_cfg=cou)
+        np.testing.assert_allclose(composite_gradient(gts, permuted, cou_cfg=cou), grad[order], rtol=1e-12, atol=0)

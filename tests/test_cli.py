@@ -101,6 +101,10 @@ class TestConfigFile:
             ("[gradcheck]\ntolerance = 0\n", r"\[gradcheck\].*tolerance must be finite and > 0"),
             ("[gradcheck]\nfd_step_fraction = 0\n", r"\[gradcheck\].*fd_step_fraction must be finite and > 0"),
             ("[gradcheck]\nkink_tolerance = -0.001\n", r"\[gradcheck\].*kink_tolerance must be finite and >= 0"),
+            # a negative tolerance silently switched every kink warning off
+            ("[couloss]\nkink_tolerance = -1\n", r"\[couloss\].*kink_tolerance must be finite and >= 0, got -1.0"),
+            # focal_alpha = 2 weighed negatives by 1 - 2 = -1 in the location-branch loss
+            ("[composite]\nfocal_alpha = 2\n", r"\[composite\].*focal_alpha must be in \[0, 1\], got 2.0"),
             ("[gradcheck]\nnum_scenes = 0\n", r"\[gradcheck\].*num_scenes must be >= 1"),
             ("[gradcheck]\nmax_perturb_retries = 0\n", r"\[gradcheck\].*max_perturb_retries must be >= 1"),
             ("[anchors]\nstride = 0\n", r"\[anchors\].*stride must be finite and > 0"),
@@ -128,6 +132,7 @@ class TestConfigFile:
             "nms-step-zero", "nms-step-negative", "nms-min-above-max", "nms-threshold-one",
             "nms-threshold-zero", "nms-no-variants", "run-no-variants",
             "gradcheck-tolerance-zero", "gradcheck-step-zero", "gradcheck-kink-negative",
+            "couloss-kink-negative", "composite-focal-alpha-above-one",
             "gradcheck-no-scenes", "gradcheck-no-retries", "anchors-stride-zero", "anchors-scale-negative",
             "anchors-no-scales", "anchors-ratio-zero", "anchors-map-kind", "nms-match-iou-above-one",
             "eval-match-iou-zero", "percent-sign", "anchors-flat-value", "anchors-peak", "anchors-background",

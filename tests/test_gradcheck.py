@@ -1,9 +1,7 @@
 """The finite-difference gradcheck: one batch per scene, same errors as five sweeps."""
 
 import dataclasses
-import importlib
 import math
-import pkgutil
 from collections import Counter
 
 import numpy as np
@@ -11,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import crowdloss
 from crowdloss import _pairs, gradcheck
 from crowdloss.baselines import CompositeConfig, regression_targets
 from crowdloss.couloss import AGGREGATION_MODES, CouLossConfig
@@ -20,7 +17,7 @@ from crowdloss.geometry import BBox
 from crowdloss.gradcheck import TERMS, check_scene, finite_difference, run_gradcheck
 from crowdloss.simulator import SimConfig, generate_scene, spawn_proposals
 from oracles import five_sweep_check_scene, per_point_finite_difference
-from util import counted
+from util import counted, patch_everywhere
 
 CONFIGS = {
     "default": (CompositeConfig(), CouLossConfig()),
@@ -55,15 +52,8 @@ def test_two_assignments_and_two_kernel_calls_per_scene(monkeypatch):
     gts, proposals = scene_and_proposals(2, 3, proposals_per_gt=6)
     n = len(proposals)
     calls = Counter()
-    wrapped = {name: counted(getattr(_pairs, name), calls, name) for name in ("pair_work", "best_gt")}
-    for info in pkgutil.iter_modules(crowdloss.__path__):
-        if info.name == "__main__":
-            continue
-        # by module path: the package attribute crowdloss.couloss is the function
-        module = importlib.import_module(f"crowdloss.{info.name}")
-        for name, wrapper in wrapped.items():
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapper)
+    for name in ("pair_work", "best_gt"):
+        patch_everywhere(monkeypatch, name, counted(getattr(_pairs, name), calls, name))
     check_scene(gts, proposals, CompositeConfig(), CouLossConfig())
     # the analytic point, and the 2 perturbed points per coordinate as one batch
     assert n == 12

@@ -6,16 +6,13 @@ descent amplifies any last-bit difference, so approximate agreement is not
 enough.
 """
 
-import importlib
 import math
-import pkgutil
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import crowdloss
 import oracles
 from crowdloss import _pairs, geometry
 from crowdloss.baselines import CompositeConfig, regression_targets
@@ -31,7 +28,7 @@ from crowdloss.couloss import (
 from crowdloss.errors import InfeasibleConfigError
 from crowdloss.geometry import BBox
 from crowdloss.simulator import SimConfig, generate_scene, run_descent, spawn_proposals
-from util import counted
+from util import counted, patch_everywhere
 from oracles import (
     scalar_couloss,
     scalar_couloss_gradient,
@@ -367,14 +364,8 @@ class TestStepMapsOnlyWhatMoves:
             floats.append(0)
             return pair_work(*args, **kwargs)
 
-        for info in pkgutil.iter_modules(crowdloss.__path__):
-            if info.name == "__main__":
-                continue
-            # by module path: the package attribute crowdloss.couloss is the function
-            module = importlib.import_module(f"crowdloss.{info.name}")
-            for name, wrapper in (("scalar_map", counting_map), ("pair_work", counting_work)):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, wrapper)
+        patch_everywhere(monkeypatch, "scalar_map", counting_map)
+        patch_everywhere(monkeypatch, "pair_work", counting_work)
         run_descent(scene, proposals, CompositeConfig(smoothl1_weight=7.0), sim_cfg=sim_cfg, seed=5)
         assert len(floats) == sim_cfg.descent_steps + 1
         assert all(0 < n <= pairs + 2 * repulsion for n in floats), (floats, pairs, repulsion)

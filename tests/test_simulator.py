@@ -1,15 +1,14 @@
-import importlib
 import math
-import pkgutil
+import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import crowdloss
 from crowdloss import _pairs
 from crowdloss.baselines import CompositeConfig, regression_targets
-from crowdloss.couloss import CouLossConfig, TripletStructure
+from crowdloss.couloss import CouLossConfig, KinkWarning, TripletStructure
 from crowdloss.errors import (
     CrowdLossError,
     DivergenceError,
@@ -23,6 +22,7 @@ from crowdloss.simulator import (
     Pedestrian,
     Scene,
     SimConfig,
+    SimResult,
     descend_variants,
     generate_scene,
     load_scene,
@@ -35,7 +35,7 @@ from crowdloss.simulator import (
     standard_variants,
 )
 from oracles import tuple_iou
-from util import counted, random_box
+from util import counted, patch_everywhere, random_box
 
 
 def scale_box(b: BBox, k: float) -> BBox:
@@ -276,8 +276,7 @@ class TestRunDescent:
         proposals = spawn_proposals(scene, cfg, 1)
         assert len(scene.pedestrians) == 2
         calls = Counter()
-        module = importlib.import_module("crowdloss.couloss")
-        monkeypatch.setattr(module, "pair_work", counted(_pairs.pair_work, calls, "pair_work"))
+        patch_everywhere(monkeypatch, "pair_work", counted(_pairs.pair_work, calls, "pair_work"))
         with pytest.raises(InvalidInputError, match="intended_targets"):
             run_descent(scene, proposals, sim_cfg=cfg, intended_targets=[target] * len(proposals))
         assert calls["pair_work"] == 0
@@ -299,8 +298,6 @@ class TestRunDescent:
         assert all(math.isfinite(v) for v in result.loss_curve)
 
     def test_kink_warnings_surface_when_enabled(self):
-        from crowdloss.couloss import KinkWarning
-
         # zero jitter puts proposals exactly on their targets: kinks everywhere
         cfg = SimConfig(proposal_jitter=0.0, descent_steps=2, proposals_per_gt=1,
                         warn_kinks=True)
@@ -315,8 +312,7 @@ class TestRunDescent:
         scene = generate_scene(cfg, 3)
         proposals = spawn_proposals(scene, cfg, 4)
         calls = Counter()
-        module = importlib.import_module("crowdloss.couloss")
-        monkeypatch.setattr(module, "pair_work", counted(_pairs.pair_work, calls, "pair_work"))
+        patch_everywhere(monkeypatch, "pair_work", counted(_pairs.pair_work, calls, "pair_work"))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError):
             run_descent(scene, proposals, sim_cfg=cfg, seed=1)
         # rejected right after the first step, before a loss is evaluated at the invalid boxes
@@ -329,14 +325,8 @@ class TestRunDescent:
         proposals = spawn_proposals(scene, cfg, 4)
         targets = regression_targets(scene.gt_boxes, proposals)
         calls = Counter()
-        wrapped = {n: counted(getattr(_pairs, n), calls, n) for n in ("pair_work", "best_gt")}
-        names = [m.name for m in pkgutil.iter_modules(crowdloss.__path__) if m.name != "__main__"]
-        for mod_name in names:
-            # by module path: the package attribute crowdloss.couloss is the function
-            module = importlib.import_module(f"crowdloss.{mod_name}")
-            for name, wrapper in wrapped.items():
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, wrapper)
+        for name in ("pair_work", "best_gt"):
+            patch_everywhere(monkeypatch, name, counted(getattr(_pairs, name), calls, name))
         run_descent(scene, proposals, sim_cfg=cfg, seed=1, intended_targets=targets)
         assert steps <= calls["pair_work"] <= steps + 1
         assert steps <= calls["best_gt"] <= steps + 1
@@ -432,7 +422,7 @@ class TestBatchedDescent:
         assert kinds.count("SimResult") >= 2
 
     def test_kink_warnings_match_detect_kinks(self):
-        from crowdloss.couloss import KinkWarning, detect_kinks
+        from crowdloss.couloss import detect_kinks
 
         # one step: each weighing member warns once, in member order, about the
         # kinks of all its pairs, also those of a switched-off part
@@ -462,16 +452,43 @@ class TestBatchedDescent:
         steps = 20
         sim = SimConfig(descent_steps=steps)
         calls = Counter()
-        wrapped = {n: counted(getattr(_pairs, n), calls, n) for n in ("pair_work", "best_gt")}
-        for mod_name in ("couloss", "baselines", "simulator"):
-            module = importlib.import_module(f"crowdloss.{mod_name}")
-            for name, wrapper in wrapped.items():
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, wrapper)
+        for name in ("pair_work", "best_gt"):
+            patch_everywhere(monkeypatch, name, counted(getattr(_pairs, name), calls, name))
         outcomes = descend_variants(standard_variants(), range(5), sim)
         assert len(outcomes) == 5 and all(len(results) == 4 for _, _, results in outcomes)
         assert steps <= calls["pair_work"] <= steps + 1
         assert steps <= calls["best_gt"] <= steps + 1
+
+    def test_frozen_batch_assigns_once(self, monkeypatch):
+        # frozen assignments keep the targets, structure and frame of the first step
+        steps = 20
+        sim = SimConfig(descent_steps=steps, recompute_assignments=False)
+        calls = Counter()
+        for name in ("pair_work", "best_gt"):
+            patch_everywhere(monkeypatch, name, counted(getattr(_pairs, name), calls, name))
+        outcomes = descend_variants(standard_variants(), range(5), sim)
+        assert all(isinstance(r, SimResult) for _, _, results in outcomes for r in results.values())
+        assert calls["best_gt"] == 1
+        assert calls["pair_work"] == steps + 1
+
+    @pytest.mark.parametrize("mode", ["deduplicated", "triplet-literal"])
+    @pytest.mark.parametrize("recompute", [True, False])
+    def test_kink_warnings_change_no_outcome(self, mode, recompute):
+        # warn_kinks keeps every pair of a weighing member, also those of a
+        # switched-off part; over many steps not one bit of any outcome may move
+        sim = SimConfig(descent_steps=12, recompute_assignments=recompute, proposals_per_gt=4, proposal_jitter=0.3)
+        cou = CouLossConfig(aggregation_mode=mode, kink_tolerance=1e-2)
+        members = []
+        for seed in range(2):
+            scene = generate_scene(sim, seed)
+            members += [Descent(scene, spawn_proposals(scene, sim, seed + 1), c, seed + 2) for c in MIXED_VARIANTS]
+        quiet = run_descents(members, cou, sim)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loud = run_descents(members, cou, replace(sim, warn_kinks=True))
+        assert [outcome(r) for r in loud] == [outcome(r) for r in quiet]
+        assert not any(isinstance(r, CrowdLossError) for r in loud)
+        assert len(caught) > 12 and all(issubclass(w.category, KinkWarning) for w in caught)
 
     def test_infeasible_seed_ends_the_run(self):
         sim = SimConfig(descent_steps=5, pedestrian_count=3, height_range=(0.95, 0.95),

@@ -1,9 +1,12 @@
 """Shared helpers for the test suite."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 
+import crowdloss
 from crowdloss.geometry import BBox
 
 
@@ -56,3 +59,14 @@ def counted(fn, calls, name):
         return fn(*args, **kwargs)
 
     return wrapper
+
+
+def patch_everywhere(monkeypatch, name, value):
+    """Set ``name`` to ``value`` in every ``crowdloss`` module that binds it."""
+    for info in pkgutil.iter_modules(crowdloss.__path__):
+        if info.name == "__main__":
+            continue
+        # by module path: the package attribute crowdloss.couloss is the function
+        module = importlib.import_module(f"crowdloss.{info.name}")
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, value)
