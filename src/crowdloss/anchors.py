@@ -16,7 +16,7 @@ import numpy as np
 
 from ._pairs import box_array, check_boxes, iou_matrix
 from .baselines import CompositeConfig, _focal
-from .errors import InvalidInputError, at_line
+from .errors import InvalidInputError, at_line, check, positive
 from .geometry import centers, contains
 
 POSITIVE = "P"
@@ -40,8 +40,7 @@ class ProbabilityMap:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.size == 0:
             raise InvalidInputError("probability map must be a non-empty 2-D grid")
-        if self.stride <= 0.0:
-            raise InvalidInputError("stride must be > 0")
+        check(self, ("stride",), positive, "finite and > 0")
         if not np.all(np.isfinite(self.values)):
             raise InvalidInputError("probability values must be finite")
         if self.values.min() < 0.0 or self.values.max() > 1.0:
@@ -67,8 +66,7 @@ class TargetMap:
         labels = np.asarray(self.labels, dtype=str)
         if labels.ndim != 2 or labels.size == 0:
             raise InvalidInputError("target map must be a non-empty 2-D grid")
-        if self.stride <= 0.0:
-            raise InvalidInputError("stride must be > 0")
+        check(self, ("stride",), positive, "finite and > 0")
         for label in np.unique(labels).tolist():
             _label(label)
         self.labels = labels.astype("<U1")

@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry
 from ._pairs import best_gt, box_array, center_distances
 from .couloss import CouLossConfig, LossReport, TripletStructure, _couloss, _evaluate, _loss_report
-from .errors import InvalidInputError, NoOverlapError
+from .errors import InvalidInputError, NoOverlapError, check, non_negative, positive
 from .geometry import BBox, centers, iou_and_grad, ray_length
 
 
@@ -42,13 +42,9 @@ class CompositeConfig:
     include_repulsion: bool = True
 
     def __post_init__(self):
-        for name in ("alpha", "gamma", "focal_gamma", "smoothl1_weight"):
-            if getattr(self, name) < 0.0:
-                raise InvalidInputError(f"{name} must be >= 0")
-        if not 0.0 <= self.focal_alpha <= 1.0:
-            raise InvalidInputError(f"focal_alpha must be in [0, 1], got {self.focal_alpha}")
-        if self.smoothl1_beta <= 0.0:
-            raise InvalidInputError("smoothl1_beta must be > 0")
+        check(self, ("alpha", "gamma", "focal_gamma", "smoothl1_weight"), non_negative, "finite and >= 0")
+        check(self, ("focal_alpha",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        check(self, ("smoothl1_beta",), positive, "finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from . import evalkit, svgplot
-from .config import RunConfig, _coerce, load_run_config
+from .config import RunConfig, load_run_config, parse_seeds
 from .errors import ConfigError, CrowdLossError, DivergenceError
 from .gradcheck import run_gradcheck
 from .simulator import (
@@ -60,11 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve(cfg: RunConfig, args) -> tuple[RunConfig, Path]:
-    seeds = cfg.seeds
-    if args.seeds:
-        seeds = _coerce(args.seeds, (0,), "--seeds")
-        if not seeds:
-            raise ConfigError("--seeds list is empty")
+    seeds = parse_seeds(args.seeds, "--seeds") if args.seeds else cfg.seeds
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return replace(cfg, seeds=seeds), out_dir
@@ -135,18 +131,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_nms_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
     variants = _variant_configs(cfg, cfg.nms.variants)
     thresholds = cfg.nms.thresholds()
-    try:
-        result = nms_sensitivity_experiment(
-            variants,
-            list(cfg.seeds),
-            cfg.sim,
-            cfg.couloss,
-            thresholds=thresholds,
-            match_iou=cfg.nms.match_iou,
-        )
-    except DivergenceError as exc:
-        print(f"nms-sweep: numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ABORT
+    result = nms_sensitivity_experiment(
+        variants, list(cfg.seeds), cfg.sim, cfg.couloss, thresholds=thresholds, match_iou=cfg.nms.match_iou
+    )
     path, summary = out_dir / "nms_sweep.csv", out_dir / "nms_summary.csv"
     rows = [(r.variant, r.threshold, r.kept, r.false_positives, r.misses, r.miss_rate) for r in result.rows]
     evalkit._write_csv(path, NMS_FIELDS, rows)
@@ -230,22 +217,13 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     if not os.path.isdir(e.scenes_dir):
         raise ConfigError(f"scenes directory not found: {e.scenes_dir}")
     dets = evalkit.load_detections(e.detections)
-    subset = evalkit.SubsetFilter(
-        min_height=e.min_height,
-        max_height=e.max_height,
-        min_visibility=e.min_visibility,
-        max_visibility=e.max_visibility,
-    )
-    gts_by_scene = {}
-    ignored_by_scene = {}
+    subset = evalkit.SubsetFilter(e.min_height, e.max_height, e.min_visibility, e.max_visibility)
+    gts_by_scene, ignored_by_scene = {}, {}
     for path in sorted(Path(e.scenes_dir).glob("*.txt")):
-        scene = load_scene(path)
-        sid = path.stem
-        selected, ignored = [], []
-        for ped in scene.pedestrians:
+        selected = gts_by_scene[path.stem] = []
+        ignored = ignored_by_scene[path.stem] = []
+        for ped in load_scene(path).pedestrians:
             (selected if subset.selects(ped.full, ped.visible) else ignored).append(ped.full)
-        gts_by_scene[sid] = selected
-        ignored_by_scene[sid] = ignored
     curve = evalkit.fppi_curve(dets, gts_by_scene, e.match_iou, ignored_by_scene)
     evalkit.save_curve(curve, out_dir / "curve.csv")
     mr2 = evalkit.log_average_miss_rate(curve)
@@ -262,22 +240,26 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
+# each command: its function and its boolean flags beyond --config, --out and --seeds
+COMMANDS = {
+    "gradcheck": (cmd_gradcheck, {}),
+    "simulate": (cmd_simulate, {}),
+    "nms-sweep": (cmd_nms_sweep, {"svg": "also write an SVG plot"}),
+    "anchor-demo": (cmd_anchor_demo, {}),
+    "eval": (cmd_eval, {}),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="crowdloss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_svg in (
-        ("gradcheck", False),
-        ("simulate", False),
-        ("nms-sweep", True),
-        ("anchor-demo", False),
-        ("eval", False),
-    ):
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="path to a key = value config file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
         p.add_argument("--seeds", default=None, help="comma-separated seed list")
-        if needs_svg:
-            p.add_argument("--svg", action="store_true", help="also write an SVG plot")
+        for flag, text in flags.items():
+            p.add_argument(f"--{flag}", action="store_true", help=text)
     return parser
 
 
@@ -287,24 +269,14 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    command, flags = COMMANDS[args.command]
     try:
-        cfg = load_run_config(args.config)
-        cfg, out_dir = _resolve(cfg, args)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, out_dir)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "nms-sweep":
-            return cmd_nms_sweep(cfg, out_dir, args.svg)
-        if args.command == "anchor-demo":
-            return cmd_anchor_demo(cfg, out_dir)
-        if args.command == "eval":
-            return cmd_eval(cfg, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        cfg, out_dir = _resolve(load_run_config(args.config), args)
+        return command(cfg, out_dir, **{flag: getattr(args, flag) for flag in flags})
     except DivergenceError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ABORT
-    except (ConfigError, CrowdLossError, OSError) as exc:
+    except (CrowdLossError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

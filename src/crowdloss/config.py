@@ -9,22 +9,10 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .baselines import CompositeConfig
 from .couloss import CouLossConfig
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError, check, non_negative, positive
 from .simulator import SimConfig
 
 _MAP_KINDS = ("bump", "indicator", "flat", "file")
-
-
-def _positive(value) -> bool:
-    return math.isfinite(value) and value > 0.0
-
-
-def _check(cfg, keys, ok, rule: str) -> None:
-    """Reject the first of ``keys`` whose value in ``cfg`` fails ``ok``."""
-    for key in keys:
-        value = getattr(cfg, key)
-        if not ok(value):
-            raise ConfigError(f"{key} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,13 +29,13 @@ class AnchorDemoConfig:
     negative_iou_threshold: float = 0.3
 
     def __post_init__(self):
-        _check(self, ("stride",), _positive, "finite and > 0")
-        _check(
-            self, ("scales", "ratios"), lambda v: v and all(map(_positive, v)), "non-empty, each finite and > 0"
+        check(self, ("stride",), positive, "finite and > 0")
+        check(
+            self, ("scales", "ratios"), lambda v: v and all(map(positive, v)), "non-empty, each finite and > 0"
         )
-        _check(self, ("map_kind",), _MAP_KINDS.__contains__, f"one of {', '.join(_MAP_KINDS)}")
-        _check(self, ("flat_value", "peak", "background"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-        _check(self, ("negative_iou_threshold",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+        check(self, ("map_kind",), _MAP_KINDS.__contains__, f"one of {', '.join(_MAP_KINDS)}")
+        check(self, ("flat_value", "peak", "background"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        check(self, ("negative_iou_threshold",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -59,9 +47,9 @@ class GradCheckConfig:
     max_perturb_retries: int = 20
 
     def __post_init__(self):
-        _check(self, ("tolerance", "fd_step_fraction"), _positive, "finite and > 0")
-        _check(self, ("kink_tolerance",), lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
-        _check(self, ("num_scenes", "max_perturb_retries"), lambda v: v >= 1, ">= 1")
+        check(self, ("tolerance", "fd_step_fraction"), positive, "finite and > 0")
+        check(self, ("kink_tolerance",), non_negative, "finite and >= 0")
+        check(self, ("num_scenes", "max_perturb_retries"), lambda v: v >= 1, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -74,15 +62,19 @@ class NmsSweepConfig:
 
     def __post_init__(self):
         lo, hi = self.threshold_min, self.threshold_max
-        _check(self, ("threshold_step",), _positive, "finite and > 0")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ConfigError(f"need finite threshold_min <= threshold_max, got {lo!r} and {hi!r}")
+            raise InvalidInputError(f"need finite threshold_min <= threshold_max, got {lo!r} and {hi!r}")
+        check(self, ("threshold_step",), lambda v: positive(v) and math.isfinite((hi - lo) / v),
+              "finite and > 0, with finitely many thresholds")
         first, last = self._threshold(0), self._threshold(self._count() - 1)
         if not (0.0 < first and last < 1.0):
-            raise ConfigError(f"NMS thresholds must lie in (0, 1), got {first!r} to {last!r}")
+            raise InvalidInputError(
+                f"thresholds from threshold_min by threshold_step to threshold_max must lie in (0, 1), "
+                f"got {first!r} to {last!r}"
+            )
         if not self.variants:
-            raise ConfigError("variants must not be empty")
-        _check(self, ("match_iou",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+            raise InvalidInputError("variants must not be empty")
+        check(self, ("match_iou",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
     def _count(self) -> int:
         return int(round((self.threshold_max - self.threshold_min) / self.threshold_step)) + 1
@@ -106,11 +98,11 @@ class EvalConfig:
     max_visibility: float = 1.0
 
     def __post_init__(self):
-        _check(self, ("match_iou",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-        _check(self, ("target_miss_rate",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-        _check(self, ("min_height",), lambda v: 0.0 <= v <= self.max_height, "in [0, max_height]")
-        _check(self, ("max_visibility",), lambda v: v <= 1.0, "<= 1")
-        _check(self, ("min_visibility",), lambda v: 0.0 <= v <= self.max_visibility, "in [0, max_visibility]")
+        check(self, ("match_iou",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+        check(self, ("target_miss_rate",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        check(self, ("min_height",), lambda v: 0.0 <= v <= self.max_height, "in [0, max_height]")
+        check(self, ("max_visibility",), lambda v: v <= 1.0, "<= 1")
+        check(self, ("min_visibility",), lambda v: 0.0 <= v <= self.max_visibility, "in [0, max_visibility]")
 
 
 @dataclass(frozen=True)
@@ -134,23 +126,16 @@ _FALSE = {"0", "false", "no", "off"}
 def _coerce(raw: str, default, key: str):
     raw = raw.strip()
     if isinstance(default, bool):
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
+        if raw.lower() not in _TRUE | _FALSE:
+            raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+        return raw.lower() in _TRUE
+    if isinstance(default, (int, float)):
+        kind, name = (int, "an integer") if isinstance(default, int) else (float, "a number")
         try:
-            return int(raw)
+            value = kind(raw)
         except ValueError as exc:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-    if isinstance(default, float):
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-        if not math.isfinite(value) and value != default:  # inf only where it is the default
+            raise ConfigError(f"{key}: expected {name}, got {raw!r}") from exc
+        if kind is float and not math.isfinite(value) and value != default:  # inf only where it is the default
             raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
         return value
     if isinstance(default, tuple):
@@ -158,6 +143,16 @@ def _coerce(raw: str, default, key: str):
         elem = default[0] if default else 0.0
         return tuple(_coerce(p, elem, key) for p in parts)
     return raw
+
+
+def parse_seeds(raw: str, key: str) -> tuple[int, ...]:
+    """The non-empty, non-negative integer seed list ``raw``; errors name ``key``."""
+    seeds = _coerce(raw, (0,), key)
+    if not seeds:
+        raise ConfigError(f"{key} must not be empty")
+    if min(seeds) < 0:
+        raise ConfigError(f"{key} must be non-negative, got {seeds!r}")
+    return seeds
 
 
 def _fill_section(instance, section: dict, section_name: str):
@@ -169,7 +164,7 @@ def _fill_section(instance, section: dict, section_name: str):
         kwargs[key] = _coerce(raw, getattr(instance, key), f"[{section_name}] {key}")
     try:
         return replace(instance, **kwargs)
-    except Exception as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid values in section [{section_name}]: {exc}") from exc
 
 
@@ -198,7 +193,7 @@ def load_run_config(path: str | None = None) -> RunConfig:
         if section_name == "run":
             for key, raw in parser.items("run"):
                 if key == "seeds":
-                    updates["seeds"] = _coerce(raw, (0,), "[run] seeds")
+                    updates["seeds"] = parse_seeds(raw, "[run] seeds")
                 elif key == "out":
                     updates["out_dir"] = raw.strip()
                 elif key == "variants":
@@ -210,8 +205,6 @@ def load_run_config(path: str | None = None) -> RunConfig:
             raise ConfigError(f"unknown config section [{section_name}]")
         section = dict(parser.items(section_name))
         updates[section_name] = _fill_section(sections[section_name], section, section_name)
-    if not updates.get("seeds", (0,)):
-        raise ConfigError("[run] seeds must not be empty")
     if not updates.get("variants", ("baseline",)):
         raise ConfigError("[run] variants must not be empty")
     return replace(cfg, **updates)

@@ -12,6 +12,7 @@ the numpy kernel in ``_pairs``; triplets are built only when asked for.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import geometry
 from ._pairs import PairFrame, PairWork, Pairs, best_gt, box_array, center_distances, iou_matrix, pair_work
-from .errors import InvalidInputError, NoOverlapError
+from .errors import InvalidInputError, NoOverlapError, check, non_negative
 from .geometry import BBox, border_factor, centers, contains
 
 AGGREGATION_MODES = ("deduplicated", "triplet-literal")
@@ -31,6 +32,15 @@ AGGREGATION_MODES = ("deduplicated", "triplet-literal")
 
 class KinkWarning(UserWarning):
     """A gradient was evaluated near a non-differentiable point."""
+
+
+def _outside_level() -> int:
+    """The ``stacklevel`` that attributes a warning raised by this function's
+    caller to the first frame outside the package."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -41,18 +51,10 @@ class CouLossConfig:
     kink_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.positive_iou_threshold < 1.0:
-            raise InvalidInputError(
-                f"positive_iou_threshold must be in (0, 1), got {self.positive_iou_threshold}"
-            )
-        if not 0.0 < self.iou_floor < 1.0:
-            raise InvalidInputError(f"iou_floor must be in (0, 1), got {self.iou_floor}")
-        if self.aggregation_mode not in AGGREGATION_MODES:
-            raise InvalidInputError(
-                f"aggregation_mode must be one of {AGGREGATION_MODES}, got {self.aggregation_mode!r}"
-            )
-        if not (math.isfinite(self.kink_tolerance) and self.kink_tolerance >= 0.0):
-            raise InvalidInputError(f"kink_tolerance must be finite and >= 0, got {self.kink_tolerance}")
+        check(self, ("positive_iou_threshold", "iou_floor"), lambda v: 0.0 < v < 1.0, "in (0, 1)")
+        check(self, ("aggregation_mode",), AGGREGATION_MODES.__contains__,
+              f"one of {', '.join(AGGREGATION_MODES)}")
+        check(self, ("kink_tolerance",), non_negative, "finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,7 @@ def _evaluate(gts, proposals, cfg, distances, structure=None, ranked=None, gradi
                 warnings.warn(
                     f"gradient evaluated near {len(lines)} non-differentiable point(s): {lines[0]}",
                     KinkWarning,
-                    stacklevel=4,
+                    stacklevel=_outside_level(),
                 )
     return evaluation
 

@@ -1,5 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value rule every config record checks with."""
 
+import math
 from contextlib import contextmanager
 
 
@@ -43,3 +44,20 @@ def at_line(path, lineno):
         yield
     except ValueError as exc:
         raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+
+
+def positive(value) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+def non_negative(value) -> bool:
+    return math.isfinite(value) and value >= 0.0
+
+
+def check(record, keys, ok, rule: str) -> None:
+    """Reject the first of ``keys`` whose value in ``record`` fails ``ok`` with
+    :class:`InvalidInputError` ``"{key} must be {rule}, got {value!r}"``."""
+    for key in keys:
+        value = getattr(record, key)
+        if not ok(value):
+            raise InvalidInputError(f"{key} must be {rule}, got {value!r}")

@@ -24,9 +24,16 @@ from .errors import (
     InvalidAnnotationError,
     InvalidInputError,
     at_line,
+    check,
+    non_negative,
+    positive,
 )
 from .evalkit import Detection, greedy_nms, match
 from .geometry import BBox, centers, contains, iou, iou_parts
+
+
+# the extent rule of check, for scenes and their config
+_EXTENT = (lambda v: len(v) == 2 and all(map(positive, v)), "two values, each finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -48,9 +55,8 @@ class Scene:
     distractors: list[BBox] = field(default_factory=list)
 
     def __post_init__(self):
+        check(self, ("extent",), *_EXTENT)
         w, h = self.extent
-        if w <= 0.0 or h <= 0.0:
-            raise InvalidInputError(f"extent must be positive, got {self.extent}")
         for ped in self.pedestrians:
             ped.check()
         for box in [p.full for p in self.pedestrians] + list(self.distractors):
@@ -89,25 +95,16 @@ class SimConfig:
     warn_kinks: bool = False
 
     def __post_init__(self):
-        if self.pedestrian_count < 1:
-            raise InvalidInputError("pedestrian_count must be >= 1")
-        if not (0.0 <= self.crowd_iou_min <= self.crowd_iou_max < 1.0):
-            raise InvalidInputError(
-                f"crowd IoU band must satisfy 0 <= min <= max < 1, got "
-                f"[{self.crowd_iou_min}, {self.crowd_iou_max}]"
-            )
-        if self.aspect_ratio <= 0.0:
-            raise InvalidInputError("aspect_ratio must be > 0")
-        if not (0.0 < self.height_range[0] <= self.height_range[1] <= 1.0):
-            raise InvalidInputError(f"bad height_range {self.height_range}")
-        for name in ("proposal_jitter", "gradient_noise"):
-            if getattr(self, name) < 0.0:
-                raise InvalidInputError(f"{name} must be >= 0")
-        for name in ("proposals_per_gt", "descent_steps"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1")
-        if self.step_size <= 0.0 or self.divergence_factor <= 1.0:
-            raise InvalidInputError("step_size must be > 0 and divergence_factor > 1")
+        check(self, ("extent",), *_EXTENT)
+        check(self, ("pedestrian_count", "proposals_per_gt", "descent_steps"), lambda v: v >= 1, ">= 1")
+        check(self, ("crowd_iou_max",), lambda v: v < 1.0, "< 1")
+        check(self, ("crowd_iou_min",), lambda v: 0.0 <= v <= self.crowd_iou_max, "in [0, crowd_iou_max]")
+        check(self, ("aspect_ratio", "step_size"), positive, "finite and > 0")
+        check(self, ("height_range",), lambda v: len(v) == 2 and 0.0 < v[0] <= v[1] <= 1.0,
+              "two values, 0 < low <= high <= 1")
+        check(self, ("distractor_count",), lambda v: v >= 0, ">= 0")
+        check(self, ("proposal_jitter", "gradient_noise"), non_negative, "finite and >= 0")
+        check(self, ("divergence_factor",), lambda v: v > 1.0, "> 1")
 
 
 @dataclass(frozen=True)
@@ -576,16 +573,9 @@ def save_scene(scene: Scene, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"extent {scene.extent[0]!r} {scene.extent[1]!r}\n")
         for ped in scene.pedestrians:
-            f, v = ped.full, ped.visible
-            fh.write(
-                "ped "
-                + " ".join(repr(c) for c in f.as_tuple())
-                + " "
-                + " ".join(repr(c) for c in v.as_tuple())
-                + "\n"
-            )
+            fh.write("ped " + " ".join(map(repr, ped.full.as_tuple() + ped.visible.as_tuple())) + "\n")
         for d in scene.distractors:
-            fh.write("distractor " + " ".join(repr(c) for c in d.as_tuple()) + "\n")
+            fh.write("distractor " + " ".join(map(repr, d.as_tuple())) + "\n")
 
 
 def load_scene(path) -> Scene:

@@ -10,7 +10,6 @@ with the package under test, except
 import math
 
 from collections import namedtuple
-from fractions import Fraction
 
 import numpy as np
 
@@ -556,19 +555,6 @@ def lamr_nine_point(curve_points, floor=1e-4):
             mr = max(m for _, m in curve_points)
         logs.append(math.log(max(mr, floor)))
     return math.exp(sum(logs) / len(logs))
-
-
-def exact_fraction_iou(a, b):
-    """IoU as an exact Fraction, for freezing rational expected values."""
-    a = [Fraction(v) for v in a]
-    b = [Fraction(v) for v in b]
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    if iw <= 0 or ih <= 0:
-        return Fraction(0)
-    inter = iw * ih
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    return inter / union
 
 
 def five_sweep_check_scene(gts, proposals, comp_cfg, cou_cfg, fd_step_fraction=1e-5):

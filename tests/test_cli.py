@@ -126,6 +126,14 @@ class TestConfigFile:
             ("[eval]\nmin_visibility = -0.5\n", r"\[eval\].*min_visibility must be in \[0, max_visibility\]"),
             ("[eval]\nmin_visibility = 2\n", r"\[eval\].*min_visibility must be in \[0, max_visibility\], got 2.0"),
             ("[eval]\nmax_visibility = 1.5\n", r"\[eval\].*max_visibility must be <= 1, got 1.5"),
+            # each of these ended in a traceback, a later error without a key, or was accepted
+            ("[sim]\nextent = 100\n", r"\[sim\].*extent must be two values, each finite and > 0, got \(100.0,\)"),
+            ("[sim]\nextent = 100, 0\n", r"\[sim\].*extent must be two values, each finite and > 0"),
+            ("[sim]\nheight_range = 0.3\n", r"\[sim\].*height_range must be two values"),
+            ("[sim]\ndistractor_count = -2\n", r"\[sim\].*distractor_count must be >= 0, got -2"),
+            ("[run]\nseeds = -3\n", r"^\[run\] seeds must be non-negative, got \(-3,\)$"),
+            # an OverflowError counting the thresholds
+            ("[nms]\nthreshold_step = 5e-324\n", r"\[nms\].*threshold_step must be finite and > 0, with finitely many"),
         ],
         ids=[
             "not-a-number", "nan-noise", "nan-step", "inf-tuple", "inf-finite-default",
@@ -138,7 +146,9 @@ class TestConfigFile:
             "eval-match-iou-zero", "percent-sign", "anchors-flat-value", "anchors-peak", "anchors-background",
             "anchors-negative-iou-above-one", "anchors-negative-iou-zero", "eval-target-miss-rate",
             "eval-min-height-negative", "eval-min-height-above-max", "eval-min-visibility-negative",
-            "eval-min-visibility-above-max", "eval-max-visibility-above-one",
+            "eval-min-visibility-above-max", "eval-max-visibility-above-one", "sim-extent-one-value",
+            "sim-extent-zero", "sim-height-range-one-value", "sim-distractors-negative", "run-seeds-negative",
+            "nms-step-subnormal",
         ],
     )
     def test_bad_value_rejected(self, tmp_path, text, message):
@@ -211,6 +221,21 @@ class TestExitCodes:
     def test_bad_seed_names_flag(self, tmp_path, capsys):
         assert main(["simulate", "--seeds", "1,x", "--out", str(tmp_path)]) == 1
         assert "--seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--seeds=-1"], ["--seeds", "2,-1"]], ids=["equals", "list"])
+    def test_negative_seed_names_flag(self, tmp_path, capsys, flag):
+        assert main(["simulate", *flag, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seeds must be non-negative") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["extent = 100", "extent = 100, 0", "height_range = 0.3", "distractor_count = -2"])
+    def test_bad_sim_value_exits_one_naming_key(self, tmp_path, capsys, text):
+        # simulate, gradcheck and anchor-demo ended in a traceback on the first
+        cfg = write_config(tmp_path / "run.cfg", f"[sim]\n{text}\n")
+        assert main(["simulate", "--config", cfg, "--seeds", "0", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        key = text.split(" = ")[0]
+        assert err.startswith(f"error: invalid values in section [sim]: {key} must be ") and err.count("\n") == 1
 
     def test_bad_variant_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", "[run]\nvariants = bogus\n")
@@ -437,6 +462,7 @@ MALFORMED = {
     "scene-number": (load_scene, "extent 100 100\nped 1 1 abc 20 1 1 10 20\n", 2),
     "scene-nan": (load_scene, "extent 100 100\nped 1 1 nan 20 1 1 10 20\n", 2),
     "scene-degenerate": (load_scene, "extent 100 100\ndistractor 5 5 5 9\n", 2),
+    "scene-extent-nan": (load_scene, "extent nan 100\n", 1),
     "map-number": (load_probability_map, "2 2 1.0\n0.1 0.2\n0.3 abc\n", 3),
     "map-range": (load_probability_map, "2 1 1.0\n0.1 1.5\n", 2),
     "map-header": (load_probability_map, "2 x 1.0\n", 1),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crowdloss.baselines import composite_gradient
 from crowdloss.couloss import (
     CouLossConfig,
     KinkWarning,
@@ -18,6 +19,7 @@ from crowdloss.couloss import (
 )
 from crowdloss.errors import InvalidInputError, NoOverlapError
 from crowdloss.geometry import BBox, iou
+from crowdloss.simulator import SimConfig, generate_scene, run_descent, spawn_proposals
 from oracles import brute_force_couloss, central_difference_gradient
 from util import jittered_box, overlapping_pair
 
@@ -391,6 +393,20 @@ class TestKinks:
     def test_warning_emitted_on_request(self):
         with pytest.warns(KinkWarning):
             couloss_gradient([G_I, G_J], [P_P, P_N], warn_kinks=True)
+
+    @pytest.mark.parametrize("api", ["couloss_gradient", "composite_gradient", "run_descent"])
+    def test_warning_attributed_to_caller(self, api):
+        # to the first frame outside the package, however deep the call
+        cfg = SimConfig(proposal_jitter=0.0, descent_steps=2, proposals_per_gt=1, warn_kinks=True)
+        scene = generate_scene(cfg, 3)
+        with pytest.warns(KinkWarning) as caught:
+            if api == "couloss_gradient":
+                couloss_gradient([G_I, G_J], [P_P, P_N], warn_kinks=True)
+            elif api == "composite_gradient":
+                composite_gradient([G_I, G_J], [P_P, P_N], warn_kinks=True)
+            else:
+                run_descent(scene, spawn_proposals(scene, cfg, 4), sim_cfg=cfg)
+        assert caught.list and {w.filename for w in caught} == {__file__}
 
     def test_clean_scene_no_kinks(self):
         rng = np.random.default_rng(27)

@@ -17,6 +17,7 @@ from crowdloss.anchors import (
 )
 from crowdloss.evalkit import Detection, EvalCurve, load_curve, load_detections, save_curve, save_detections
 from crowdloss.geometry import BBox
+from crowdloss.simulator import Pedestrian, Scene, load_scene, save_scene
 
 # one file per test, rewritten by every example
 roundtrip = settings(
@@ -37,6 +38,25 @@ strides = st.floats(1e-3, 1e3)
 def boxes(draw):
     x1, y1 = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
     return BBox(x1, y1, x1 + draw(st.floats(1e-3, 1e3)), y1 + draw(st.floats(1e-3, 1e3)))
+
+
+@st.composite
+def boxes_inside(draw, x1, y1, x2, y2):
+    """A box with its edges in [x1, x2] x [y1, y2]."""
+    (a, b), (c, d) = (
+        sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2, unique=True)))
+        for lo, hi in ((x1, x2), (y1, y2))
+    )
+    return BBox(a, c, b, d)
+
+
+@st.composite
+def scenes(draw):
+    """Fulls inside the extent, each visible box inside its full box, distractors inside the extent."""
+    extent = (draw(st.floats(1e-3, 1e6)), draw(st.floats(1e-3, 1e6)))
+    fulls = draw(st.lists(boxes_inside(0.0, 0.0, *extent), max_size=4))
+    peds = [Pedestrian(f, draw(boxes_inside(f.x1, f.y1, f.x2, f.y2))) for f in fulls]
+    return Scene(extent, peds, draw(st.lists(boxes_inside(0.0, 0.0, *extent), max_size=3)))
 
 
 @st.composite
@@ -78,3 +98,11 @@ def test_target_map(tmp_path, stride, labels):
     save_target_map(TargetMap(stride, labels), path)
     loaded = load_target_map(path)
     assert loaded.stride == stride and np.array_equal(loaded.labels, labels)
+
+
+@roundtrip
+@given(scenes())
+def test_scene(tmp_path, scene):
+    path = tmp_path / "scene.txt"
+    save_scene(scene, path)
+    assert load_scene(path) == scene

@@ -47,10 +47,6 @@ def overlapping_pair(rng, extent=100.0):
     return g0, g1
 
 
-def boxes_equal(a: BBox, b: BBox) -> bool:
-    return a.as_tuple() == b.as_tuple()
-
-
 def counted(fn, calls, name):
     """``fn`` wrapped to add one to ``calls[name]`` on every call."""
 
