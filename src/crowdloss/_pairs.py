@@ -67,10 +67,9 @@ class PairFrame(NamedTuple):
 
     @classmethod
     def of(cls, gts: np.ndarray, distances: np.ndarray, pairs: Pairs, num_attraction: int, n: int) -> PairFrame:
-        """Of ``pairs`` over ``n`` proposals and ``(K, 4)`` ground truths, stacked; the pairs
-        index them modulo the rows of ``distances``, so one scene's table serves its copies."""
-        ka, k = num_attraction, len(distances)
-        gt, target = pairs.gt % k, pairs.target[ka:] % k
+        """Of ``pairs`` over ``n`` proposals and stacked ``(K, 4)`` ground truths, whose
+        ``center_distances`` are ``distances``."""
+        ka, gt, target = num_attraction, pairs.gt, pairs.target[num_attraction:]
         g = gts.T.take(gt, axis=1)  # row-contiguous, as every ufunc of the kernel prefers
         vertex = centers(g[:, ka:])
         bins = pairs.proposal + n * (np.arange(4)[:, None] + 4 * (np.arange(len(gt)) >= ka))
@@ -108,8 +107,8 @@ def best_gt(gts: np.ndarray, proposals: np.ndarray):
     return iou, iou.argmax(axis=-2), iou.max(axis=-2)
 
 
-def pair_work(frame: PairFrame, proposals: np.ndarray, iou_floor: float, *, literal: bool, gradient: bool = False,
-              iou: np.ndarray | None = None) -> PairWork:
+def pair_work(frame: PairFrame, proposals: np.ndarray, iou_floor: float, *, literal: bool,
+              gradient: bool = False) -> PairWork:
     """Work ``F * cos * s`` of every pair of ``frame`` at the stacked ``(n, 4)``
     proposals, and optionally its gradient.
 
@@ -120,15 +119,13 @@ def pair_work(frame: PairFrame, proposals: np.ndarray, iou_floor: float, *, lite
     ray whose cos is 1. ``s`` is the border-distance factor of center(p) in
     g. Non-positive work is clamped to zero and has zero gradient; gradients
     are summed per proposal, weighted by multiplicity when ``literal``.
-    ``iou`` holds the pairs' IoUs if already known. Boxes of several scenes
-    may share one call, their pairs indexing the stacked boxes.
+    Boxes of several scenes may share one call, their pairs indexing the
+    stacked boxes.
     """
     pairs, ka, g = frame.pairs, frame.num_attraction, frame.boxes
     p = proposals.T.take(pairs.proposal, axis=1)
     if gradient:
         v, dv = iou_and_grad(g, p)
-    elif iou is not None:
-        v = iou
     else:
         v = iou_parts(g, p)[0]
     c = centers(p)

@@ -358,10 +358,14 @@ def _parse_grid_header(line: str, path):
         parts = line.split()
         if len(parts) != 3:
             raise InvalidInputError("expected header 'width height stride'")
-        return int(parts[0]), int(parts[1]), float(parts[2])
+        width, height, stride = int(parts[0]), int(parts[1]), float(parts[2])
+        if min(width, height) < 1 or not positive(stride):
+            raise InvalidInputError(f"expected width and height >= 1 and stride finite and > 0, got {line.strip()!r}")
+        return width, height, stride
 
 
 def _read_grid_rows(fh, width, height, path, convert):
+    """The ``height`` rows of ``width`` cells that follow the header; only blank lines may follow them."""
     rows = []
     for i in range(height):
         parts = fh.readline().split()
@@ -369,4 +373,7 @@ def _read_grid_rows(fh, width, height, path, convert):
             if len(parts) != width:
                 raise InvalidInputError(f"row {i} has {len(parts)} values, expected {width}")
             rows.append([convert(p) for p in parts])
+    for lineno, line in enumerate(fh, start=height + 2):
+        if line.strip():
+            raise InvalidInputError(f"{path}:{lineno}: more rows than the header's {height}")
     return rows

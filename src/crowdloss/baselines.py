@@ -234,10 +234,10 @@ def _composite(gts, proposals, weights, cou_cfg, distances, gradient, targets=No
     ``(B, N, 4)`` gradients (else None): every evaluation of the objective.
 
     ``weights`` are the scenes' ``_Weights`` and ``distances`` the
-    ``center_distances`` of ``gts`` (or of the one scene they repeat). What is
-    not given is rebuilt from one ``best_gt``: the SmoothL1 ``targets`` ((B, N))
-    and, when some scene weighs CouLoss, the pair structure (with ``keep``) and
-    ``frame`` of its ``_evaluate``, whose kink warnings ``warn`` selects. Returns
+    ``center_distances`` of ``gts``. What is not given is rebuilt from one
+    ``best_gt``: the SmoothL1 ``targets`` ((B, N)) and, when some scene weighs
+    CouLoss, the pair structure (with ``keep``) and ``frame`` of its
+    ``_evaluate``, whose kink warnings ``warn`` selects. Returns
     ``((smooth_l1, (attraction, repulsion, couloss), total), gradient,
     evaluation, targets)``, each value ``(B,)`` and ``evaluation`` None when no
     scene weighs CouLoss; each scene's values are those it has alone. One

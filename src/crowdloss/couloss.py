@@ -115,7 +115,7 @@ class TripletStructure:
     @classmethod
     def from_boxes(cls, gts: list[BBox], proposals: list[BBox], cfg: CouLossConfig | None = None):
         """Assign proposals and derive the pairs without enumerating triplets."""
-        return _structure(box_array(gts)[None], box_array(proposals)[None], cfg or CouLossConfig())[0]
+        return _structure(box_array(gts)[None], box_array(proposals)[None], cfg or CouLossConfig())
 
     @cached_property
     def assignments(self) -> tuple[Assignment, ...]:
@@ -166,7 +166,7 @@ class LossReport:
 
 def _structure(gts: np.ndarray, proposals: np.ndarray, cfg: CouLossConfig, ranked=None, keep=None):
     """The pair structure of B scenes' ``(B, M, 4)`` ground truths and
-    ``(B, N, 4)`` proposals, and their ``(B, M, N)`` IoU matrix.
+    ``(B, N, 4)`` proposals.
 
     A proposal is assigned to its max-IoU ground truth when that IoU exceeds
     the positive threshold and its center lies inside that ground truth.
@@ -195,27 +195,18 @@ def _structure(gts: np.ndarray, proposals: np.ndarray, cfg: CouLossConfig, ranke
         exists &= keep[:, :, None, None]
     kind, scene, gt, prop = np.nonzero(exists)
     stacked = target + M * np.arange(B)[:, None]
-    structure = TripletStructure(
+    return TripletStructure(
         pairs=Pairs(M * scene + gt, N * scene + prop, stacked[scene, prop], counts[kind, scene, gt]),
         num_attraction=len(kind) - int(kind.sum()),
         assigned=(np.flatnonzero(assigned), stacked[assigned], best_v[assigned]),
     )
-    return structure, iou
-
-
-def _pair_iou(iou: np.ndarray, pairs: Pairs) -> np.ndarray:
-    """The pairs' entries of a ``(B, M, N)`` IoU matrix."""
-    B, M, N = iou.shape
-    return iou.reshape(B * M, N)[pairs.gt, pairs.proposal % N]
 
 
 class _Evaluation(NamedTuple):
-    """One kernel evaluation of B scenes' boxes. ``iou`` is their IoU matrix if
-    the structure was built from them; ``sums`` ((2, B)) holds each scene's
-    attraction and repulsion work, its pairs added left to right."""
+    """One kernel evaluation of B scenes' boxes. ``sums`` ((2, B)) holds each
+    scene's attraction and repulsion work, its pairs added left to right."""
 
     structure: TripletStructure
-    iou: np.ndarray | None
     work: PairWork
     sums: np.ndarray
     frame: PairFrame  # the structure's
@@ -224,25 +215,21 @@ class _Evaluation(NamedTuple):
 def _evaluate(gts, proposals, cfg, distances, structure=None, ranked=None, gradient=False, keep=None, warn=None,
               frame=None):
     """The :class:`_Evaluation` of B scenes' ``(B, M, 4)`` and ``(B, N, 4)`` boxes, from
-    one kernel call, with the ``center_distances`` of ``gts`` (or of the one scene they
-    repeat). The structure (with ``keep``) and its ``PairFrame`` are built when not given.
+    one kernel call, with the ``center_distances`` of ``gts``. The structure (with
+    ``keep``) and its ``PairFrame`` are built when not given.
     Each scene that ``warn`` ((B,) bool) marks raises one :class:`KinkWarning` if its
     boxes sit near a non-differentiable point.
     """
-    iou = None
     if structure is None:
-        structure, iou = _structure(gts, proposals, cfg, ranked, keep)
+        structure = _structure(gts, proposals, cfg, ranked, keep)
     B, N = proposals.shape[:2]
     frame = frame or PairFrame.of(gts.reshape(-1, 4), distances, structure.pairs, structure.num_attraction, B * N)
     literal = cfg.aggregation_mode == "triplet-literal"
-    pair_iou = None if iou is None else _pair_iou(iou, structure.pairs)
-    work = pair_work(
-        frame, proposals.reshape(-1, 4), cfg.iou_floor, literal=literal, gradient=gradient, iou=pair_iou
-    )
+    work = pair_work(frame, proposals.reshape(-1, 4), cfg.iou_floor, literal=literal, gradient=gradient)
     weighted = work.work * structure.pairs.mult if literal else work.work
     scene, ka = structure.pairs.proposal // N, structure.num_attraction
     sums = [np.bincount(scene[k], weighted[k], minlength=B) for k in (slice(ka), slice(ka, None))]
-    evaluation = _Evaluation(structure, iou, work, np.array(sums), frame)
+    evaluation = _Evaluation(structure, work, np.array(sums), frame)
     if warn is not None and warn.any():
         for lines in compress(_kinks(gts, proposals, cfg, cfg.kink_tolerance, evaluation), warn):
             if lines:
@@ -356,26 +343,15 @@ def work_terms(
     return float(work[0]), float(work[1])
 
 
-def assign_proposals(
-    gts: list[BBox], proposals: list[BBox], cfg: CouLossConfig | None = None
-) -> list[Assignment]:
-    """Assign each proposal to its max-IoU ground truth.
-
-    A proposal is assigned only if the best IoU exceeds the positive
-    threshold and the proposal's center falls inside that ground truth.
-    Ties break toward the lowest ground-truth index.
-    """
-    return list(TripletStructure.from_boxes(gts, proposals, cfg).assignments)
-
-
 def assemble_triplets(
     gts: list[BBox], proposals: list[BBox], cfg: CouLossConfig | None = None
 ) -> tuple[list[Triplet], list[Assignment]]:
-    """Enumerate (target, positive, negative) triplets.
+    """Enumerate (target, positive, negative) triplets, and the assignments.
 
     For every ground truth G_i, pairs each proposal assigned to G_i with
     each proposal assigned elsewhere that still overlaps G_i (repulsion only
-    exists where there is an overlap).
+    exists where there is an overlap). Assignment ties break toward the
+    lowest ground-truth index.
     """
     structure = TripletStructure.from_boxes(gts, proposals, cfg)
     return list(structure.triplets), list(structure.assignments)
@@ -444,11 +420,9 @@ def detect_kinks(
 
 
 def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, evaluation: _Evaluation):
-    """``detect_kinks`` of B scenes' boxes, one list per scene, from an
-    ``_evaluate`` of them (its IoU matrix computed here if it has none)."""
-    structure, iou, work, frame = evaluation.structure, evaluation.iou, evaluation.work, evaluation.frame
-    if iou is None:
-        iou = iou_matrix(G, P)
+    """``detect_kinks`` of B scenes' boxes, one list per scene, from an ``_evaluate`` of them."""
+    structure, work, frame = evaluation.structure, evaluation.work, evaluation.frame
+    iou = iou_matrix(G, P)
     B, M, N = iou.shape
     G, P = G.reshape(-1, 4), P.reshape(-1, 4)
 
@@ -477,7 +451,7 @@ def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, evaluat
     pairs, ka = structure.pairs, structure.num_attraction
     repulsive = np.arange(len(pairs.gt)) >= ka  # only these have an angle_ray
     g, p = frame.boxes, P.T.take(pairs.proposal, axis=1)
-    v = _pair_iou(iou, pairs)
+    v = iou.reshape(B * M, N)[pairs.gt, pairs.proposal % N]
     wh = g[2:] - g[:2]
     c = centers(p)
     to_lo, to_hi = np.abs(c - g[:2]), np.abs(c - g[2:])

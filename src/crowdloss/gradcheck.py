@@ -23,11 +23,10 @@ def _terms(gts, points, weights, cou_cfg, gradient=False):
     """Values ``(5, K)`` of the five ``TERMS`` at K points ``(K, N, 4)`` and, with
     ``gradient``, their ``(5, K, N, 4)`` gradients: one composite evaluation of the
     batch under ``weights``, the ``_Weights`` of the five terms' configs with a trailing
-    axis, broadcast against the K points; the ground truths' center distances are
-    built once, from the M boxes.
+    axis, broadcast against the K points.
     """
     G = np.broadcast_to(gts, (len(points), *gts.shape))
-    (_, _, values), grads, _, _ = _composite(G, points, weights, cou_cfg, center_distances(gts[None]), gradient)
+    (_, _, values), grads, _, _ = _composite(G, points, weights, cou_cfg, center_distances(G), gradient)
     return values, grads
 
 

@@ -10,6 +10,7 @@ any learned components.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -131,6 +132,8 @@ class SimResult:
 
 _PLACEMENT_TRIES = 300
 _SCENE_TRIES = 60
+_MIN_SIZE = 1e-3  # the least box width and height of proposals and descents, in units of the larger extent
+_LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows above this; the extent caps such a size anyway
 
 
 def generate_scene(cfg: SimConfig, seed: int) -> Scene:
@@ -256,11 +259,12 @@ def spawn_proposals(scene: Scene, cfg: SimConfig, seed: int) -> list[BBox]:
     """Jittered copies of each ground truth: Gaussian center and log-size noise.
 
     Produces ``proposals_per_gt`` boxes per pedestrian, grouped in ground
-    truth order, clipped to the scene extent. With zero jitter the proposals
-    equal their ground truths.
+    truth order, clipped to the scene extent, each side at least the descent's
+    minimal size. With zero jitter the proposals equal their ground truths.
     """
     rng = np.random.default_rng(seed)
     ew, eh = scene.extent
+    min_size = _MIN_SIZE * max(ew, eh)
     sigma = cfg.proposal_jitter
     out = []
     for full in scene.gt_boxes:
@@ -272,8 +276,8 @@ def spawn_proposals(scene: Scene, cfg: SimConfig, seed: int) -> list[BBox]:
         for _ in range(cfg.proposals_per_gt):
             cx = cx0 + rng.normal(0.0, sigma * full.width)
             cy = cy0 + rng.normal(0.0, sigma * full.height)
-            w = min(full.width * math.exp(rng.normal(0.0, sigma)), ew)
-            h = min(full.height * math.exp(rng.normal(0.0, sigma)), eh)
+            w = min(max(full.width * math.exp(min(rng.normal(0.0, sigma), _LOG_MAX)), min_size), ew)
+            h = min(max(full.height * math.exp(min(rng.normal(0.0, sigma), _LOG_MAX)), min_size), eh)
             cx = min(max(cx, w / 2.0), ew - w / 2.0)
             cy = min(max(cy, h / 2.0), eh - h / 2.0)
             out.append(BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0))
@@ -361,9 +365,6 @@ def run_descent(
     return result
 
 
-_NOISE_STEPS = 16  # steps of gradient noise drawn at once
-
-
 def run_descents(
     descents: list[Descent], cou_cfg: CouLossConfig | None = None, sim_cfg: SimConfig | None = None
 ) -> list[SimResult | CrowdLossError]:
@@ -406,7 +407,7 @@ def run_descents(
     rngs = [np.random.default_rng(d.seed) for d in descents]
     max_extent = np.array([max(d.scene.extent) for d in descents])
     step = (sim_cfg.step_size * max_extent * max_extent)[:, None, None]
-    min_size = (1e-3 * max_extent)[:, None]
+    min_size = (_MIN_SIZE * max_extent)[:, None]
 
     # SmoothL1 targets, pair structure and pair frame: rebuilt every step or kept from the first
     distances, frozen = center_distances(G), {}
@@ -438,11 +439,7 @@ def run_descents(
             )
             active[b] = False
         if sim_cfg.gradient_noise > 0.0:
-            # a (k, N, 4) draw gives the values of k successive (N, 4) draws
-            if step_idx % _NOISE_STEPS == 0:
-                shape = (min(_NOISE_STEPS, steps - step_idx), N, 4)
-                noise = np.stack([rng.normal(0.0, sim_cfg.gradient_noise, shape) for rng in rngs], 1)
-            grad = grad + noise[step_idx % _NOISE_STEPS]
+            grad = grad + np.array([rng.normal(0.0, sim_cfg.gradient_noise, (N, 4)) for rng in rngs])
         moved = _project_min_size(coords - step * grad, min_size)
         for b in np.flatnonzero(active & ~valid_boxes(moved).all(axis=1)).tolist():
             try:

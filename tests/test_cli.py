@@ -314,6 +314,11 @@ class TestSimulate:
         assert "box" in capsys.readouterr().err
         assert not (out / "simulate.csv").exists()
 
+    def test_huge_proposal_jitter_exits_zero(self, tmp_path):
+        # exp(N(0, 1000)) underflowed a proposal's height to 0: "degenerate box"
+        cfg = write_config(tmp_path / "run.cfg", "[sim]\nproposal_jitter = 1000\n")
+        assert main(["simulate", "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "out")]) == 0
+
     def test_default_twenty_seed_suite_within_budget(self, tmp_path):
         import time
 
@@ -468,6 +473,16 @@ MALFORMED = {
     "map-header": (load_probability_map, "2 x 1.0\n", 1),
     "target-row": (load_target_map, "2 2 1.0\nP N\nI\n", 3),
     "target-label": (load_target_map, "2 1 1.0\nP X\n", 2),
+    "map-zero-size": (load_probability_map, "0 0 1.0\n", 1),
+    "target-zero-size": (load_target_map, "0 0 1.0\n", 1),
+    "map-negative-width": (load_probability_map, "-1 2 1.0\n", 1),
+    "target-negative-width": (load_target_map, "-1 2 1.0\n", 1),
+    "map-zero-stride": (load_probability_map, "1 1 0\n0.5\n", 1),
+    "target-zero-stride": (load_target_map, "1 1 0\nP\n", 1),
+    "map-nan-stride": (load_probability_map, "1 1 nan\n0.5\n", 1),
+    "target-inf-stride": (load_target_map, "1 1 inf\nP\n", 1),
+    "map-extra-row": (load_probability_map, "2 1 1.0\n0.1 0.2\n0.3 0.4\n", 3),
+    "target-extra-row": (load_target_map, "2 1 1.0\nP N\n\nI I\n", 4),
     "scene-visible": (load_scene, "extent 10 10\nped 1 1 5 9 0 0 5 9\n", 2),
     "scene-extent": (load_scene, "extent 10 10\nped 1 1 5 9 1 1 5 9\ndistractor 5 5 12 9\n", 3),
 }

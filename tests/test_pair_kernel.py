@@ -20,7 +20,6 @@ from crowdloss.couloss import (
     CouLossConfig,
     TripletStructure,
     assemble_triplets,
-    assign_proposals,
     couloss,
     couloss_gradient,
     detect_kinks,
@@ -169,9 +168,6 @@ class TestBitExactOracle:
                 expected_triplets
             )
             assert {a.proposal_index: a.target_gt_index for a in assignments} == target_of
-            assert [(a.proposal_index, a.target_gt_index) for a in assign_proposals(gts, props)] == [
-                (a.proposal_index, a.target_gt_index) for a in assignments
-            ]
             for a in assignments:
                 expected_iou = tuple_iou(gts_t[a.target_gt_index], props_t[a.proposal_index])
                 assert a.iou_with_target == expected_iou

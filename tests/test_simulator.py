@@ -174,6 +174,17 @@ class TestSpawnProposals:
         for p in spawn_proposals(scene, cfg, 3):
             assert 0 <= p.x1 and 0 <= p.y1 and p.x2 <= w and p.y2 <= h
 
+    def test_huge_jitter_keeps_every_side_between_the_minimal_size_and_the_extent(self):
+        # exp(N(0, 1000)) underflows to 0 or overflows; the sides are held to the
+        # minimal size of the descent (1e-3 of the larger extent) and to the extent
+        cfg = SimConfig(proposal_jitter=1000.0)
+        for seed in range(20):
+            scene = generate_scene(cfg, seed)
+            w, h = scene.extent
+            for p in spawn_proposals(scene, cfg, seed + 1):
+                assert 0 <= p.x1 and 0 <= p.y1 and p.x2 <= w and p.y2 <= h
+                assert min(p.width, p.height) >= 1e-3 * max(w, h) * (1 - 1e-12)
+
 
 class TestRunDescent:
     def test_perfect_proposals_stay_put(self):
