@@ -151,11 +151,11 @@ def _targets(gts: np.ndarray, proposals: np.ndarray, ranked) -> np.ndarray:
 
 
 class _Weights(NamedTuple):
-    """Per-scene constants of the composite loss of B scenes, from their configs,
-    ``scene_scale``s and proposal count N (or of B configs against one scene).
-    ``parts`` ((2, B)) marks the CouLoss terms that are on and weighed; ``norm``
-    is N times the scale (1 without proposals); ``beta`` (the SmoothL1 beta in
-    scene units) and ``grad_factor`` are shaped (B, 1, 1)."""
+    """Per-scene constants of the composite loss of B scenes, from their configs, ``scene_scale``s
+    and proposal count N (or of B configs against one scene; with ``variants``, of V configs
+    against each scene: fields (V, B), ``parts`` (2, V, B)). ``parts`` ((2, B)) marks the CouLoss
+    terms that are on and weighed; ``norm`` is N times the scale (1 without proposals); ``beta``
+    (the SmoothL1 beta in scene units) and ``grad_factor`` are shaped (B, 1, 1)."""
 
     alpha: np.ndarray
     smoothl1_weight: np.ndarray
@@ -165,12 +165,13 @@ class _Weights(NamedTuple):
     grad_factor: np.ndarray
 
     @classmethod
-    def of(cls, cfgs, scale: np.ndarray, num_proposals: int) -> _Weights:
+    def of(cls, cfgs, scale: np.ndarray, num_proposals: int, variants: bool = False) -> _Weights:
+        tail = (..., None) if variants else ...  # a trailing scene axis on each config's values
         rows = [(c.alpha, c.smoothl1_weight, c.smoothl1_beta) for c in cfgs]
-        alpha, weight, beta = np.array(rows, dtype=float).reshape(-1, 3).T
-        parts = np.array([(c.include_attraction, c.include_repulsion) for c in cfgs], bool).reshape(-1, 2).T
+        alpha, weight, beta = np.array(rows, dtype=float).reshape(-1, 3).T[tail]
+        parts = np.array([(c.include_attraction, c.include_repulsion) for c in cfgs], bool).reshape(-1, 2).T[tail]
         norm = num_proposals * scale if num_proposals else np.ones_like(scale)
-        factors = ((beta * scale)[:, None, None], (weight / norm)[:, None, None])
+        factors = ((beta * scale)[..., None, None], (weight / norm)[..., None, None])
         return cls(alpha, weight, parts & (alpha > 0.0), norm, *factors)
 
 

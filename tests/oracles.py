@@ -766,3 +766,46 @@ def scalar_negative_informativeness(selected, scene, negative_iou_threshold=0.3)
         sel_hit,
         uni_hit,
     )
+
+
+def sequential_run_gradcheck(
+    sim_cfg,
+    comp_cfg,
+    cou_cfg,
+    num_scenes=1000,
+    fd_step_fraction=1e-5,
+    kink_tolerance=1e-3,
+    max_perturb_retries=20,
+    seed_base=0,
+):
+    """``gradcheck.run_gradcheck`` one scene at a time, as it ran before blocks.
+
+    Per seed: ``generate_scene``, then for each retry ``spawn_proposals`` and
+    ``detect_kinks``, until a kink-free retry gets its ``check_scene``. The
+    first retry's kink line of each kinky scene is recorded.
+    """
+    from crowdloss.couloss import detect_kinks
+    from crowdloss.gradcheck import TERMS, GradCheckOutcome, check_scene
+    from crowdloss.simulator import generate_scene, spawn_proposals
+
+    errors, kink_lines = [], []
+    seeds = range(seed_base, seed_base + num_scenes)
+    for seed in seeds:
+        scene = generate_scene(sim_cfg, seed)
+        gts = scene.gt_boxes
+        for retry in range(max_perturb_retries):
+            proposals = spawn_proposals(scene, sim_cfg, seed * 1000 + retry + 1)
+            kinks = detect_kinks(gts, proposals, cou_cfg, tolerance=kink_tolerance)
+            if not kinks:
+                errors.append(check_scene(gts, proposals, comp_cfg, cou_cfg, fd_step_fraction))
+                break
+            if retry == 0:
+                kink_lines.append(f"kink_warning seed={seed} {kinks[0]}")
+    checked = len(errors)
+    return GradCheckOutcome(
+        scenes_checked=checked,
+        scenes_skipped=len(seeds) - checked,
+        max_error={t: float(np.max([0.0] + [e[t] for e in errors])) for t in TERMS},
+        mean_error={t: sum(e[t] for e in errors) / checked if checked else 0.0 for t in TERMS},
+        kink_lines=kink_lines,
+    )

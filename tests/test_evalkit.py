@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crowdloss import evalkit
 from crowdloss.errors import InvalidInputError
@@ -135,6 +137,32 @@ class TestMatch:
         assert (res.true_positives, res.false_positives, res.misses) == (1, 0, 0)
 
 
+# dyadic boxes: a unit square against the 2 x 1 box that contains it has IoU 1/2 exactly
+WIDE = BBox(0, 0, 2, 1)
+TALL = BBox(0, 0, 1, 2)
+
+
+class TestMatchBoundaries:
+    def test_detection_at_threshold_is_true_positive(self):
+        assert iou(BBox(0, 0, 1, 1), WIDE) == 0.5
+        res = match([det(0, 0, 1, 1, 0.9)], [WIDE], iou_threshold=0.5)
+        assert (res.true_positives, res.false_positives, res.misses) == (1, 0, 0)
+
+    def test_ignore_region_at_threshold_absorbs_detection(self):
+        far = BBox(10, 10, 11, 11)
+        res = match([det(0, 0, 1, 1, 0.9)], [far], iou_threshold=0.5, ignored_gts=[WIDE])
+        assert (res.true_positives, res.false_positives, res.misses) == (0, 0, 1)
+
+    def test_iou_tie_takes_lower_ground_truth_index(self):
+        # the first detection ties WIDE and TALL at 1/2; the second overlaps only TALL,
+        # so it is a true positive only if the first took WIDE
+        first, second = det(0, 0, 1, 1, 0.9), det(0, 1, 1, 2, 0.5)
+        assert iou(first.box, WIDE) == iou(first.box, TALL) == iou(second.box, TALL) == 0.5
+        assert iou(second.box, WIDE) == 0.0
+        res = match([first, second], [WIDE, TALL], iou_threshold=0.5)
+        assert (res.true_positives, res.false_positives, res.misses) == (2, 0, 0)
+
+
 def three_scene_fixture():
     a = BBox(0, 0, 10, 20)
     b = BBox(20, 0, 30, 20)
@@ -190,6 +218,37 @@ class TestFppiCurve:
             fppi_curve([], {})
         with pytest.raises(InvalidInputError):
             fppi_curve([], {"s": []})
+
+
+# a half-unit grid: boxes from it meet at IoUs such as 1/2, exactly at the threshold
+half_units = st.integers(0, 8).map(lambda k: k / 2)
+sizes = st.integers(1, 4).map(lambda k: k / 2)
+
+
+@st.composite
+def grid_boxes(draw):
+    x1, y1 = draw(half_units), draw(half_units)
+    return BBox(x1, y1, x1 + draw(sizes), y1 + draw(sizes))
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    gts=st.lists(st.lists(grid_boxes(), min_size=1, max_size=4), min_size=1, max_size=3),
+    ignored=st.lists(grid_boxes(), max_size=2),
+    dets=st.lists(st.tuples(grid_boxes(), st.sampled_from((0.25, 0.5, 0.75, 1.0)), st.integers(0, 2)), max_size=12),
+)
+def test_fppi_never_falls_and_miss_rate_never_rises(gts, ignored, dets):
+    gts_by_scene = {str(k): boxes for k, boxes in enumerate(gts)}
+    detections = [Detection(box, score, str(scene)) for box, score, scene in dets]
+    curve = fppi_curve(detections, gts_by_scene, 0.5, {"0": ignored})
+    for (fppi, miss), (next_fppi, next_miss) in zip(curve.points, curve.points[1:]):
+        assert fppi <= next_fppi and next_miss <= miss
 
 
 TIED_SCORES = (0.0, 1.0, 0.25, 0.5, 0.75)

@@ -1,7 +1,9 @@
-"""The finite-difference gradcheck: one batch per scene, same errors as five sweeps."""
+"""The finite-difference gradcheck: one batch per scene, same errors as five sweeps,
+and blocks of scenes give the outcome of the one-scene-at-a-time loop."""
 
 import dataclasses
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -11,12 +13,12 @@ from hypothesis import strategies as st
 
 from crowdloss import _pairs, gradcheck
 from crowdloss.baselines import CompositeConfig, regression_targets
-from crowdloss.couloss import AGGREGATION_MODES, CouLossConfig
+from crowdloss.couloss import AGGREGATION_MODES, CouLossConfig, detect_kinks
 from crowdloss.errors import InvalidInputError
 from crowdloss.geometry import BBox
 from crowdloss.gradcheck import TERMS, check_scene, finite_difference, run_gradcheck
 from crowdloss.simulator import SimConfig, generate_scene, spawn_proposals
-from oracles import five_sweep_check_scene, per_point_finite_difference
+from oracles import five_sweep_check_scene, per_point_finite_difference, sequential_run_gradcheck
 from util import counted, patch_everywhere
 
 CONFIGS = {
@@ -118,3 +120,54 @@ def test_nan_errors_fail():
     assert outcome.scenes_checked > 0
     assert all(math.isnan(e) for e in outcome.max_error.values())
     assert not outcome.passed(1e-4)
+
+
+CROWD = SimConfig(pedestrian_count=6, proposals_per_gt=8)
+# (sim, composite, couloss, run_gradcheck keywords); 40 scenes span a full block and a partial one
+RUNS = {
+    "default-from-7": (SimConfig(), CompositeConfig(), CouLossConfig(), {"seed_base": 7}),
+    # scenes 394 and 399 are the only ones kink-free within 3 retries, both on the third
+    "crowd-3-retries": (CROWD, CompositeConfig(smoothl1_beta=0.5), CouLossConfig(),
+                        {"seed_base": 380, "max_perturb_retries": 3}),
+    "triplet-literal": (SimConfig(), CompositeConfig(), CouLossConfig(aggregation_mode="triplet-literal"), {}),
+    "alpha-0": (SimConfig(), CompositeConfig(alpha=0.0), CouLossConfig(), {}),
+    "repulsion-off-beta-0.5": (SimConfig(), CompositeConfig(include_repulsion=False, smoothl1_beta=0.5),
+                               CouLossConfig(), {}),
+    "fd-step-0": (SimConfig(), CompositeConfig(), CouLossConfig(), {"fd_step_fraction": 0.0}),
+}
+
+
+def bits(outcome):
+    """The outcome's fields, each error as its float's bytes, so that NaN equals NaN."""
+    fields = dataclasses.asdict(outcome)
+    for key in ("max_error", "mean_error"):
+        fields[key] = {t: struct.pack("<d", e) for t, e in fields[key].items()}
+    return fields
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_blocks_equal_sequential_loop(name):
+    sim, comp_cfg, cou_cfg, options = RUNS[name]
+    args = (sim, comp_cfg, cou_cfg, 40)
+    with np.errstate(invalid="ignore"):  # a zero step makes every central difference 0/0
+        got, want = run_gradcheck(*args, **options), sequential_run_gradcheck(*args, **options)
+    assert want.scenes_checked > 0 and want.kink_lines
+    assert bits(got) == bits(want)
+
+
+def test_one_kernel_call_per_retry_round_and_per_checked_scene(monkeypatch):
+    sim, cou_cfg, num_scenes = SimConfig(), CouLossConfig(), 70
+    # each scene's retry rounds in the sequential loop; a block runs as many as its slowest scene
+    rounds = Counter()
+    for seed in range(num_scenes):
+        scene = generate_scene(sim, seed)
+        for retry in range(20):
+            if not detect_kinks(scene.gt_boxes, spawn_proposals(scene, sim, seed * 1000 + retry + 1), cou_cfg, 1e-3):
+                break
+        block = seed // gradcheck._BLOCK
+        rounds[block] = max(rounds[block], retry + 1)
+    assert len(rounds) == 3 and max(rounds.values()) > 1
+    calls = Counter()
+    patch_everywhere(monkeypatch, "pair_work", counted(_pairs.pair_work, calls, "pair_work"))
+    outcome = run_gradcheck(sim, CompositeConfig(), cou_cfg, num_scenes)
+    assert calls["pair_work"] == sum(rounds.values()) + outcome.scenes_checked
