@@ -21,11 +21,6 @@ from .baselines import (
     CompositeReport,
     composite_gradient,
     composite_regression_loss,
-    focal_loss,
-    iou_loss,
-    iou_loss_gradient,
-    smooth_l1,
-    smooth_l1_gradient,
 )
 from .couloss import (
     Assignment,
@@ -39,7 +34,6 @@ from .couloss import (
     detect_kinks,
     effective_cos,
     repulsive_force,
-    work_terms,
 )
 from .errors import (
     ConfigError,
@@ -64,7 +58,7 @@ from .evalkit import (
     save_curve,
     save_detections,
 )
-from .geometry import BBox, Point, border_distance, center, contains_center, cos_angle_at, iou
+from .geometry import BBox, Point, border_distance, center, cos_angle_at, iou
 from .simulator import (
     Descent,
     Pedestrian,

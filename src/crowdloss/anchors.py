@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .geometry import centers, contains
 POSITIVE = "P"
 IGNORED = "I"
 NEGATIVE = "N"
+# the rule for anchor scales and ratios, in select_anchors and in [anchors]
+_SIZES = (lambda v: bool(v) and all(map(positive, v)), "non-empty, each finite and > 0")
 
 
 @dataclass
@@ -149,8 +152,7 @@ def select_anchors(
     """
     scales = tuple(float(s) for s in scales)
     ratios = tuple(float(r) for r in ratios)
-    if not scales or not ratios:
-        raise InvalidInputError("at least one scale and one ratio are required")
+    check(SimpleNamespace(scales=scales, ratios=ratios), ("scales", "ratios"), *_SIZES)
     eps_a = dynamic_threshold(pmap)
     selected = pmap.values > eps_a
     if keep_mask is not None:
@@ -206,8 +208,8 @@ def location_branch_loss(pmap: ProbabilityMap, targets: TargetMap, cfg=None) -> 
 
     An all-ignored target map yields 0 by convention (empty mean). The focal
     parameters come from a :class:`~crowdloss.baselines.CompositeConfig`.
-    Cells at (or beyond) 0 or 1 are clamped to the eps margin with a warning,
-    as in :func:`~crowdloss.baselines.focal_loss`; the others are used as given.
+    Cells at (or beyond) 0 or 1 are clamped into (1e-6, 1 - 1e-6), with one
+    warning that counts them; cells strictly inside (0, 1) are used as given.
     """
     cfg = cfg or CompositeConfig()
     if pmap.values.shape != targets.labels.shape:

@@ -1,25 +1,21 @@
 """Reference losses and the composite regression objective.
 
 SmoothL1 acts directly on corner coordinates (there is no anchor-encoding
-stage here), IoULoss is the plain -ln(IoU) objective, and the composite
-combines the SmoothL1 slice with the work-formula regulator under
-configurable weights and component toggles.
+stage here), and the composite combines the SmoothL1 slice with the
+work-formula regulator under configurable weights and component toggles.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry
 from ._pairs import best_gt, box_array, center_distances
 from .couloss import CouLossConfig, LossReport, TripletStructure, _couloss, _evaluate, _loss_report
-from .errors import InvalidInputError, NoOverlapError, check, non_negative, positive
-from .geometry import BBox, centers, iou_and_grad, ray_length
+from .errors import InvalidInputError, check, non_negative, positive
+from .geometry import BBox, centers, ray_length
 
 
 @dataclass(frozen=True)
@@ -55,17 +51,6 @@ class CompositeReport:
     couloss: LossReport | None
 
 
-def smooth_l1(pred: BBox, target: BBox, beta: float = 1.0) -> float:
-    """Summed piecewise quadratic/linear penalty over the four coordinates."""
-    return float(_smooth_l1(box_array([pred]) - box_array([target]), beta)[0][0])
-
-
-def smooth_l1_gradient(pred: BBox, target: BBox, beta: float = 1.0):
-    """d(smooth_l1)/d(pred coordinates)."""
-    grad = _smooth_l1(box_array([pred]) - box_array([target]), beta, gradient=True)[1]
-    return tuple(grad[0].tolist())
-
-
 def _smooth_l1(d: np.ndarray, beta, gradient: bool = False):
     """SmoothL1 of each row of coordinate differences ``d`` (..., 4), its four
     terms added left to right, and with ``gradient`` its gradient (else None);
@@ -75,40 +60,6 @@ def _smooth_l1(d: np.ndarray, beta, gradient: bool = False):
     t = np.where(small, 0.5 * d * d / beta, a - 0.5 * beta)
     rows = ((t[..., 0] + t[..., 1]) + t[..., 2]) + t[..., 3]
     return rows, (np.where(small, d / beta, np.copysign(1.0, d)) if gradient else None)
-
-
-def iou_loss(pred: BBox, target: BBox, eps: float = 1e-6) -> float:
-    """-ln(IoU) regression loss; undefined (raises) for disjoint boxes."""
-    v = geometry.iou(pred, target)
-    if v <= 0.0:
-        raise NoOverlapError("iou_loss undefined for non-overlapping boxes")
-    return -math.log(max(v, eps))
-
-
-def iou_loss_gradient(pred: BBox, target: BBox, eps: float = 1e-6):
-    v, dv = iou_and_grad(box_array([target]).T, box_array([pred]).T)
-    v = float(v[0])
-    if v <= 0.0:
-        raise NoOverlapError("iou_loss undefined for non-overlapping boxes")
-    if v <= eps:
-        return (0.0, 0.0, 0.0, 0.0)
-    return tuple((-dv[:, 0] / v).tolist())
-
-
-def focal_loss(
-    prob: float, label: int, focal_gamma: float = 2.0, focal_alpha: float = 0.25, eps: float = 1e-6
-) -> float:
-    """Alpha-balanced focal loss for one binary prediction.
-
-    ``prob`` is the predicted foreground probability; probabilities at (or
-    beyond) 0 or 1 are clamped to the eps margin with a warning.
-    """
-    if label not in (0, 1):
-        raise InvalidInputError(f"label must be 0 or 1, got {label}")
-    if prob <= 0.0 or prob >= 1.0:
-        warnings.warn(f"focal_loss probability {prob} clamped into ({eps}, {1 - eps})")
-        prob = min(max(prob, eps), 1.0 - eps)
-    return float(_focal(np.float64(prob), label == 1, focal_gamma, focal_alpha))
 
 
 def _focal(probs: np.ndarray, positive: np.ndarray, focal_gamma: float, focal_alpha: float) -> np.ndarray:

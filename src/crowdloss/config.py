@@ -7,6 +7,7 @@ import math
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 
+from .anchors import _SIZES
 from .baselines import CompositeConfig
 from .couloss import CouLossConfig
 from .errors import ConfigError, InvalidInputError, check, non_negative, positive
@@ -30,9 +31,7 @@ class AnchorDemoConfig:
 
     def __post_init__(self):
         check(self, ("stride",), positive, "finite and > 0")
-        check(
-            self, ("scales", "ratios"), lambda v: v and all(map(positive, v)), "non-empty, each finite and > 0"
-        )
+        check(self, ("scales", "ratios"), *_SIZES)
         check(self, ("map_kind",), _MAP_KINDS.__contains__, f"one of {', '.join(_MAP_KINDS)}")
         check(self, ("flat_value", "peak", "background"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
         check(self, ("negative_iou_threshold",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")

@@ -326,23 +326,6 @@ def effective_cos(g_i: BBox, p_n: BBox, g_j: BBox) -> tuple[float, float]:
     return 1.0, cos_r
 
 
-def work_terms(
-    g_i: BBox, p_p: BBox, p_n: BBox, g_j: BBox, cfg: CouLossConfig | None = None
-) -> tuple[float, float]:
-    """Attractive and repulsive work for the triplet (g_i, p_p, p_n).
-
-    ``g_j`` is the target of ``p_n``. Both border-distance factors are
-    measured against ``g_i``. Non-positive raw work is clamped to zero.
-    """
-    cfg = cfg or CouLossConfig()
-    # gts (g_i, g_j), proposals (p_p, p_n): attraction pair (0, 0), repulsion pair (0, 1)
-    pairs = Pairs(*(np.array(a, dtype=np.intp) for a in ([0, 0], [0, 1], [0, 1], [1, 1])))
-    G = box_array([g_i, g_j])
-    frame = PairFrame.of(G, center_distances(G[None]), pairs, 1, 2)
-    work = pair_work(frame, box_array([p_p, p_n]), cfg.iou_floor, literal=False).work
-    return float(work[0]), float(work[1])
-
-
 def assemble_triplets(
     gts: list[BBox], proposals: list[BBox], cfg: CouLossConfig | None = None
 ) -> tuple[list[Triplet], list[Assignment]]:

@@ -3,9 +3,8 @@
 Boxes use corner form (x1, y1, x2, y2) with strictly positive width and
 height. Each box quantity is written once, over coordinate-major arrays that
 broadcast: boxes ``(4, ...)`` and points ``(2, ...)``. The helpers on one
-``BBox`` or ``Point`` (``iou``, ``border_distance``, ``cos_angle_at``,
-``contains_center``) evaluate those formulas on one box and return Python
-scalars. All operations are pure functions and safe to call concurrently.
+``BBox`` or ``Point`` (``iou``, ``border_distance``, ``cos_angle_at``)
+evaluate those formulas on one box and return Python scalars. All operations are pure functions and safe to call concurrently.
 
 Bit-exact rule: every array formula equals, bit for bit, one evaluation with
 Python floats of the same IEEE operations in the same order. Numpy's +, -, *,
@@ -205,7 +204,3 @@ def border_distance(g: BBox, p: BBox) -> float:
     1 on its corners."""
     return float(border_factor(centers(_column(p.as_tuple())), _column(g.as_tuple()))[0][0])
 
-
-def contains_center(g: BBox, p: BBox) -> bool:
-    """True iff the center of ``p`` lies inside ``g`` (boundary included)."""
-    return bool(contains(_column(g.as_tuple()), centers(_column(p.as_tuple())))[0])

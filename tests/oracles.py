@@ -384,6 +384,17 @@ def _scalar_smooth_l1(p, t, beta):
     return total
 
 
+def scalar_focal(prob, label, focal_gamma=2.0, focal_alpha=0.25, eps=1e-6):
+    """Alpha-balanced focal loss of one prediction with foreground probability
+    ``prob`` and label 0 or 1; a ``prob`` at or beyond 0 or 1 is clamped into
+    ``(eps, 1 - eps)``, one strictly inside is used as given."""
+    if prob <= 0.0 or prob >= 1.0:
+        prob = min(max(prob, eps), 1.0 - eps)
+    p_t = prob if label == 1 else 1.0 - prob
+    alpha_t = focal_alpha if label == 1 else 1.0 - focal_alpha
+    return -alpha_t * (1.0 - p_t) ** focal_gamma * math.log(p_t)
+
+
 def scalar_descent(gts, proposals, extent, sim, comp, cou, seed):
     """Fixed-step descent of tuple proposals under SmoothL1 plus the scalar CouLoss.
 

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from dataclasses import astuple
 
@@ -25,11 +26,11 @@ from crowdloss.anchors import (
     scene_grid,
     select_anchors,
 )
-from crowdloss.baselines import CompositeConfig, focal_loss
+from crowdloss.baselines import CompositeConfig
 from crowdloss.errors import InvalidAnnotationError, InvalidInputError
 from crowdloss.geometry import BBox
 from crowdloss.simulator import Pedestrian, Scene
-from oracles import scalar_anchor_boxes, scalar_negative_informativeness
+from oracles import scalar_anchor_boxes, scalar_focal, scalar_negative_informativeness
 from util import counted
 
 
@@ -99,8 +100,24 @@ class TestSelectAnchors:
         assert calls["BBox"] == 0
 
     def test_non_finite_anchor_rejected_as_box(self):
-        with pytest.raises(InvalidInputError, match=r"^non-finite box coordinates \(-inf, -inf, inf, inf\)$"):
-            select_anchors(pmap([[0.0, 1.0]]), scales=(math.inf,))
+        # finite scale and ratio whose anchor width overflows to inf
+        with pytest.raises(InvalidInputError, match=r"^non-finite box coordinates \(-inf, -2.5e\+307, inf, 2.5e\+307\)$"):
+            select_anchors(pmap([[0.0, 1.0]]), scales=(1e308,), ratios=(4.0,))
+
+    @pytest.mark.parametrize(
+        "sizes, key",
+        [
+            ({"ratios": (-1.0,)}, "ratios"),
+            ({"scales": (0.0,)}, "scales"),
+            ({"scales": (math.nan,)}, "scales"),
+            ({"ratios": (math.inf,)}, "ratios"),
+            ({"scales": ()}, "scales"),
+        ],
+    )
+    def test_bad_scale_or_ratio_rejected_by_name(self, sizes, key):
+        got = re.escape(repr(sizes[key]))
+        with pytest.raises(InvalidInputError, match=rf"^{key} must be non-empty, each finite and > 0, got {got}$"):
+            select_anchors(pmap([[0.0, 1.0]]), **sizes)
 
     def test_selected_cells_above_threshold(self):
         rng = np.random.default_rng(43)
@@ -263,7 +280,7 @@ class TestLocationLoss:
         values = rng.uniform(0.01, 0.99, (6, 6))
         labels = rng.choice([POSITIVE, IGNORED, NEGATIVE], size=(6, 6))
         expected_cells = [
-            focal_loss(values[r, c], 1 if labels[r, c] == POSITIVE else 0, 1.7, 0.4)
+            scalar_focal(values[r, c], 1 if labels[r, c] == POSITIVE else 0, 1.7, 0.4)
             for r in range(6)
             for c in range(6)
             if labels[r, c] != IGNORED
@@ -276,8 +293,7 @@ class TestLocationLoss:
         tmap = TargetMap(stride=1.0, labels=[[POSITIVE, NEGATIVE]])
         with pytest.warns(UserWarning, match=r"^1 probability cell\(s\) clamped"):
             got = location_branch_loss(pmap([[1e-9, 1.0]]), tmap)
-        with pytest.warns(UserWarning):
-            cells = [focal_loss(1e-9, 1), focal_loss(1.0, 0)]
+        cells = [scalar_focal(1e-9, 1), scalar_focal(1.0, 0)]
         assert got == pytest.approx(sum(cells) / 2, rel=1e-12)
         assert got == pytest.approx(7.771, abs=1e-3)
 

@@ -6,129 +6,87 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crowdloss._pairs import best_gt
+from crowdloss.anchors import NEGATIVE, POSITIVE, ProbabilityMap, TargetMap, location_branch_loss
 from crowdloss.baselines import (
     CompositeConfig,
     _targets,
     composite_gradient,
     composite_regression_loss,
-    focal_loss,
-    iou_loss,
-    iou_loss_gradient,
     regression_targets,
     scene_scale,
-    smooth_l1,
-    smooth_l1_gradient,
 )
 from crowdloss.couloss import AGGREGATION_MODES, CouLossConfig, couloss
-from crowdloss.errors import InfeasibleConfigError, InvalidInputError, NoOverlapError
-from crowdloss.geometry import BBox, iou
+from crowdloss.errors import InfeasibleConfigError, InvalidInputError
+from crowdloss.geometry import BBox
 from crowdloss.simulator import SimConfig, generate_scene, spawn_proposals
 from oracles import central_difference_gradient, scalar_regression_targets
 from util import jittered_box, overlapping_pair
 
 
+# a unit-scale ground truth (max extent 1) and one proposal: the composite's
+# SmoothL1 mean is the proposal's SmoothL1 against it, in the box's own units
+UNIT = BBox(0, 0, 1, 0.5)
+
+
+def unit_smooth_l1(pred, beta=1.0):
+    return composite_regression_loss([UNIT], [pred], CompositeConfig(alpha=0.0, smoothl1_beta=beta)).smooth_l1
+
+
 class TestSmoothL1:
     def test_zero_at_target(self):
-        b = BBox(1, 2, 5, 9)
-        assert smooth_l1(b, b) == 0.0
+        assert unit_smooth_l1(UNIT) == 0.0
 
     def test_boundary_diff(self):
         # single coordinate off by exactly beta: both branches give 0.5
-        assert smooth_l1(BBox(1, 0, 4, 4), BBox(0, 0, 4, 4), beta=1.0) == pytest.approx(0.5)
+        assert unit_smooth_l1(BBox(-1, 0, 1, 0.5), beta=1.0) == pytest.approx(0.5)
 
     def test_linear_branch(self):
-        assert smooth_l1(BBox(2, 0, 4, 4), BBox(0, 0, 4, 4), beta=1.0) == pytest.approx(1.5)
+        assert unit_smooth_l1(BBox(-2, 0, 1, 0.5), beta=1.0) == pytest.approx(1.5)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
-            target = BBox(0, 0, 10, 20)
-            pred = jittered_box(rng, target, 0.2)
-            beta = rng.uniform(0.3, 3.0)
-            analytic = smooth_l1_gradient(pred, target, beta)
+            pred = jittered_box(rng, UNIT, 0.2)
+            beta = rng.uniform(0.015, 0.15)
+            cfg = CompositeConfig(alpha=0.0, smoothl1_beta=beta, smoothl1_weight=1.0)
+            analytic = composite_gradient([UNIT], [pred], cfg)[0]
 
             def f(tuples):
-                return smooth_l1(BBox(*tuples[0]), target, beta)
+                return unit_smooth_l1(BBox(*tuples[0]), beta=beta)
 
-            fd = central_difference_gradient(f, [pred.as_tuple()], 1e-6)[0]
+            fd = central_difference_gradient(f, [pred.as_tuple()], 5e-8)[0]
             assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-6)
 
 
-class TestIoULoss:
-    def test_identical_boxes(self):
-        b = BBox(0, 0, 3, 7)
-        assert iou_loss(b, b) == 0.0
-
-    def test_one_seventh(self):
-        assert iou_loss(BBox(0, 0, 2, 2), BBox(1, 1, 3, 3)) == pytest.approx(
-            math.log(7), abs=1e-12
-        )
-
-    def test_inverse_e(self):
-        assert iou_loss(BBox(0, 0, 1, 1), BBox(0, 0, 1 / math.e, 1)) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_disjoint_raises(self):
-        with pytest.raises(NoOverlapError):
-            iou_loss(BBox(0, 0, 1, 1), BBox(5, 5, 6, 6))
-        with pytest.raises(NoOverlapError):
-            iou_loss_gradient(BBox(0, 0, 1, 1), BBox(5, 5, 6, 6))
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(37)
-        checked = 0
-        for _ in range(60):
-            target = BBox(10, 10, 22, 34)
-            pred = jittered_box(rng, target, 0.15)
-            v = iou(target, pred)
-            # stay away from the intersection-corner kinks
-            corners = (
-                abs(pred.x1 - target.x1) < 0.01
-                or abs(pred.x2 - target.x2) < 0.01
-                or abs(pred.y1 - target.y1) < 0.01
-                or abs(pred.y2 - target.y2) < 0.01
-            )
-            if v <= 0.05 or corners:
-                continue
-            analytic = iou_loss_gradient(pred, target)
-
-            def f(tuples):
-                return iou_loss(BBox(*tuples[0]), target)
-
-            fd = central_difference_gradient(f, [pred.as_tuple()], 1e-5 * 24)[0]
-            denom = max(max(abs(x) for x in analytic), max(abs(x) for x in fd), 1e-8)
-            assert max(abs(a - b) for a, b in zip(analytic, fd)) / denom < 1e-4
-            checked += 1
-        assert checked > 40
+def focal_cell(p, label, focal_gamma=2.0, focal_alpha=0.25):
+    """``location_branch_loss`` of a one-cell map: the focal loss of one prediction."""
+    cfg = CompositeConfig(focal_gamma=focal_gamma, focal_alpha=focal_alpha)
+    tmap = TargetMap(stride=1.0, labels=[[POSITIVE if label else NEGATIVE]])
+    return location_branch_loss(ProbabilityMap(stride=1.0, values=[[p]]), tmap, cfg)
 
 
 class TestFocalLoss:
     def test_reduces_to_cross_entropy(self):
         for p, label in [(0.3, 1), (0.8, 0), (0.5, 1)]:
             ce = -math.log(p if label == 1 else 1 - p)
-            assert focal_loss(p, label, focal_gamma=0.0, focal_alpha=1.0 if label else 0.0) == (
+            assert focal_cell(p, label, focal_gamma=0.0, focal_alpha=1.0 if label else 0.0) == (
                 pytest.approx(ce, abs=1e-12)
             )
 
     def test_vanishes_as_pt_reaches_one(self):
-        assert focal_loss(1 - 1e-9, 1) < 1e-15
-        assert focal_loss(1e-9, 0) < 1e-15
+        assert focal_cell(1 - 1e-9, 1) < 1e-15
+        assert focal_cell(1e-9, 0) < 1e-15
 
     def test_hand_value(self):
         expected = 0.25 * 0.1**2 * -math.log(0.9)
-        assert focal_loss(0.9, 1, 2.0, 0.25) == pytest.approx(expected, abs=1e-12)
+        assert focal_cell(0.9, 1, 2.0, 0.25) == pytest.approx(expected, abs=1e-12)
 
     def test_clamps_with_warning(self):
         with pytest.warns(UserWarning):
-            v = focal_loss(1.0, 1)
+            v = focal_cell(1.0, 1)
         assert v >= 0.0
         with pytest.warns(UserWarning):
-            focal_loss(0.0, 0)
-
-    def test_bad_label(self):
-        with pytest.raises(InvalidInputError):
-            focal_loss(0.5, 2)
+            focal_cell(0.0, 0)
 
     def test_dominated_by_cross_entropy(self):
         rng = np.random.default_rng(32)
@@ -136,7 +94,7 @@ class TestFocalLoss:
             p = rng.uniform(1e-4, 1 - 1e-4)
             label = int(rng.integers(0, 2))
             ce = -math.log(p if label == 1 else 1 - p)
-            fl = focal_loss(p, label, focal_gamma=2.0, focal_alpha=1.0 if label else 0.0)
+            fl = focal_cell(p, label, focal_gamma=2.0, focal_alpha=1.0 if label else 0.0)
             assert fl <= ce + 1e-12
 
 

@@ -247,6 +247,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid values in section [nms]") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "gradcheck", "nms-sweep", "anchor-demo"])
+    def test_packed_crowd_exits_one_with_one_line(self, tmp_path, capsys, command):
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            "[sim]\npedestrian_count = 8\ncrowd_iou_min = 0.7\ncrowd_iou_max = 0.71\nheight_range = 0.9, 1.0\n",
+        )
+        assert main([command, "--config", cfg, "--seeds", "0", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not place 8 pedestrians with IoU band [0.7, 0.71]") and err.count("\n") == 1
+
 
 def fast_sim_section(**over):
     base = {

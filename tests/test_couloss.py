@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,10 +16,9 @@ from crowdloss.couloss import (
     detect_kinks,
     effective_cos,
     repulsive_force,
-    work_terms,
 )
 from crowdloss.errors import InvalidInputError, NoOverlapError
-from crowdloss.geometry import BBox, iou
+from crowdloss.geometry import BBox, border_distance, iou
 from crowdloss.simulator import SimConfig, generate_scene, run_descent, spawn_proposals
 from oracles import brute_force_couloss, central_difference_gradient
 from util import jittered_box, overlapping_pair
@@ -115,27 +115,35 @@ class TestEffectiveCos:
         assert effective_cos(g_i, p_n, g_j)[1] == pytest.approx(0.0, abs=1e-12)
 
 
+def triplet_work(gts, proposals, triplet=(0, 0, 1)):
+    """Attractive and repulsive work of the (gt, positive, negative) triplet of a scene."""
+    report = couloss(gts, proposals)
+    (work,) = [t for t in report.per_triplet if astuple(t.triplet) == triplet]
+    return work.attractive, work.repulsive
+
+
 class TestWorkTerms:
     def test_perfect_positive_gives_zero_attraction(self):
-        w_a, _ = work_terms(G_I, G_I, P_N, G_J)
+        w_a, _ = triplet_work([G_I, G_J], [G_I, P_N])
         assert w_a == 0.0
 
     def test_negative_cos_clamped(self):
         # P_n on the far side of G_i from G_j: cos < 0, work clamped to 0
         g_i = BBox(10, 10, 14, 18)
-        g_j = BBox(13, 10, 17, 18)
+        g_j = BBox(6.5, 7, 19, 21)
         p_p = BBox(10.2, 10.4, 14.2, 18.4)
-        p_n = BBox(7.5, 10.5, 11.5, 18.5)  # center left of G_i's center
-        _, w_r = work_terms(g_i, p_p, p_n, g_j)
+        p_n = BBox(2.5, 8, 16.5, 20.5)  # center left of G_i's center, G_j's right of it
+        assert effective_cos(g_i, p_n, g_j)[1] < -0.99 and border_distance(g_i, p_n) > 0.2
+        _, w_r = triplet_work([g_i, g_j], [p_p, p_n])
         assert w_r == 0.0
 
     def test_frozen_fixture(self):
-        w_a, w_r = work_terms(G_I, P_P, P_N, G_J)
+        w_a, w_r = triplet_work([G_I, G_J], [P_P, P_N])
         assert w_a == pytest.approx(W_A_FROZEN, abs=1e-12)
         assert w_r == 0.0  # s factor vanishes on the center line
 
     def test_frozen_fixture_positive_pair(self):
-        w_a, w_r = work_terms(G_I, P_P, P_N2, G_J)
+        w_a, w_r = triplet_work([G_I, G_J], [P_P, P_N2])
         assert w_a == pytest.approx(W_A_FROZEN, abs=1e-12)
         assert w_r == pytest.approx(W_R2_FROZEN, abs=1e-12)
 
@@ -297,13 +305,13 @@ class TestCouLoss:
         assert terms[0].repulsive == pytest.approx(expected, abs=1e-12)
 
     def test_repulsion_zero_when_center_half_extent_outside(self):
-        # negative proposal center more than half an extent beyond G_i's border
+        # negative proposal center more than half an extent beyond two of G_i's
+        # borders: both factors are negative, so only their clamp keeps s at 0
         g_i = BBox(0, 0, 4, 8)
-        g_j = BBox(3, 0, 7, 8)
+        g_j = BBox(3, 6.5, 11, 17.5)
         p_p = BBox(0.3, 0.5, 4.3, 8.5)
-        p_n = BBox(4.5, 0.5, 8.5, 8.5)  # center x = 6.5 > 4 + 2
-        assert iou(g_i, p_n) == 0.0 or True  # may or may not overlap; s clamps regardless
-        _, w_r = work_terms(g_i, p_p, p_n, g_j)
+        p_n = BBox(3, 7, 11, 18)  # center (7, 12.5): 7 > 4 + 2 and 12.5 > 8 + 4, assigned to G_j
+        _, w_r = triplet_work([g_i, g_j], [p_p, p_n])
         assert w_r == 0.0
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from crowdloss.couloss import AGGREGATION_MODES, CouLossConfig, couloss, couloss_gradient, detect_kinks
 from crowdloss.errors import InfeasibleConfigError
+from crowdloss.geometry import BBox
 from crowdloss.simulator import SimConfig, generate_scene, spawn_proposals
 
 invariant = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -63,3 +64,37 @@ def test_attraction_plus_repulsion_is_the_loss_exactly(mode, boxes):
 def test_pair_work_is_non_negative(mode, boxes):
     gts, proposals = boxes
     assert (couloss(gts, proposals, CouLossConfig(aggregation_mode=mode)).pair_work >= 0.0).all()
+
+
+def _mapped(boxes, f):
+    """Each group of ``boxes`` with ``f`` applied to every x and every y coordinate pair."""
+    return [[BBox(*f(b.x1, b.y1), *f(b.x2, b.y2)) for b in group] for group in boxes]
+
+
+@pytest.mark.parametrize("mode", AGGREGATION_MODES)
+@invariant
+@given(boxes=drawn_scenes())
+def test_power_of_two_scaling_keeps_value_and_scales_gradient(mode, boxes):
+    # scaling by 2**k is exact and the loss is scale-free: the value stays bit
+    # for bit, and the gradient with respect to the coordinates shrinks by 2**k
+    cfg = CouLossConfig(aggregation_mode=mode)
+    value, grad = couloss(*boxes, cfg).total, couloss_gradient(*boxes, cfg)
+    for k in (-3, 1, 5):
+        scaled = _mapped(boxes, lambda x, y: (x * 2.0**k, y * 2.0**k))
+        assert couloss(*scaled, cfg).total == value
+        atol = 1e-12 * np.abs(grad).max(initial=0.0)
+        np.testing.assert_allclose(couloss_gradient(*scaled, cfg) * 2.0**k, grad, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("mode", AGGREGATION_MODES)
+@invariant
+@given(boxes=drawn_scenes(), shift=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)))
+def test_translation_keeps_value_and_gradient(mode, boxes, shift):
+    # a shift rounds the coordinates, which near a kink could change an assignment or a clamp
+    cfg = CouLossConfig(aggregation_mode=mode)
+    assume(not detect_kinks(*boxes, cfg))
+    moved = _mapped(boxes, lambda x, y: (x + shift[0], y + shift[1]))
+    value, grad = couloss(*boxes, cfg).total, couloss_gradient(*boxes, cfg)
+    assert couloss(*moved, cfg).total == pytest.approx(value, rel=1e-12, abs=0)
+    atol = 1e-8 * np.abs(grad).max(initial=0.0)
+    np.testing.assert_allclose(couloss_gradient(*moved, cfg), grad, rtol=0, atol=atol)

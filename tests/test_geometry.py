@@ -12,7 +12,8 @@ from crowdloss.geometry import (
     Point,
     border_distance,
     center,
-    contains_center,
+    centers,
+    contains,
     cos_angle_at,
     iou,
 )
@@ -172,6 +173,13 @@ class TestBorderDistance:
             gk = BBox(g.x1 * k, g.y1 * k, g.x2 * k, g.y2 * k)
             pk = BBox(p.x1 * k, p.y1 * k, p.x2 * k, p.y2 * k)
             assert border_distance(gk, pk) == pytest.approx(border_distance(g, p), abs=1e-12)
+
+
+def contains_center(g: BBox, p: BBox) -> bool:
+    """``contains`` of ``g`` as a (4, 1) column and ``p``'s center as a (2, 1) column."""
+    g_col, p_col = (np.array(b.as_tuple())[:, None] for b in (g, p))
+    (inside,) = contains(g_col, centers(p_col)).tolist()
+    return inside
 
 
 class TestContainsCenter:

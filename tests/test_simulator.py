@@ -126,6 +126,12 @@ class TestSceneGeneration:
         with pytest.raises(InfeasibleConfigError):
             generate_scene(cfg, 0)
 
+    def test_packed_crowd_raises_naming_count_and_band(self):
+        # eight tall pedestrians whose every overlap must sit in a narrow, high IoU band
+        cfg = SimConfig(pedestrian_count=8, crowd_iou_min=0.7, crowd_iou_max=0.71, height_range=(0.9, 1.0))
+        with pytest.raises(InfeasibleConfigError, match=r"8 pedestrians with IoU band \[0\.7, 0\.71\]"):
+            generate_scene(cfg, 0)
+
     def test_scene_validation(self):
         with pytest.raises(InvalidInputError):
             Scene(extent=(10.0, 10.0), pedestrians=[], distractors=[BBox(5, 5, 12, 9)])
