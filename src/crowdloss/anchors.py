@@ -8,6 +8,7 @@ ignored (inside a full-body box only), or negative (background).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -70,7 +71,8 @@ class TargetMap:
         if labels.ndim != 2 or labels.size == 0:
             raise InvalidInputError("target map must be a non-empty 2-D grid")
         check(self, ("stride",), positive, "finite and > 0")
-        for label in np.unique(labels).tolist():
+        bad = (labels != POSITIVE) & (labels != IGNORED) & (labels != NEGATIVE)
+        for label in np.unique(labels[bad]).tolist():
             _label(label)
         self.labels = labels.astype("<U1")
 
@@ -249,21 +251,21 @@ def negative_informativeness(
     A negative anchor has IoU below the threshold with every ground truth;
     a hit is a negative anchor whose center lies inside a distractor box.
     The uniform baseline regenerates the same anchor shapes at every cell.
+    It is the same for every scene on a grid, so it is built once per grid.
     """
     gts = box_array(scene.gt_boxes)
     distractors = box_array(scene.distractors)
 
-    def stats(boxes):
+    def stats(boxes, box_centers):
         negative = ~(iou_matrix(gts, boxes) >= negative_iou_threshold).any(axis=0)
-        inside = _covered(distractors, centers(np.ascontiguousarray(boxes.T)))
+        inside = _covered(distractors, box_centers)
         return int(negative.sum()), int((negative & inside).sum())
 
-    rows, cols = np.indices((selected.grid_height, selected.grid_width)).reshape(2, -1)
-    uniform = _anchor_boxes(rows, cols, selected.stride, selected.scales, selected.ratios)
-    check_boxes(uniform)
-
-    sel_neg, sel_hit = stats(selected.anchors)
-    uni_neg, uni_hit = stats(uniform)
+    uniform = _uniform_anchors(
+        selected.grid_height, selected.grid_width, selected.stride, tuple(selected.scales), tuple(selected.ratios)
+    )
+    sel_neg, sel_hit = stats(selected.anchors, centers(np.ascontiguousarray(selected.anchors.T)))
+    uni_neg, uni_hit = stats(*uniform)
     return InformativenessStats(
         selected_fraction=sel_hit / sel_neg if sel_neg else 0.0,
         uniform_fraction=uni_hit / uni_neg if uni_neg else 0.0,
@@ -272,6 +274,18 @@ def negative_informativeness(
         selected_hits=sel_hit,
         uniform_hits=uni_hit,
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _uniform_anchors(grid_height: int, grid_width: int, stride: float, scales: tuple, ratios: tuple):
+    """Read-only ``(K, 4)`` anchors at every cell of a grid, checked as boxes,
+    and their ``(2, K)`` centers; a run's seeds share one grid, so one is kept."""
+    rows, cols = np.indices((grid_height, grid_width)).reshape(2, -1)
+    anchors = _anchor_boxes(rows, cols, stride, scales, ratios)
+    check_boxes(anchors)
+    anchor_centers = centers(np.ascontiguousarray(anchors.T))
+    anchors.flags.writeable = anchor_centers.flags.writeable = False
+    return anchors, anchor_centers
 
 
 def scene_grid(scene, stride: float) -> tuple[int, int]:
@@ -311,7 +325,7 @@ def bump_probability_map(
 
 def save_probability_map(pmap: ProbabilityMap, path) -> None:
     """Plain-text grid: header ``width height stride``, then row-major values."""
-    _write_grid(path, pmap.stride, pmap.values, lambda v: repr(float(v)))
+    _write_grid(path, pmap.stride, pmap.values.shape, (map(repr, row) for row in pmap.values.tolist()))
 
 
 def load_probability_map(path) -> ProbabilityMap:
@@ -330,7 +344,7 @@ def _probability(text: str) -> float:
 
 def save_target_map(tmap: TargetMap, path) -> None:
     """Plain-text grid: header ``width height stride``, then P/I/N symbols."""
-    _write_grid(path, tmap.stride, tmap.labels, str)
+    _write_grid(path, tmap.stride, tmap.labels.shape, tmap.labels.tolist())
 
 
 def load_target_map(path) -> TargetMap:
@@ -346,13 +360,12 @@ def _label(text: str) -> str:
     return text
 
 
-def _write_grid(path, stride: float, grid: np.ndarray, token) -> None:
-    """Header ``width height stride``, then each row of ``grid`` as its cells'
-    ``token`` text, space-separated."""
+def _write_grid(path, stride: float, shape: tuple[int, int], rows) -> None:
+    """Header ``width height stride`` of a ``(height, width)`` grid, then each of
+    ``rows``, the texts of its cells, space-separated."""
     with open(path, "w") as fh:
-        fh.write(f"{grid.shape[1]} {grid.shape[0]} {stride!r}\n")
-        for row in grid:
-            fh.write(" ".join(map(token, row)) + "\n")
+        fh.write(f"{shape[1]} {shape[0]} {stride!r}\n")
+        fh.writelines(" ".join(row) + "\n" for row in rows)
 
 
 def _parse_grid_header(line: str, path):

@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._pairs import box_array, iou_matrix
-from .errors import InvalidInputError, at_line
+from .errors import InvalidInputError
 from .geometry import BBox
 
 
@@ -235,10 +235,13 @@ def _read_csv(path, fields, convert) -> list:
             raise InvalidInputError(f"{path}:1: expected header {','.join(fields)}")
         out = []
         for row in reader:
-            with at_line(path, reader.line_num):
+            # a try per row, not around the loop: a decode error from reading ahead is not this row's
+            try:
                 if len(row) != len(fields):
                     raise InvalidInputError(f"malformed row {row}")
                 out.append(convert(*row))
+            except ValueError as exc:
+                raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from exc
     return out
 
 

@@ -30,7 +30,7 @@ from .errors import (
     positive,
 )
 from .evalkit import Detection, greedy_nms, match
-from .geometry import BBox, centers, contains, iou, iou_parts
+from .geometry import BBox, centers, contains, iou, iou_parts, scalar_map
 
 
 # the extent rule of check, for scenes and their config
@@ -262,26 +262,22 @@ def spawn_proposals(scene: Scene, cfg: SimConfig, seed: int) -> list[BBox]:
     truth order, clipped to the scene extent, each side at least the descent's
     minimal size. With zero jitter the proposals equal their ground truths.
     """
-    rng = np.random.default_rng(seed)
     ew, eh = scene.extent
     min_size = _MIN_SIZE * max(ew, eh)
     sigma = cfg.proposal_jitter
-    out = []
-    for full in scene.gt_boxes:
-        if sigma == 0.0:
-            out.extend([full] * cfg.proposals_per_gt)
-            continue
-        cx0 = (full.x1 + full.x2) / 2.0
-        cy0 = (full.y1 + full.y2) / 2.0
-        for _ in range(cfg.proposals_per_gt):
-            cx = cx0 + rng.normal(0.0, sigma * full.width)
-            cy = cy0 + rng.normal(0.0, sigma * full.height)
-            w = min(max(full.width * math.exp(min(rng.normal(0.0, sigma), _LOG_MAX)), min_size), ew)
-            h = min(max(full.height * math.exp(min(rng.normal(0.0, sigma), _LOG_MAX)), min_size), eh)
-            cx = min(max(cx, w / 2.0), ew - w / 2.0)
-            cy = min(max(cy, h / 2.0), eh - h / 2.0)
-            out.append(BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0))
-    return out
+    k = cfg.proposals_per_gt
+    if sigma == 0.0:
+        return [full for full in scene.gt_boxes for _ in range(k)]
+    gts = np.repeat(box_array(scene.gt_boxes), k, axis=0)
+    size = gts[:, 2:] - gts[:, :2]
+    # per proposal, in draw order: center x and y, then log width and log height
+    noise = np.random.default_rng(seed).normal(0.0, np.hstack([sigma * size, np.full_like(size, sigma)]))
+    scale = scalar_map(math.exp, np.minimum(noise[:, 2:], _LOG_MAX).ravel()).reshape(-1, 2)
+    with np.errstate(over="ignore"):  # an inf side is capped by the extent below
+        wh = np.minimum(np.maximum(size * scale, min_size), (ew, eh))
+    half = wh / 2.0
+    c = np.minimum(np.maximum((gts[:, :2] + gts[:, 2:]) / 2.0 + noise[:, :2], half), (ew, eh) - half)
+    return [BBox(*box) for box in np.hstack([c - half, c + half]).tolist()]
 
 
 def _project_min_size(coords: np.ndarray, min_size) -> np.ndarray:

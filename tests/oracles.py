@@ -8,6 +8,7 @@ with the package under test, except
 """
 
 import math
+import sys
 
 from collections import namedtuple
 
@@ -382,6 +383,31 @@ def _scalar_smooth_l1(p, t, beta):
         a = abs(d)
         total += 0.5 * d * d / beta if a < beta else a - 0.5 * beta
     return total
+
+
+def scalar_spawn_proposals(scene, sim, seed):
+    """The jittered proposals of ``simulator.spawn_proposals`` as tuples, drawn
+    one ``rng.normal`` per center coordinate and log side, proposal by proposal."""
+    rng = np.random.default_rng(seed)
+    ew, eh = scene.extent
+    min_size = 1e-3 * max(ew, eh)
+    log_max = math.log(sys.float_info.max)
+    sigma = sim.proposal_jitter
+    out = []
+    for ped in scene.pedestrians:
+        x1, y1, x2, y2 = ped.full.x1, ped.full.y1, ped.full.x2, ped.full.y2
+        if sigma == 0.0:
+            out.extend([(x1, y1, x2, y2)] * sim.proposals_per_gt)
+            continue
+        for _ in range(sim.proposals_per_gt):
+            cx = (x1 + x2) / 2.0 + rng.normal(0.0, sigma * (x2 - x1))
+            cy = (y1 + y2) / 2.0 + rng.normal(0.0, sigma * (y2 - y1))
+            w = min(max((x2 - x1) * math.exp(min(rng.normal(0.0, sigma), log_max)), min_size), ew)
+            h = min(max((y2 - y1) * math.exp(min(rng.normal(0.0, sigma), log_max)), min_size), eh)
+            cx = min(max(cx, w / 2.0), ew - w / 2.0)
+            cy = min(max(cy, h / 2.0), eh - h / 2.0)
+            out.append((cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0))
+    return out
 
 
 def scalar_focal(prob, label, focal_gamma=2.0, focal_alpha=0.25, eps=1e-6):

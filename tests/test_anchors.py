@@ -13,6 +13,7 @@ from crowdloss.anchors import (
     POSITIVE,
     ProbabilityMap,
     TargetMap,
+    _uniform_anchors,
     build_target_map,
     bump_probability_map,
     dynamic_threshold,
@@ -253,6 +254,11 @@ class TestTargetMap:
             TargetMap(stride=1.0, labels=[["PX", "N"]])
         assert TargetMap(stride=1.0, labels=[["P", "N"]]).labels.dtype == np.dtype("<U1")
 
+    def test_smallest_bad_label_is_named(self):
+        # only the cells that are not P, I or N are checked, in sort order
+        with pytest.raises(InvalidInputError, match="unknown target label 'PX'"):
+            TargetMap(stride=1.0, labels=[["Q", "PX", "N"]])
+
 
 class TestLocationLoss:
     def test_perfect_map_near_zero(self):
@@ -416,6 +422,54 @@ class TestInformativenessMatchesScalar:
         got = negative_informativeness(sel, scene)
         assert (got.selected_negatives, got.selected_hits) == (3, 2)
         assert astuple(got) == scalar_negative_informativeness(sel, scene)
+
+
+def hand_built_set(scales, ratios, grid=(4, 5), stride=5.0):
+    anchors = np.array([(2, 2, 6, 10), (15, 3, 19, 7), (16.5, 4, 17.5, 6), (0, 14, 3, 19)], dtype=float)
+    return AnchorSet(anchors, 0.5, False, *grid, stride, scales, ratios)
+
+
+class TestUniformBaseline:
+    """The uniform anchors of a grid are built once and shared by every scene on it."""
+
+    def test_cached_grid_scores_like_a_fresh_one(self):
+        other = Scene(
+            extent=(20.0, 20.0),
+            pedestrians=[Pedestrian(full=BBox(4, 6, 9, 18), visible=BBox(4, 6, 9, 12))],
+            distractors=[BBox(12, 1, 15, 9), BBox(1, 1, 3, 5)],
+        )
+        scenes = [two_ped_scene(), other]
+        sets = [select_anchors(bump_probability_map(s, 1.0, seed=i), (4.0, 8.0), (0.41,)) for i, s in enumerate(scenes)]
+        _uniform_anchors.cache_clear()
+        cached = [negative_informativeness(sel, s) for sel, s in zip(sets, scenes)]
+        assert _uniform_anchors.cache_info()[:2] == (1, 1)  # (hits, misses): one grid, built once
+        assert cached[0].uniform_hits != cached[1].uniform_hits
+        fresh = []
+        for sel, s in zip(sets, scenes):
+            _uniform_anchors.cache_clear()
+            fresh.append(negative_informativeness(sel, s))
+        assert cached == fresh
+        assert [astuple(c) for c in cached] == [scalar_negative_informativeness(sel, s) for sel, s in zip(sets, scenes)]
+
+    def test_cached_arrays_are_read_only(self):
+        anchors, anchor_centers = _uniform_anchors(3, 4, 2.0, (4.0,), (0.5, 1.0))
+        assert anchors.shape == (24, 4) and anchor_centers.shape == (2, 24)
+        for array in (anchors, anchor_centers):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    def test_list_scales_and_ratios_score(self):
+        scene, as_tuples = two_ped_scene(), hand_built_set((3.0, 6.0), (0.5,))
+        got = negative_informativeness(hand_built_set([3.0, 6.0], [0.5]), scene)
+        assert got == negative_informativeness(as_tuples, scene)
+        assert astuple(got) == scalar_negative_informativeness(as_tuples, scene)
+
+    def test_bad_grid_raises_on_every_call(self):
+        # the selected anchors are valid boxes; the grid's overflow to inf is not
+        sel = hand_built_set((1e308,), (4.0,))
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match=r"^non-finite box coordinates"):
+                negative_informativeness(sel, two_ped_scene())
 
 
 class TestSerialization:

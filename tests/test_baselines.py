@@ -40,6 +40,12 @@ class TestSmoothL1:
         # single coordinate off by exactly beta: both branches give 0.5
         assert unit_smooth_l1(BBox(-1, 0, 1, 0.5), beta=1.0) == pytest.approx(0.5)
 
+    def test_linear_at_exactly_beta(self):
+        # |d| == beta takes the linear branch: 0.1 - 0.05 is 0.05, while the
+        # quadratic 0.5 * 0.1**2 / 0.1 rounds to 0.05000000000000001
+        cfg = CompositeConfig(alpha=0.0, smoothl1_beta=0.1)
+        assert composite_regression_loss([BBox(0, 0, 1, 1)], [BBox(0.1, 0, 1, 1)], cfg).smooth_l1 == 0.05
+
     def test_linear_branch(self):
         assert unit_smooth_l1(BBox(-2, 0, 1, 0.5), beta=1.0) == pytest.approx(1.5)
 

@@ -34,7 +34,7 @@ from crowdloss.simulator import (
     spawn_proposals,
     standard_variants,
 )
-from oracles import tuple_iou
+from oracles import scalar_spawn_proposals, tuple_iou
 from util import counted, patch_everywhere, random_box
 
 
@@ -183,13 +183,29 @@ class TestSpawnProposals:
     def test_huge_jitter_keeps_every_side_between_the_minimal_size_and_the_extent(self):
         # exp(N(0, 1000)) underflows to 0 or overflows; the sides are held to the
         # minimal size of the descent (1e-3 of the larger extent) and to the extent
+        # (silently: an overflowing side is no cause for a warning)
         cfg = SimConfig(proposal_jitter=1000.0)
         for seed in range(20):
             scene = generate_scene(cfg, seed)
             w, h = scene.extent
-            for p in spawn_proposals(scene, cfg, seed + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                proposals = spawn_proposals(scene, cfg, seed + 1)
+            for p in proposals:
                 assert 0 <= p.x1 and 0 <= p.y1 and p.x2 <= w and p.y2 <= h
                 assert min(p.width, p.height) >= 1e-3 * max(w, h) * (1 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "sim",
+        [SimConfig(), SimConfig(pedestrian_count=6, proposals_per_gt=8)]
+        + [SimConfig(proposal_jitter=j) for j in (0.0, 1e-300, 3.0, 800.0)],
+        ids=["default", "6x8", "jitter-0", "jitter-1e-300", "jitter-3", "jitter-800"],
+    )
+    def test_matches_scalar_oracle(self, sim):
+        for seed in range(300):
+            scene = generate_scene(sim, seed)
+            got = [p.as_tuple() for p in spawn_proposals(scene, sim, seed + 1)]
+            assert got == scalar_spawn_proposals(scene, sim, seed + 1)
 
 
 class TestRunDescent:
