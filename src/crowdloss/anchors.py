@@ -72,7 +72,7 @@ class TargetMap:
             raise InvalidInputError("target map must be a non-empty 2-D grid")
         check(self, ("stride",), positive, "finite and > 0")
         bad = (labels != POSITIVE) & (labels != IGNORED) & (labels != NEGATIVE)
-        for label in np.unique(labels[bad]).tolist():
+        for label in sorted(set(labels[bad].tolist())):  # not np.unique: it imports numpy.ma
             _label(label)
         self.labels = labels.astype("<U1")
 

@@ -7,6 +7,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._pairs import box_array, iou_matrix
 from .errors import InvalidInputError
 from .geometry import BBox
@@ -216,14 +218,19 @@ DETECTION_FIELDS = ("scene_id", "x1", "y1", "x2", "y2", "score")
 CURVE_FIELDS = ("threshold", "fppi", "miss_rate")
 
 
+def _plain(v):
+    """``v``, a numpy real as its Python float: written ``1.5``, which reads back, not ``np.float64(1.5)``."""
+    return float(v) if isinstance(v, np.floating) else v
+
+
 def _write_csv(path, fields, rows) -> None:
-    """CSV with header row ``fields``: strings as they are, every other value
-    by ``repr``, so reals keep full precision."""
+    """CSV with header row ``fields``: strings as they are, reals by ``repr`` (so
+    they keep full precision) and every other value by ``str``, as ``csv`` writes them."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
         for row in rows:
-            writer.writerow([v if isinstance(v, str) else repr(v) for v in row])
+            writer.writerow(map(_plain, row))
 
 
 def _read_csv(path, fields, convert) -> list:

@@ -29,7 +29,7 @@ from .errors import (
     non_negative,
     positive,
 )
-from .evalkit import Detection, greedy_nms, match
+from .evalkit import Detection, _plain, greedy_nms, match
 from .geometry import BBox, centers, contains, iou, iou_parts, scalar_map
 
 
@@ -563,12 +563,12 @@ def nms_sensitivity_experiment(
 
 def save_scene(scene: Scene, path) -> None:
     """Structured text: ``extent W H``, then one ``ped``/``distractor`` line per box."""
+    lines = [("extent", scene.extent)]
+    lines += [("ped", p.full.as_tuple() + p.visible.as_tuple()) for p in scene.pedestrians]
+    lines += [("distractor", d.as_tuple()) for d in scene.distractors]
     with open(path, "w") as fh:
-        fh.write(f"extent {scene.extent[0]!r} {scene.extent[1]!r}\n")
-        for ped in scene.pedestrians:
-            fh.write("ped " + " ".join(map(repr, ped.full.as_tuple() + ped.visible.as_tuple())) + "\n")
-        for d in scene.distractors:
-            fh.write("distractor " + " ".join(map(repr, d.as_tuple())) + "\n")
+        for kind, values in lines:
+            fh.write(" ".join([kind, *(str(_plain(v)) for v in values)]) + "\n")
 
 
 def load_scene(path) -> Scene:
@@ -597,10 +597,13 @@ def load_scene(path) -> Scene:
                     raise InvalidInputError(f"unrecognized scene line {raw!r}")
     if extent is None:
         raise InvalidInputError(f"{path}: missing extent header")
-    for lineno, line_peds, line_distractors in lines:
-        with at_line(path, lineno):  # a one-box Scene checks the box against the extent
-            Scene(extent=extent, pedestrians=line_peds, distractors=line_distractors)
-    return Scene(extent=extent, pedestrians=peds, distractors=distractors)
+    try:
+        return Scene(extent=extent, pedestrians=peds, distractors=distractors)
+    except ValueError:  # find the first bad box's line: a one-box Scene checks it against the extent
+        for lineno, line_peds, line_distractors in lines:
+            with at_line(path, lineno):
+                Scene(extent=extent, pedestrians=line_peds, distractors=line_distractors)
+        raise
 
 
 def standard_variants(base: CompositeConfig | None = None) -> dict[str, CompositeConfig]:

@@ -495,6 +495,18 @@ MALFORMED = {
     "target-extra-row": (load_target_map, "2 1 1.0\nP N\n\nI I\n", 4),
     "scene-visible": (load_scene, "extent 10 10\nped 1 1 5 9 0 0 5 9\n", 2),
     "scene-extent": (load_scene, "extent 10 10\nped 1 1 5 9 1 1 5 9\ndistractor 5 5 12 9\n", 3),
+    # a whole-scene check that fails is traced back to the first bad box's line
+    "scene-late-box": (
+        load_scene,
+        "extent 100 100\nped 1 1 5 9 1 1 5 9\nped 2 2 6 9 2 2 6 9\ndistractor 10 10 20 30\n"
+        "distractor 90 90 120 95\n",
+        5,
+    ),
+    "scene-two-bad-lines": (
+        load_scene, "extent 10 10\nped 1 1 5 9 1 1 5 9\ndistractor 5 5 12 9\nped 1 1 5 11 1 1 5 9\n", 3
+    ),
+    "scene-extent-after-box": (load_scene, "ped 1 1 5 20 1 1 5 9\nextent 10 10\n", 1),
+    "scene-visible-then-extent": (load_scene, "extent 10 10\nped 1 1 5 9 0 0 5 9\ndistractor 5 5 12 9\n", 2),
 }
 
 

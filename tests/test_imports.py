@@ -1,6 +1,10 @@
-"""Every name a package module imports is used in that module."""
+"""What the package imports: every name a module imports is used in that
+module, and no command loads ``numpy.ma``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,34 @@ def test_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+# eval and anchor-demo on tiny inputs, then a valid target map loaded, in a fresh interpreter
+NO_NUMPY_MA = r"""
+import sys
+from pathlib import Path
+
+from crowdloss.anchors import load_target_map
+from crowdloss.cli import main
+
+root = Path(sys.argv[1])
+(root / "scenes").mkdir()
+(root / "scenes" / "s0.txt").write_text("extent 100 100\nped 10 10 30 60 10 10 30 40\n")
+(root / "dets.csv").write_text("scene_id,x1,y1,x2,y2,score\ns0,11,10,30,60,0.9\ns0,50,50,70,90,0.4\n")
+(root / "eval.cfg").write_text(f"[eval]\ndetections = {root / 'dets.csv'}\nscenes_dir = {root / 'scenes'}\n")
+(root / "anchors.cfg").write_text("[anchors]\nstride = 4\n")
+assert main(["eval", "--config", str(root / "eval.cfg"), "--out", str(root / "eval")]) == 0
+assert main(["anchor-demo", "--config", str(root / "anchors.cfg"), "--seeds", "0", "--out", str(root / "anchors")]) == 0
+assert load_target_map(root / "anchors" / "target_map.txt").labels.size > 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    """The package never needs ``numpy.ma``, which numpy imports lazily (about
+    10 ms) on the first ``np.unique``; pytest's own process may hold it already."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_MA, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "False"

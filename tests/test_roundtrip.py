@@ -106,3 +106,21 @@ def test_scene(tmp_path, scene):
     path = tmp_path / "scene.txt"
     save_scene(scene, path)
     assert load_scene(path) == scene
+
+
+def test_numpy_reals_written_as_plain_reals(tmp_path):
+    """A numpy real is written as its Python float, so the file reads back and
+    has the bytes of the same values given as Python floats."""
+    numpy_values = (np.float64(0.5), np.float64(1 / 3), np.float32(10.25), np.float64(20.0), np.float32(0.1))
+    files = []
+    for values in (numpy_values, tuple(map(float, numpy_values))):
+        x1, y1, x2, y2, score = values
+        box = BBox(x1, y1, x2, y2)
+        det, scene = Detection(box, score, "s"), Scene((x2 * 2, y2 * 2), [Pedestrian(box, box)], [box])
+        dets_path, scene_path = tmp_path / f"dets{len(files)}.csv", tmp_path / f"scene{len(files)}.txt"
+        save_detections([det], dets_path)
+        save_scene(scene, scene_path)
+        assert load_detections(dets_path) == [det]
+        assert load_scene(scene_path) == scene
+        files.append((dets_path.read_bytes(), scene_path.read_bytes()))
+    assert files[0] == files[1]
