@@ -3,9 +3,9 @@
 Boxes travel as ``(K, 4)`` float arrays and are read coordinate-major,
 ``(4, K)``, inside the kernel, which composes the box quantities of
 ``geometry`` (IoU, border-distance factor, angle cosine and their
-derivatives). The ground-truth side does not move: :func:`center_distances`
-is built once per run and a structure's :class:`PairFrame` once per structure.
-Only repulsion pairs compute an angle; an attraction pair's cosine is 1.
+derivatives). The ground-truth side does not move: a structure's
+:class:`PairFrame` holds it, with each repulsion pair's reference ray and its
+length. Only repulsion pairs compute an angle; an attraction pair's cosine is 1.
 
 Bit-exact contract: every value equals, bit for bit, a scalar evaluation of
 one pair at a time with Python floats: the same IEEE operations in the same
@@ -48,12 +48,6 @@ class PairWork(NamedTuple):
     grad_repulsion: np.ndarray | None
 
 
-def center_distances(gts: np.ndarray) -> np.ndarray:
-    """``(S*M, M)`` center distances between the ``(S, M, 4)`` ground truths of each scene."""
-    c = centers(gts.transpose(2, 0, 1))  # rays [:, s, g, t] from center(g) to center(t)
-    return ray_length(c[:, :, None, :] - c[:, :, :, None]).reshape(-1, gts.shape[1])
-
-
 class PairFrame(NamedTuple):
     """What :func:`pair_work` reads that does not move with the proposals."""
 
@@ -66,15 +60,14 @@ class PairFrame(NamedTuple):
     bins: np.ndarray  # (4, P): the gradient sums' bincount bins, (kind, coordinate, proposal) flat
 
     @classmethod
-    def of(cls, gts: np.ndarray, distances: np.ndarray, pairs: Pairs, num_attraction: int, n: int) -> PairFrame:
-        """Of ``pairs`` over ``n`` proposals and stacked ``(K, 4)`` ground truths, whose
-        ``center_distances`` are ``distances``."""
+    def of(cls, gts: np.ndarray, pairs: Pairs, num_attraction: int, n: int) -> PairFrame:
+        """Of ``pairs`` over ``n`` proposals and stacked ``(K, 4)`` ground truths."""
         ka, gt, target = num_attraction, pairs.gt, pairs.target[num_attraction:]
         g = gts.T.take(gt, axis=1)  # row-contiguous, as every ufunc of the kernel prefers
         vertex = centers(g[:, ka:])
         bins = pairs.proposal + n * (np.arange(4)[:, None] + 4 * (np.arange(len(gt)) >= ka))
-        ray_len = distances[gt[ka:], target % distances.shape[1]]
-        return cls(pairs, ka, g, vertex, centers(gts.T.take(target, axis=1)) - vertex, ray_len, bins)
+        ray = centers(gts.T.take(target, axis=1)) - vertex
+        return cls(pairs, ka, g, vertex, ray, ray_length(ray), bins)
 
 
 def box_array(boxes) -> np.ndarray:

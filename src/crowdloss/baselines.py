@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._pairs import best_gt, box_array, center_distances
+from ._pairs import best_gt, box_array
 from .couloss import CouLossConfig, LossReport, TripletStructure, _couloss, _evaluate, _loss_report
 from .errors import InvalidInputError, check, non_negative, positive
 from .geometry import BBox, centers, ray_length
@@ -168,7 +168,7 @@ def _one_scene(gts, proposals, cfg, cou_cfg, structure, targets, gradient=False,
     weights = _Weights.of([cfg], np.array([scene_scale(gts)]), len(proposals))
     G, P, warn = box_array(gts)[None], box_array(proposals)[None], np.array([warn_kinks])
     targets = None if targets is None else np.asarray(targets, dtype=np.intp).reshape(1, -1)
-    args = (G, P, weights, cou_cfg, center_distances(G), gradient, targets, structure)
+    args = (G, P, weights, cou_cfg, gradient, targets, structure)
     (sl1, cou, total), grad, evaluation, _ = _composite(*args, warn=warn)
     composite = CompositeReport(
         total=float(total[0]),
@@ -179,17 +179,16 @@ def _one_scene(gts, proposals, cfg, cou_cfg, structure, targets, gradient=False,
     return composite, None if grad is None else grad[0]
 
 
-def _composite(gts, proposals, weights, cou_cfg, distances, gradient, targets=None, structure=None, frame=None,
-               keep=None, warn=None):
+def _composite(gts, proposals, weights, cou_cfg, gradient, targets=None, structure=None, frame=None, keep=None,
+               warn=None):
     """SmoothL1 means, CouLoss sums and composite totals of B scenes'
     ``(B, M, 4)`` and ``(B, N, 4)`` box arrays and, with ``gradient``, their
     ``(B, N, 4)`` gradients (else None): every evaluation of the objective.
 
-    ``weights`` are the scenes' ``_Weights`` and ``distances`` the
-    ``center_distances`` of ``gts``. What is not given is rebuilt from one
+    ``weights`` are the scenes' ``_Weights``. What is not given is rebuilt from one
     ``best_gt``: the SmoothL1 ``targets`` ((B, N)) and, when some scene weighs
-    CouLoss, the pair structure (with ``keep``) and ``frame`` of its
-    ``_evaluate``, whose kink warnings ``warn`` selects. Returns
+    CouLoss, the pair structure (with ``keep``) and ``frame`` (reference rays
+    included) of its ``_evaluate``, whose kink warnings ``warn`` selects. Returns
     ``((smooth_l1, (attraction, repulsion, couloss), total), gradient,
     evaluation, targets)``, each value ``(B,)`` and ``evaluation`` None when no
     scene weighs CouLoss; each scene's values are those it has alone. One
@@ -208,7 +207,7 @@ def _composite(gts, proposals, weights, cou_cfg, distances, gradient, targets=No
     sl1 = rows.cumsum(axis=-1)[..., -1] / weights.norm if rows.shape[-1] else np.zeros(rows.shape[:-1])
     cou, cou_grad, evaluation = np.zeros((3, *sl1.shape)), None, None
     if weighs:
-        evaluation = _evaluate(gts, proposals, cou_cfg, distances, structure, ranked, gradient, keep, warn, frame)
+        evaluation = _evaluate(gts, proposals, cou_cfg, structure, ranked, gradient, keep, warn, frame)
         cou, cou_grad = _couloss(weights.parts, evaluation, gts.shape[1], gradient)
     values = (sl1, cou, weights.smoothl1_weight * sl1 + weights.alpha * cou[2])
     if not gradient:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from ._pairs import PairFrame, PairWork, Pairs, best_gt, box_array, center_distances, iou_matrix, pair_work
+from ._pairs import PairFrame, PairWork, Pairs, best_gt, box_array, iou_matrix, pair_work
 from .errors import InvalidInputError, NoOverlapError, check, non_negative
 from .geometry import BBox, border_factor, centers, contains
 
@@ -212,18 +212,17 @@ class _Evaluation(NamedTuple):
     frame: PairFrame  # the structure's
 
 
-def _evaluate(gts, proposals, cfg, distances, structure=None, ranked=None, gradient=False, keep=None, warn=None,
-              frame=None):
+def _evaluate(gts, proposals, cfg, structure=None, ranked=None, gradient=False, keep=None, warn=None, frame=None):
     """The :class:`_Evaluation` of B scenes' ``(B, M, 4)`` and ``(B, N, 4)`` boxes, from
-    one kernel call, with the ``center_distances`` of ``gts``. The structure (with
-    ``keep``) and its ``PairFrame`` are built when not given.
+    one kernel call. The structure (with ``keep``) and its ``PairFrame``, which
+    measures the repulsion pairs' reference rays, are built when not given.
     Each scene that ``warn`` ((B,) bool) marks raises one :class:`KinkWarning` if its
     boxes sit near a non-differentiable point.
     """
     if structure is None:
         structure = _structure(gts, proposals, cfg, ranked, keep)
     B, N = proposals.shape[:2]
-    frame = frame or PairFrame.of(gts.reshape(-1, 4), distances, structure.pairs, structure.num_attraction, B * N)
+    frame = frame or PairFrame.of(gts.reshape(-1, 4), structure.pairs, structure.num_attraction, B * N)
     literal = cfg.aggregation_mode == "triplet-literal"
     work = pair_work(frame, proposals.reshape(-1, 4), cfg.iou_floor, literal=literal, gradient=gradient)
     weighted = work.work * structure.pairs.mult if literal else work.work
@@ -270,7 +269,7 @@ def _scene_loss(gts, proposals, cfg, structure, parts, gradient=False, warn_kink
         raise InvalidInputError("couloss requires at least one ground-truth box")
     cfg = cfg or CouLossConfig()
     G, P, warn = box_array(gts)[None], box_array(proposals)[None], np.array([warn_kinks])
-    evaluation = _evaluate(G, P, cfg, center_distances(G), structure, gradient=gradient, warn=warn)
+    evaluation = _evaluate(G, P, cfg, structure, gradient=gradient, warn=warn)
     losses, grad = _couloss(np.array(parts)[:, None], evaluation, len(gts), gradient)
     return _loss_report(cfg, len(gts), evaluation, losses), None if grad is None else grad[0]
 
@@ -399,7 +398,7 @@ def detect_kinks(
     cfg = cfg or CouLossConfig()
     tol = cfg.kink_tolerance if tolerance is None else tolerance
     G, P = box_array(gts)[None], box_array(proposals)[None]
-    return _kinks(G, P, cfg, tol, _evaluate(G, P, cfg, center_distances(G), structure))[0]
+    return _kinks(G, P, cfg, tol, _evaluate(G, P, cfg, structure))[0]
 
 
 def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, evaluation: _Evaluation):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pairs import box_array, center_distances, check_boxes
+from ._pairs import box_array, check_boxes
 from .baselines import CompositeConfig, _composite, _Weights, scene_scale
 from .couloss import CouLossConfig, _kinks
 from .geometry import BBox
@@ -34,7 +34,7 @@ def _terms(gts, points, weights, cou_cfg, gradient=False):
     gradients (else None), and the points' ``_evaluate``: one composite evaluation
     of the batch under the ``_weights`` ``weights``."""
     G = np.broadcast_to(gts, (len(points), *gts.shape[-2:]))
-    (_, _, values), grads, evaluation, _ = _composite(G, points, weights, cou_cfg, center_distances(G), gradient)
+    (_, _, values), grads, evaluation, _ = _composite(G, points, weights, cou_cfg, gradient)
     return values, grads, evaluation
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._pairs import box_array, center_distances, check_boxes, iou_matrix, valid_boxes
+from ._pairs import box_array, check_boxes, iou_matrix, valid_boxes
 from .baselines import CompositeConfig, _composite, _Weights, scene_scale
 from .couloss import CouLossConfig
 from .errors import (
@@ -235,7 +235,8 @@ def _carve_visible(fulls: list[BBox]) -> list[BBox] | None:
 
 
 def _largest_free_strip(box: BBox, occluder: BBox) -> BBox | None:
-    """Largest axis-aligned strip of ``box`` disjoint from ``occluder``."""
+    """Largest axis-aligned strip of ``box`` disjoint from ``occluder``, which is
+    nearer: ``occluder.y2 >= box.y2``, so no strip lies below it."""
     candidates = []
     if occluder.x1 > box.x1:
         candidates.append((box.x1, box.y1, min(occluder.x1, box.x2), box.y2))
@@ -243,8 +244,6 @@ def _largest_free_strip(box: BBox, occluder: BBox) -> BBox | None:
         candidates.append((max(occluder.x2, box.x1), box.y1, box.x2, box.y2))
     if occluder.y1 > box.y1:
         candidates.append((box.x1, box.y1, box.x2, min(occluder.y1, box.y2)))
-    if occluder.y2 < box.y2:
-        candidates.append((box.x1, max(occluder.y2, box.y1), box.x2, box.y2))
     best = None
     best_area = 0.0
     for x1, y1, x2, y2 in candidates:
@@ -406,12 +405,12 @@ def run_descents(
     min_size = (_MIN_SIZE * max_extent)[:, None]
 
     # SmoothL1 targets, pair structure and pair frame: rebuilt every step or kept from the first
-    distances, frozen = center_distances(G), {}
+    frozen = {}
     active = np.ones(B, dtype=bool)
 
     def evaluate(gradient):
         warn = active & weighs if sim_cfg.warn_kinks and gradient else None
-        args = (G, coords, weights, cou_cfg, distances, gradient)
+        args = (G, coords, weights, cou_cfg, gradient)
         values, grad, evaluation, targets = _composite(*args, keep=keep, warn=warn, **frozen)
         if not (sim_cfg.recompute_assignments or frozen):
             structure, frame = (evaluation.structure, evaluation.frame) if evaluation else (None, None)

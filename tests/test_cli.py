@@ -369,6 +369,13 @@ class TestNmsSweep:
         assert main(["nms-sweep", "--config", cfg, "--seeds", "4", "--out", str(b)]) == 0
         assert (a / "nms_sweep.csv").read_bytes() == (b / "nms_sweep.csv").read_bytes()
 
+    def test_divergence_exits_three(self, tmp_path, capsys):
+        # an oversized step makes seed 0's descent diverge at step 1
+        cfg = write_config(tmp_path / "run.cfg", "[sim]\nstep_size = 50\ndescent_steps = 50\n")
+        assert main(["nms-sweep", "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort:") and "at step 1" in err
+
 
 class TestAnchorDemo:
     def test_flat_map_sets_fallback_flag(self, tmp_path):
@@ -412,6 +419,21 @@ class TestAnchorDemo:
         assert main(["anchor-demo", "--config", cfg, "--seeds", "2", "--out", str(b)]) == 0
         for name in ("anchor_stats.csv", "probability_map.txt", "target_map.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_file_map_requires_map_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", "[anchors]\nmap_kind = file\n")
+        assert main(["anchor-demo", "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "out")]) == 1
+        assert "[anchors] map_kind=file requires map_file" in capsys.readouterr().err
+
+    def test_file_map_reproduces_saved_map(self, tmp_path):
+        # the probability map a run saves, read back as map_kind = file, gives the same stats
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["anchor-demo", "--seeds", "0", "--out", str(first)]) == 0
+        cfg = write_config(
+            tmp_path / "run.cfg", f"[anchors]\nmap_kind = file\nmap_file = {first / 'probability_map.txt'}\n"
+        )
+        assert main(["anchor-demo", "--config", cfg, "--seeds", "0", "--out", str(second)]) == 0
+        assert (second / "anchor_stats.csv").read_bytes() == (first / "anchor_stats.csv").read_bytes()
 
 
 class TestEval:

@@ -4,7 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from crowdloss.baselines import composite_gradient
+from crowdloss.baselines import composite_gradient, regression_targets
 from crowdloss.couloss import (
     CouLossConfig,
     KinkWarning,
@@ -191,6 +191,17 @@ class TestAssembleTriplets:
     def test_empty_proposals(self):
         triplets, assignments = assemble_triplets([G_I], [])
         assert triplets == [] and assignments == []
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [detect_kinks, assemble_triplets, TripletStructure.from_boxes, regression_targets, couloss_gradient,
+     composite_gradient],
+    ids=lambda fn: fn.__name__,
+)
+def test_no_ground_truths_rejected(fn):
+    with pytest.raises(InvalidInputError):
+        fn([], [BBox(0, 0, 1, 1)])
 
 
 class TestCouLoss:

@@ -314,8 +314,9 @@ class TestDescentMatchesScalar:
                 CouLossConfig(aggregation_mode="triplet-literal"),
             ),
             (DENSE, CompositeConfig(include_attraction=False), CouLossConfig()),
+            (replace(DENSE, recompute_assignments=True), CompositeConfig(smoothl1_weight=7.0), CouLossConfig()),
         ],
-        ids=["default", "crowd-dense", "triplet-literal", "repulsion-only"],
+        ids=["default", "crowd-dense", "triplet-literal", "repulsion-only", "crowd-recomputed"],
     )
     def test_fifty_steps_identical(self, monkeypatch, sim_cfg, comp_cfg, cou_cfg):
         scene, seed = _feasible_scene(sim_cfg, 11)

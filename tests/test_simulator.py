@@ -209,6 +209,16 @@ class TestSpawnProposals:
 
 
 class TestRunDescent:
+    def test_scene_without_pedestrians_rejected(self):
+        scene = Scene(extent=(100.0, 100.0), pedestrians=[], distractors=[])
+        with pytest.raises(InvalidInputError, match="no pedestrians"):
+            run_descent(scene, [BBox(0, 0, 10, 20)])
+
+    def test_no_proposals_take_no_step(self):
+        scene = generate_scene(SimConfig(), 0)
+        result = run_descent(scene, [])
+        assert result.final_boxes == [] and result.loss_curve == [] and result.steps == 0
+
     def test_perfect_proposals_stay_put(self):
         cfg = SimConfig(pedestrian_count=1, proposal_jitter=0.0, descent_steps=20,
                         distractor_count=0)
