@@ -26,6 +26,8 @@ IGNORED = "I"
 NEGATIVE = "N"
 # the rule for anchor scales and ratios, in select_anchors and in [anchors]
 _SIZES = (lambda v: bool(v) and all(map(positive, v)), "non-empty, each finite and > 0")
+# the rule for a grid's stride, in the map records, in scene_grid and in [anchors]
+_STRIDE = (positive, "finite and > 0")
 
 
 @dataclass
@@ -42,9 +44,7 @@ class ProbabilityMap:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.size == 0:
-            raise InvalidInputError("probability map must be a non-empty 2-D grid")
-        check(self, ("stride",), positive, "finite and > 0")
+        _check_grid(self, self.values, "probability map")
         if not np.all(np.isfinite(self.values)):
             raise InvalidInputError("probability values must be finite")
         if self.values.min() < 0.0 or self.values.max() > 1.0:
@@ -68,21 +68,18 @@ class TargetMap:
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=str)
-        if labels.ndim != 2 or labels.size == 0:
-            raise InvalidInputError("target map must be a non-empty 2-D grid")
-        check(self, ("stride",), positive, "finite and > 0")
+        _check_grid(self, labels, "target map")
         bad = (labels != POSITIVE) & (labels != IGNORED) & (labels != NEGATIVE)
         for label in sorted(set(labels[bad].tolist())):  # not np.unique: it imports numpy.ma
             _label(label)
         self.labels = labels.astype("<U1")
 
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
+def _check_grid(record, cells: np.ndarray, name: str) -> None:
+    """Reject ``cells`` unless they are a non-empty 2-D grid, then ``record.stride`` unless it meets ``_STRIDE``."""
+    if cells.ndim != 2 or cells.size == 0:
+        raise InvalidInputError(f"{name} must be a non-empty 2-D grid")
+    check(record, ("stride",), *_STRIDE)
 
 
 @dataclass
@@ -191,8 +188,6 @@ def build_target_map(scene, grid_shape: tuple[int, int], stride: float) -> Targe
     height, width = grid_shape
     if height < 1 or width < 1:
         raise InvalidInputError("grid must have at least one cell")
-    if stride <= 0.0:
-        raise InvalidInputError("stride must be > 0")
     for ped in scene.pedestrians:
         ped.check()
 
@@ -290,6 +285,7 @@ def _uniform_anchors(grid_height: int, grid_width: int, stride: float, scales: t
 
 def scene_grid(scene, stride: float) -> tuple[int, int]:
     """(height, width) cell counts covering a scene extent at a stride."""
+    check(SimpleNamespace(stride=stride), ("stride",), *_STRIDE)
     return (
         max(1, int(math.ceil(scene.extent[1] / stride))),
         max(1, int(math.ceil(scene.extent[0] / stride))),

@@ -7,10 +7,11 @@ import math
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 
-from .anchors import _SIZES
+from .anchors import _SIZES, _STRIDE
 from .baselines import CompositeConfig
 from .couloss import CouLossConfig
 from .errors import ConfigError, InvalidInputError, check, non_negative, positive
+from .evalkit import _MATCH_IOU
 from .simulator import SimConfig
 
 _MAP_KINDS = ("bump", "indicator", "flat", "file")
@@ -30,7 +31,7 @@ class AnchorDemoConfig:
     negative_iou_threshold: float = 0.3
 
     def __post_init__(self):
-        check(self, ("stride",), positive, "finite and > 0")
+        check(self, ("stride",), *_STRIDE)
         check(self, ("scales", "ratios"), *_SIZES)
         check(self, ("map_kind",), _MAP_KINDS.__contains__, f"one of {', '.join(_MAP_KINDS)}")
         check(self, ("flat_value", "peak", "background"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
@@ -73,7 +74,7 @@ class NmsSweepConfig:
             )
         if not self.variants:
             raise InvalidInputError("variants must not be empty")
-        check(self, ("match_iou",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+        check(self, ("match_iou",), *_MATCH_IOU)
 
     def _count(self) -> int:
         return int(round((self.threshold_max - self.threshold_min) / self.threshold_step)) + 1
@@ -97,7 +98,7 @@ class EvalConfig:
     max_visibility: float = 1.0
 
     def __post_init__(self):
-        check(self, ("match_iou",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+        check(self, ("match_iou",), *_MATCH_IOU)
         check(self, ("target_miss_rate",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
         check(self, ("min_height",), lambda v: 0.0 <= v <= self.max_height, "in [0, max_height]")
         check(self, ("max_visibility",), lambda v: v <= 1.0, "<= 1")
@@ -167,6 +168,19 @@ def _fill_section(instance, section: dict, section_name: str):
         raise ConfigError(f"invalid values in section [{section_name}]: {exc}") from exc
 
 
+def _parse_error(path, exc: configparser.Error) -> str:
+    """One line ``path:line: what`` for a file that configparser cannot read."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"{path}:{exc.lineno}: expected a [section] header, got {exc.line.strip()!r}"
+    if isinstance(exc, configparser.ParsingError):
+        return f"{path}:{exc.errors[0][0]}: expected 'key = value', a [section] header or a comment"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"{path}:{exc.lineno}: section [{exc.section}] repeated"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"{path}:{exc.lineno}: key {exc.option!r} repeated in section [{exc.section}]"
+    return f"could not parse {path}: {exc}"
+
+
 def load_run_config(path: str | None = None) -> RunConfig:
     """Parse a config file into a :class:`RunConfig`; defaults with no path.
 
@@ -181,7 +195,7 @@ def load_run_config(path: str | None = None) -> RunConfig:
     try:
         parser.read(path)
     except configparser.Error as exc:
-        raise ConfigError(f"could not parse {path}: {exc}") from exc
+        raise ConfigError(_parse_error(path, exc)) from exc
     for key in parser.defaults():
         raise ConfigError(f"unknown key {key!r} in section [DEFAULT]")
 

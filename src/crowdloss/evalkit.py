@@ -6,12 +6,16 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from ._pairs import box_array, iou_matrix
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check
 from .geometry import BBox
+
+# the rule for a match IoU threshold, in match, in fppi_curve and in [nms] and [eval]
+_MATCH_IOU = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,7 @@ def match(
     protocol instead lets one ignore region absorb many detections, judged by
     intersection over detection area.)
     """
+    check(SimpleNamespace(iou_threshold=iou_threshold), ("iou_threshold",), *_MATCH_IOU)
     outcomes = Counter(o for _, o in _greedy_pass(dets, gts, iou_threshold, ignored_gts))
     tp = outcomes[TRUE_POSITIVE]
     return MatchResult(tp, outcomes[FALSE_POSITIVE], len(gts) - tp)
@@ -154,6 +159,7 @@ def fppi_curve(
     not in ``gts_by_scene`` still sets a threshold but counts as neither a
     true nor a false positive.
     """
+    check(SimpleNamespace(iou_threshold=iou_threshold), ("iou_threshold",), *_MATCH_IOU)
     n_scenes = len(gts_by_scene)
     n_gts = sum(len(g) for g in gts_by_scene.values())
     if n_scenes == 0 or n_gts == 0:

@@ -583,6 +583,8 @@ def load_scene(path) -> Scene:
             kind, args = parts[0], parts[1:]
             with at_line(path, lineno):
                 if kind == "extent" and len(args) == 2:
+                    if extent is not None:
+                        raise InvalidInputError("repeated extent header")
                     extent = (float(args[0]), float(args[1]))
                     Scene(extent=extent, pedestrians=[])
                 elif kind == "ped" and len(args) == 8:

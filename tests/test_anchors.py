@@ -152,6 +152,22 @@ class TestSelectAnchors:
         with pytest.raises(InvalidInputError):
             ProbabilityMap(stride=0.0, values=np.array([[0.5]]))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: ProbabilityMap(stride=1.0, values=[[0.5, math.nan]]), "probability values must be finite"),
+            (lambda: ProbabilityMap(stride=1.0, values=[[]]), "probability map must be a non-empty 2-D grid"),
+            (lambda: ProbabilityMap(stride=1.0, values=[0.5, 0.5]), "probability map must be a non-empty 2-D grid"),
+            (lambda: TargetMap(stride=1.0, labels=[POSITIVE, NEGATIVE]), "target map must be a non-empty 2-D grid"),
+            # the grid is checked before the stride
+            (lambda: TargetMap(stride=0.0, labels=[POSITIVE]), "target map must be a non-empty 2-D grid"),
+        ],
+        ids=["non-finite-cell", "empty", "one-d", "target-one-d", "target-one-d-zero-stride"],
+    )
+    def test_bad_grid_rejected(self, make, message):
+        with pytest.raises(InvalidInputError, match=rf"^{message}$"):
+            make()
+
 
 def two_ped_scene():
     return Scene(
@@ -162,6 +178,23 @@ def two_ped_scene():
         ],
         distractors=[BBox(16, 2, 18, 8)],
     )
+
+
+# every in-memory entry point that takes a stride, on a scene with pedestrians and a distractor
+STRIDE_ENTRY_POINTS = {
+    "ProbabilityMap": lambda stride: ProbabilityMap(stride=stride, values=[[0.5]]),
+    "TargetMap": lambda stride: TargetMap(stride=stride, labels=[[NEGATIVE]]),
+    "build_target_map": lambda stride: build_target_map(two_ped_scene(), (2, 2), stride),
+    "bump_probability_map": lambda stride: bump_probability_map(two_ped_scene(), stride),
+    "indicator_probability_map": lambda stride: indicator_probability_map(two_ped_scene(), stride),
+}
+
+
+@pytest.mark.parametrize("stride", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", STRIDE_ENTRY_POINTS)
+def test_bad_stride_rejected_by_one_rule(entry, stride):
+    with pytest.raises(InvalidInputError, match=rf"^stride must be finite and > 0, got {re.escape(repr(stride))}$"):
+        STRIDE_ENTRY_POINTS[entry](stride)
 
 
 class TestTargetMap:
@@ -508,6 +541,13 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("5 x 1.0\n")
         with pytest.raises(InvalidInputError):
+            load_probability_map(path)
+
+    def test_two_field_header_named_at_line_one(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("5 7\n")
+        message = f"{path}:1: expected header 'width height stride'"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             load_probability_map(path)
 
     def test_bad_row_width(self, tmp_path):

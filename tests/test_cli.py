@@ -164,6 +164,23 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=r"^unknown key 'walrus' in section \[DEFAULT\]$"):
             load_run_config(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("walrus = 1\n", 1),
+            ("[sim\ndescent_steps = 2\n", 1),
+            ("[sim]\n = 3\n", 2),
+            ("[sim]\ndescent_steps = 2\n[sim]\n", 3),
+            ("[sim]\ndescent_steps = 2\ndescent_steps = 3\n", 3),
+        ],
+        ids=["no-section", "unclosed-section", "no-key", "repeated-section", "repeated-key"],
+    )
+    def test_unparsable_file_exits_one_with_one_line(self, tmp_path, capsys, text, line):
+        cfg = write_config(tmp_path / "run.cfg", text)
+        assert main(["simulate", "--config", cfg, "--seeds", "0", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:{line}: ") and err.count("\n") == 1
+
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
@@ -221,6 +238,10 @@ class TestExitCodes:
     def test_bad_seed_names_flag(self, tmp_path, capsys):
         assert main(["simulate", "--seeds", "1,x", "--out", str(tmp_path)]) == 1
         assert "--seeds" in capsys.readouterr().err
+
+    def test_empty_seed_list_exits_one(self, tmp_path, capsys):
+        assert main(["simulate", "--seeds", ",", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: --seeds must not be empty\n"
 
     @pytest.mark.parametrize("flag", [["--seeds=-1"], ["--seeds", "2,-1"]], ids=["equals", "list"])
     def test_negative_seed_names_flag(self, tmp_path, capsys, flag):
@@ -468,6 +489,18 @@ class TestEval:
         )
         assert main(["eval", "--config", cfg, "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("scenes", ["", "nope"], ids=["no-scenes-dir", "missing-scenes-dir"])
+    def test_scenes_dir_problem_exits_one(self, tmp_path, capsys, scenes):
+        det_path = tmp_path / "dets.csv"
+        det_path.write_text("scene_id,x1,y1,x2,y2,score\n")
+        scenes_dir = str(tmp_path / scenes) if scenes else ""
+        cfg = write_config(tmp_path / "run.cfg", f"[eval]\ndetections = {det_path}\nscenes_dir = {scenes_dir}\n")
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        message = f"scenes directory not found: {scenes_dir}" if scenes else (
+            "[eval] requires both 'detections' and 'scenes_dir'"
+        )
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("broken", ["detections", "scene"])
     def test_malformed_number_exits_one_with_location(self, tmp_path, capsys, broken):
         scenes_dir = tmp_path / "scenes"
@@ -528,6 +561,8 @@ MALFORMED = {
         load_scene, "extent 10 10\nped 1 1 5 9 1 1 5 9\ndistractor 5 5 12 9\nped 1 1 5 11 1 1 5 9\n", 3
     ),
     "scene-extent-after-box": (load_scene, "ped 1 1 5 20 1 1 5 9\nextent 10 10\n", 1),
+    # a second header is blamed, not the valid box before it that it would put outside the extent
+    "scene-repeated-extent": (load_scene, "extent 100 100\nped 10 10 30 60 10 10 30 40\nextent 50 50\n", 3),
     "scene-visible-then-extent": (load_scene, "extent 10 10\nped 1 1 5 9 0 0 5 9\ndistractor 5 5 12 9\n", 2),
 }
 

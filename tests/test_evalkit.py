@@ -137,6 +137,17 @@ class TestMatch:
         assert (res.true_positives, res.false_positives, res.misses) == (1, 0, 0)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("evaluate", [
+    # at 0, this detection, which overlaps nothing, would be absorbed by the ignore region
+    lambda t: match([det(50, 50, 60, 70, 0.9)], [BBox(0, 0, 10, 20)], t, [BBox(80, 80, 90, 95)]),
+    lambda t: fppi_curve([det(50, 50, 60, 70, 0.9)], {"0": [BBox(0, 0, 10, 20)]}, t),
+], ids=["match", "fppi_curve"])
+def test_iou_threshold_outside_unit_interval_rejected(evaluate, threshold):
+    with pytest.raises(InvalidInputError, match=rf"^iou_threshold must be in \(0, 1\], got {threshold!r}$"):
+        evaluate(threshold)
+
+
 # dyadic boxes: a unit square against the 2 x 1 box that contains it has IoU 1/2 exactly
 WIDE = BBox(0, 0, 2, 1)
 TALL = BBox(0, 0, 1, 2)
@@ -378,6 +389,11 @@ class TestLogAverageMissRate:
             c_lo = EvalCurve(tuple(range(6)), tuple(zip(fppis, lo)))
             c_hi = EvalCurve(tuple(range(6)), tuple(zip(fppis, hi)))
             assert log_average_miss_rate(c_hi) >= log_average_miss_rate(c_lo) - 1e-12
+
+    @pytest.mark.parametrize("summary", [log_average_miss_rate, fppi_at_miss_rate])
+    def test_empty_curve_rejected(self, summary):
+        with pytest.raises(InvalidInputError, match=rf"^{summary.__name__} requires a non-empty curve$"):
+            summary(EvalCurve(thresholds=(), points=()))
 
     def test_fppi_at_miss_rate_nearest(self):
         curve = EvalCurve(

@@ -126,6 +126,11 @@ class TestSceneGeneration:
         with pytest.raises(InfeasibleConfigError):
             generate_scene(cfg, 0)
 
+    def test_pedestrians_wider_than_the_extent_raise(self):
+        # every pedestrian would be 3 * 50 = 150 wide in a 100-wide extent
+        with pytest.raises(InfeasibleConfigError):
+            generate_scene(SimConfig(aspect_ratio=3.0, height_range=(0.5, 0.5)), 0)
+
     def test_packed_crowd_raises_naming_count_and_band(self):
         # eight tall pedestrians whose every overlap must sit in a narrow, high IoU band
         cfg = SimConfig(pedestrian_count=8, crowd_iou_min=0.7, crowd_iou_max=0.71, height_range=(0.9, 1.0))
@@ -595,6 +600,18 @@ class TestSceneIO:
         assert [d.as_tuple() for d in loaded.distractors] == [
             d.as_tuple() for d in scene.distractors
         ]
+
+    def test_blank_lines_between_boxes_ignored(self, tmp_path):
+        scene = generate_scene(SimConfig(pedestrian_count=3, distractor_count=2), 9)
+        plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+        save_scene(scene, plain)
+        spaced.write_text("\n \n".join(plain.read_text().splitlines()) + "\n\n")
+        a, b = load_scene(plain), load_scene(spaced)
+        assert a.extent == b.extent
+        assert [(p.full.as_tuple(), p.visible.as_tuple()) for p in a.pedestrians] == [
+            (p.full.as_tuple(), p.visible.as_tuple()) for p in b.pedestrians
+        ]
+        assert [d.as_tuple() for d in a.distractors] == [d.as_tuple() for d in b.distractors]
 
     def test_missing_extent_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
