@@ -18,7 +18,8 @@ import numpy as np
 
 from ._pairs import box_array, check_boxes, iou_matrix
 from .baselines import CompositeConfig, _focal
-from .errors import InvalidInputError, at_line, check, positive
+from .errors import InvalidInputError, at_line, check, open_text, positive
+from .evalkit import _MATCH_IOU
 from .geometry import centers, contains
 
 POSITIVE = "P"
@@ -248,6 +249,7 @@ def negative_informativeness(
     The uniform baseline regenerates the same anchor shapes at every cell.
     It is the same for every scene on a grid, so it is built once per grid.
     """
+    check(SimpleNamespace(negative_iou_threshold=negative_iou_threshold), ("negative_iou_threshold",), *_MATCH_IOU)
     gts = box_array(scene.gt_boxes)
     distractors = box_array(scene.distractors)
 
@@ -325,7 +327,7 @@ def save_probability_map(pmap: ProbabilityMap, path) -> None:
 
 
 def load_probability_map(path) -> ProbabilityMap:
-    with open(path) as fh:
+    with open_text(path) as fh:
         width, height, stride = _parse_grid_header(fh.readline(), path)
         values = _read_grid_rows(fh, width, height, path, _probability)
     return ProbabilityMap(stride=stride, values=np.array(values, dtype=float))
@@ -344,7 +346,7 @@ def save_target_map(tmap: TargetMap, path) -> None:
 
 
 def load_target_map(path) -> TargetMap:
-    with open(path) as fh:
+    with open_text(path) as fh:
         width, height, stride = _parse_grid_header(fh.readline(), path)
         labels = _read_grid_rows(fh, width, height, path, _label)
     return TargetMap(stride=stride, labels=np.array(labels, dtype="<U1"))

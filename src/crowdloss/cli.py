@@ -130,9 +130,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_nms_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
     variants = _variant_configs(cfg, cfg.nms.variants)
-    thresholds = cfg.nms.thresholds()
     result = nms_sensitivity_experiment(
-        variants, list(cfg.seeds), cfg.sim, cfg.couloss, thresholds=thresholds, match_iou=cfg.nms.match_iou
+        variants, list(cfg.seeds), cfg.sim, cfg.couloss, thresholds=cfg.nms.thresholds, match_iou=cfg.nms.match_iou
     )
     path, summary = out_dir / "nms_sweep.csv", out_dir / "nms_summary.csv"
     rows = [(r.variant, r.threshold, r.kept, r.false_positives, r.misses, r.miss_rate) for r in result.rows]

@@ -10,9 +10,9 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from .anchors import _SIZES, _STRIDE
 from .baselines import CompositeConfig
 from .couloss import CouLossConfig
-from .errors import ConfigError, InvalidInputError, check, non_negative, positive
-from .evalkit import _MATCH_IOU
-from .simulator import SimConfig
+from .errors import ConfigError, InvalidInputError, check, non_negative, open_text, positive
+from .evalkit import _MATCH_IOU, _NMS_THRESHOLD
+from .simulator import DEFAULT_NMS_THRESHOLDS, SimConfig
 
 _MAP_KINDS = ("bump", "indicator", "flat", "file")
 
@@ -35,7 +35,7 @@ class AnchorDemoConfig:
         check(self, ("scales", "ratios"), *_SIZES)
         check(self, ("map_kind",), _MAP_KINDS.__contains__, f"one of {', '.join(_MAP_KINDS)}")
         check(self, ("flat_value", "peak", "background"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-        check(self, ("negative_iou_threshold",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+        check(self, ("negative_iou_threshold",), *_MATCH_IOU)
 
 
 @dataclass(frozen=True)
@@ -54,36 +54,16 @@ class GradCheckConfig:
 
 @dataclass(frozen=True)
 class NmsSweepConfig:
-    threshold_min: float = 0.3
-    threshold_max: float = 0.8
-    threshold_step: float = 0.05
+    thresholds: tuple[float, ...] = DEFAULT_NMS_THRESHOLDS  # swept in this order
     match_iou: float = 0.5
     variants: tuple[str, ...] = ("baseline", "couloss")
 
     def __post_init__(self):
-        lo, hi = self.threshold_min, self.threshold_max
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise InvalidInputError(f"need finite threshold_min <= threshold_max, got {lo!r} and {hi!r}")
-        check(self, ("threshold_step",), lambda v: positive(v) and math.isfinite((hi - lo) / v),
-              "finite and > 0, with finitely many thresholds")
-        first, last = self._threshold(0), self._threshold(self._count() - 1)
-        if not (0.0 < first and last < 1.0):
-            raise InvalidInputError(
-                f"thresholds from threshold_min by threshold_step to threshold_max must lie in (0, 1), "
-                f"got {first!r} to {last!r}"
-            )
+        ok, rule = _NMS_THRESHOLD
+        check(self, ("thresholds",), lambda v: bool(v) and all(map(ok, v)), f"non-empty, each {rule}")
         if not self.variants:
             raise InvalidInputError("variants must not be empty")
         check(self, ("match_iou",), *_MATCH_IOU)
-
-    def _count(self) -> int:
-        return int(round((self.threshold_max - self.threshold_min) / self.threshold_step)) + 1
-
-    def _threshold(self, k: int) -> float:
-        return round(self.threshold_min + k * self.threshold_step, 10)
-
-    def thresholds(self) -> tuple[float, ...]:
-        return tuple(self._threshold(k) for k in range(self._count()))
 
 
 @dataclass(frozen=True)
@@ -193,7 +173,8 @@ def load_run_config(path: str | None = None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        parser.read(path)
+        with open_text(path) as fh:
+            parser.read_file(fh, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(_parse_error(path, exc)) from exc
     for key in parser.defaults():

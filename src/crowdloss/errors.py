@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the value rule every config record checks with."""
 
+import io
 import math
 from contextlib import contextmanager
 
@@ -44,6 +45,19 @@ def at_line(path, lineno):
         yield
     except ValueError as exc:
         raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+
+
+def open_text(path, newline=None) -> io.StringIO:
+    """The UTF-8 text of ``path``, read as ``open(path, newline=newline)`` would
+    read it; a byte that is not UTF-8 is rejected at its ``path:line``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode(), newline=newline)
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]  # counted as universal newlines count lines: \n, \r and \r\n
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise InvalidInputError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
 
 
 def positive(value) -> bool:

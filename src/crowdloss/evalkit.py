@@ -11,11 +11,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._pairs import box_array, iou_matrix
-from .errors import InvalidInputError, check
+from .errors import InvalidInputError, check, open_text
 from .geometry import BBox
 
-# the rule for a match IoU threshold, in match, in fppi_curve and in [nms] and [eval]
+# the rule for a match IoU threshold, in match, fppi_curve, negative_informativeness and [nms], [eval], [anchors]
 _MATCH_IOU = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+# the rule for an NMS threshold, in greedy_nms and in [nms]
+_NMS_THRESHOLD = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,7 @@ def greedy_nms(dets: list[Detection], threshold: float) -> list[Detection]:
     A detection is dropped when its IoU with any already-kept detection
     exceeds the threshold. Equal scores keep insertion order.
     """
-    if not 0.0 < threshold < 1.0:
-        raise InvalidInputError(f"nms threshold must be in (0, 1), got {threshold}")
+    check(SimpleNamespace(threshold=threshold), ("threshold",), *_NMS_THRESHOLD)
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
     coords = box_array(d.box for d in dets)
     iou = iou_matrix(coords, coords).tolist()
@@ -242,13 +243,13 @@ def _write_csv(path, fields, rows) -> None:
 def _read_csv(path, fields, convert) -> list:
     """``convert(*row)`` of each row of a CSV whose header is ``fields``; a bad
     header or row is rejected at its ``path:line``."""
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != list(fields):
             raise InvalidInputError(f"{path}:1: expected header {','.join(fields)}")
         out = []
         for row in reader:
-            # a try per row, not around the loop: a decode error from reading ahead is not this row's
+            # a plain try per row, not at_line: a context manager per row costs eval's many-row files
             try:
                 if len(row) != len(fields):
                     raise InvalidInputError(f"malformed row {row}")

@@ -27,6 +27,7 @@ from .errors import (
     at_line,
     check,
     non_negative,
+    open_text,
     positive,
 )
 from .evalkit import Detection, _plain, greedy_nms, match
@@ -575,7 +576,7 @@ def load_scene(path) -> Scene:
     peds = []
     distractors = []
     lines = []  # (line, pedestrians, distractors) of each box line
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts:

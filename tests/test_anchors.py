@@ -377,6 +377,15 @@ class TestInformativeness:
         assert stats.selected_fraction == stats.uniform_fraction
         assert stats.selected_negatives == stats.uniform_negatives
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5, math.nan])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # 0 and -1 counted no negatives; 1.5 and nan counted every anchor as a negative
+        scene = two_ped_scene()
+        sel = select_anchors(bump_probability_map(scene, 1.0), (4.0,), (0.5,))
+        negative_informativeness(sel, scene, 1.0)  # the upper end is allowed
+        with pytest.raises(InvalidInputError, match=r"^negative_iou_threshold must be in \(0, 1\], got "):
+            negative_informativeness(sel, scene, threshold)
+
 
 def random_anchor_scene(rng, peds, distractors):
     """Half the scenes sit on a 0.5 grid, so anchor IoUs meet thresholds and

@@ -17,7 +17,7 @@ from crowdloss.config import NmsSweepConfig, RunConfig, load_run_config
 from crowdloss.errors import ConfigError, InvalidInputError
 from crowdloss.evalkit import load_curve, load_detections
 from crowdloss.geometry import BBox
-from crowdloss.simulator import SimConfig, generate_scene, load_scene, save_scene
+from crowdloss.simulator import DEFAULT_NMS_THRESHOLDS, SimConfig, generate_scene, load_scene, save_scene
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 # the crowd-dense workload's config file
@@ -91,11 +91,11 @@ class TestConfigFile:
             ("[sim]\nstep_size = nan\n", r"\[sim\] step_size: expected a finite"),
             ("[sim]\nheight_range = 0.3, inf\n", r"\[sim\] height_range: expected a finite"),
             ("[eval]\nmin_height = inf\n", r"\[eval\] min_height: expected a finite"),
-            ("[nms]\nthreshold_step = 0\n", r"\[nms\].*threshold_step must be finite and > 0"),
-            ("[nms]\nthreshold_step = -0.05\n", r"\[nms\].*threshold_step must be finite and > 0"),
-            ("[nms]\nthreshold_min = 0.9\n", r"\[nms\].*threshold_min <= threshold_max"),
-            ("[nms]\nthreshold_max = 1.0\n", r"\[nms\].*must lie in \(0, 1\)"),
-            ("[nms]\nthreshold_min = 0.0\n", r"\[nms\].*must lie in \(0, 1\)"),
+            ("[nms]\nthresholds =\n", r"\[nms\].*thresholds must be non-empty, each in \(0, 1\), got \(\)$"),
+            ("[nms]\nthresholds = 0, 0.5\n", r"\[nms\].*thresholds must be non-empty, each in \(0, 1\), got \(0.0, 0.5\)$"),
+            ("[nms]\nthresholds = 0.5, 1.0\n", r"\[nms\].*thresholds must be non-empty, each in \(0, 1\), got \(0.5, 1.0\)$"),
+            ("[nms]\nthresholds = nan\n", r"^\[nms\] thresholds: expected a finite number, got 'nan'$"),
+            ("[nms]\nthresholds = 0.5, low\n", r"^\[nms\] thresholds: expected a number, got 'low'$"),
             ("[nms]\nvariants =\n", r"\[nms\].*variants must not be empty"),
             ("[run]\nvariants =\n", r"\[run\] variants must not be empty"),
             ("[gradcheck]\ntolerance = 0\n", r"\[gradcheck\].*tolerance must be finite and > 0"),
@@ -132,13 +132,13 @@ class TestConfigFile:
             ("[sim]\nheight_range = 0.3\n", r"\[sim\].*height_range must be two values"),
             ("[sim]\ndistractor_count = -2\n", r"\[sim\].*distractor_count must be >= 0, got -2"),
             ("[run]\nseeds = -3\n", r"^\[run\] seeds must be non-negative, got \(-3,\)$"),
-            # an OverflowError counting the thresholds
-            ("[nms]\nthreshold_step = 5e-324\n", r"\[nms\].*threshold_step must be finite and > 0, with finitely many"),
+            # the keys of the retired min/max/step grid
+            ("[nms]\nthreshold_step = 0.05\n", r"^unknown key 'threshold_step' in section \[nms\]$"),
         ],
         ids=[
             "not-a-number", "nan-noise", "nan-step", "inf-tuple", "inf-finite-default",
-            "nms-step-zero", "nms-step-negative", "nms-min-above-max", "nms-threshold-one",
-            "nms-threshold-zero", "nms-no-variants", "run-no-variants",
+            "nms-thresholds-empty", "nms-threshold-zero", "nms-threshold-one", "nms-threshold-nan",
+            "nms-threshold-word", "nms-no-variants", "run-no-variants",
             "gradcheck-tolerance-zero", "gradcheck-step-zero", "gradcheck-kink-negative",
             "couloss-kink-negative", "composite-focal-alpha-above-one",
             "gradcheck-no-scenes", "gradcheck-no-retries", "anchors-stride-zero", "anchors-scale-negative",
@@ -148,7 +148,7 @@ class TestConfigFile:
             "eval-min-height-negative", "eval-min-height-above-max", "eval-min-visibility-negative",
             "eval-min-visibility-above-max", "eval-max-visibility-above-one", "sim-extent-one-value",
             "sim-extent-zero", "sim-height-range-one-value", "sim-distractors-negative", "run-seeds-negative",
-            "nms-step-subnormal",
+            "nms-grid-key-unknown",
         ],
     )
     def test_bad_value_rejected(self, tmp_path, text, message):
@@ -187,6 +187,7 @@ class TestConfigFile:
         cfg = load_run_config(write_config(tmp_path / "run.cfg", example))
         assert cfg.seeds == (0, 1, 2, 3)
         assert cfg.anchors.scales == (30.0,)
+        assert cfg.nms.thresholds == DEFAULT_NMS_THRESHOLDS
 
     def test_readme_library_example_runs(self, tmp_path):
         root = Path(__file__).resolve().parent.parent
@@ -218,9 +219,7 @@ class TestConfigFile:
         assert cfg.eval.max_height == float("inf") and cfg.eval.min_height == 5.0
 
     def test_nms_threshold_grid(self):
-        grid = NmsSweepConfig().thresholds()
-        assert len(grid) == 11
-        assert grid[0] == 0.3 and grid[-1] == 0.8
+        assert NmsSweepConfig().thresholds == DEFAULT_NMS_THRESHOLDS
 
 
 class TestExitCodes:
@@ -263,10 +262,10 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--seeds", "1", "--out", str(tmp_path)]) == 1
 
     def test_zero_nms_step_exits_one(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "run.cfg", "[nms]\nthreshold_step = 0\n")
+        cfg = write_config(tmp_path / "run.cfg", "[nms]\nthresholds =\n")
         assert main(["nms-sweep", "--config", cfg, "--seeds", "1", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid values in section [nms]") and err.count("\n") == 1
+        assert err.startswith("error: invalid values in section [nms]: thresholds ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["simulate", "gradcheck", "nms-sweep", "anchor-demo"])
     def test_packed_crowd_exits_one_with_one_line(self, tmp_path, capsys, command):
@@ -366,8 +365,7 @@ class TestNmsSweep:
     def test_rows_and_svg(self, tmp_path):
         cfg = write_config(
             tmp_path / "run.cfg",
-            fast_sim_section() + "[nms]\nthreshold_min = 0.3\nthreshold_max = 0.8\n"
-            "threshold_step = 0.05\n",
+            fast_sim_section() + "[nms]\nthresholds = 0.4, 0.6, 0.5\n",
         )
         out = tmp_path / "out"
         assert main(
@@ -375,7 +373,8 @@ class TestNmsSweep:
         ) == 0
         rows = read_csv(out / "nms_sweep.csv")
         assert rows[0] == ["variant", "threshold", "kept", "false_positives", "misses", "miss_rate"]
-        assert len(rows) == 1 + 2 * 11  # two variants x eleven thresholds
+        assert len(rows) == 1 + 2 * 3  # two variants x three thresholds
+        assert [r[1] for r in rows[1:]] == ["0.4", "0.6", "0.5"] * 2  # in the order given
         summary = read_csv(out / "nms_summary.csv")
         assert summary[0] == ["variant", "min_misses", "max_misses", "spread", "variance"]
         assert len(summary) == 3
@@ -564,15 +563,45 @@ MALFORMED = {
     # a second header is blamed, not the valid box before it that it would put outside the extent
     "scene-repeated-extent": (load_scene, "extent 100 100\nped 10 10 30 60 10 10 30 40\nextent 50 50\n", 3),
     "scene-visible-then-extent": (load_scene, "extent 10 10\nped 1 1 5 9 0 0 5 9\ndistractor 5 5 12 9\n", 2),
+    # a byte that is not UTF-8 is named at its line, counted as universal newlines count lines
+    "scene-not-utf8": (load_scene, b"extent 100 100\r\nped 1 1 5 9 1 1 5 9\rdistractor \xff\n", 3),
+    "map-not-utf8": (load_probability_map, b"2 2 1.0\n0.1 0.2\n0.3 \xff\n", 3),
+    "target-not-utf8": (load_target_map, b"2 1 1.0\nP \xff\n", 2),
+    "detection-not-utf8": (
+        load_detections, b"scene_id,x1,y1,x2,y2,score\ns0,0,0,10,20,0.5\ns0,\xff,0,10,20,0.5\n", 3
+    ),
+    "curve-not-utf8": (load_curve, b"threshold,fppi,miss_rate\n0.5,\xff,0.1\n", 2),
+    "config-not-utf8": (load_run_config, b"[sim]\ndescent_steps = \xff\xfe\n", 2),
 }
 
 
 @pytest.mark.parametrize("loader, text, line", MALFORMED.values(), ids=MALFORMED.keys())
 def test_loaders_reject_malformed_input_with_location(tmp_path, loader, text, line):
     path = tmp_path / "input.txt"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(InvalidInputError, match=re.escape(f"{path}:{line}:")):
         loader(path)
+
+
+@pytest.mark.parametrize("broken", ["config", "scene", "detections", "map"])
+def test_non_utf8_input_exits_one_with_location(tmp_path, capsys, broken):
+    # each of these ended in a UnicodeDecodeError traceback
+    scene, dets, pmap, cfg = tmp_path / "s" / "s0.txt", tmp_path / "d.csv", tmp_path / "m.txt", tmp_path / "run.cfg"
+    scene.parent.mkdir()
+    scene.write_text("extent 100 100\nped 1 1 10 20 1 1 10 20\n")
+    dets.write_text("scene_id,x1,y1,x2,y2,score\ns0,1,1,10,20,0.9\n")
+    pmap.write_text("1 2 1.0\n0.5\n0.5\n")
+    command, text = {
+        "config": ("simulate", "[sim]\ndescent_steps = 2\n"),
+        "map": ("anchor-demo", f"[anchors]\nmap_kind = file\nmap_file = {pmap}\n"),
+    }.get(broken, ("eval", f"[eval]\ndetections = {dets}\nscenes_dir = {scene.parent}\n"))
+    cfg.write_text(text)
+    path = {"config": cfg, "scene": scene, "detections": dets, "map": pmap}[broken]
+    head, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(head + b"\n\xff" + rest)
+    assert main([command, "--config", str(cfg), "--seeds", "0", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: not UTF-8 text") and err.count("\n") == 1
 
 
 def test_unknown_target_label_printed_as_text(tmp_path):
