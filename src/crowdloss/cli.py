@@ -60,17 +60,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve(cfg: RunConfig, args) -> tuple[RunConfig, Path]:
-    seeds = parse_seeds(args.seeds, "--seeds") if args.seeds else cfg.seeds
-    out_dir = Path(args.out or cfg.out_dir)
+    run = cfg.run if args.seeds is None else replace(cfg.run, seeds=parse_seeds(args.seeds, "--seeds"))
+    out_dir = Path(args.out or run.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return replace(cfg, seeds=seeds), out_dir
+    return replace(cfg, run=run), out_dir
 
 
 def _variant_configs(cfg: RunConfig, names) -> dict:
     available = standard_variants(cfg.composite)
-    unknown = [n for n in names if n not in available]
-    if unknown:
-        raise ConfigError(f"unknown loss variant(s) {unknown}; choose from {sorted(available)}")
     return {n: available[n] for n in names}
 
 
@@ -84,7 +81,7 @@ def cmd_gradcheck(cfg: RunConfig, out_dir: Path) -> int:
         fd_step_fraction=gc.fd_step_fraction,
         kink_tolerance=gc.kink_tolerance,
         max_perturb_retries=gc.max_perturb_retries,
-        seed_base=cfg.seeds[0],
+        seed_base=cfg.run.seeds[0],
     )
     passed = outcome.passed(gc.tolerance)
     lines = [
@@ -110,8 +107,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     seed and exits 3, any other error is raised."""
     rows = []
     path = out_dir / "simulate.csv"
-    variants = _variant_configs(cfg, cfg.variants)
-    for seed, _, results in descend_variants(variants, cfg.seeds, cfg.sim, cfg.couloss):
+    variants = _variant_configs(cfg, cfg.run.variants)
+    for seed, _, results in descend_variants(variants, cfg.run.seeds, cfg.sim, cfg.couloss):
         failed = [r for r in results.values() if isinstance(r, CrowdLossError)]
         if failed and isinstance(failed[0], DivergenceError):
             evalkit._write_csv(path, SIMULATE_FIELDS, rows)
@@ -131,7 +128,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_nms_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
     variants = _variant_configs(cfg, cfg.nms.variants)
     result = nms_sensitivity_experiment(
-        variants, list(cfg.seeds), cfg.sim, cfg.couloss, thresholds=cfg.nms.thresholds, match_iou=cfg.nms.match_iou
+        variants, list(cfg.run.seeds), cfg.sim, cfg.couloss, thresholds=cfg.nms.thresholds, match_iou=cfg.nms.match_iou
     )
     path, summary = out_dir / "nms_sweep.csv", out_dir / "nms_summary.csv"
     rows = [(r.variant, r.threshold, r.kept, r.false_positives, r.misses, r.miss_rate) for r in result.rows]
@@ -156,8 +153,6 @@ def cmd_nms_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
 def _anchor_map(cfg: RunConfig, scene, seed: int):
     a = cfg.anchors
     if a.map_kind == "file":
-        if not a.map_file:
-            raise ConfigError("[anchors] map_kind=file requires map_file")
         return anchors_mod.load_probability_map(a.map_file)
     if a.map_kind == "bump":
         return anchors_mod.bump_probability_map(
@@ -174,7 +169,7 @@ def cmd_anchor_demo(cfg: RunConfig, out_dir: Path) -> int:
     rows = []
     first_map = None
     first_tmap = None
-    for seed in cfg.seeds:
+    for seed in cfg.run.seeds:
         scene = load_scene(a.scene_file) if a.scene_file else generate_scene(cfg.sim, seed)
         pmap = _anchor_map(cfg, scene, seed)
         selected = anchors_mod.select_anchors(pmap, a.scales, a.ratios)
@@ -216,13 +211,12 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     if not os.path.isdir(e.scenes_dir):
         raise ConfigError(f"scenes directory not found: {e.scenes_dir}")
     dets = evalkit.load_detections(e.detections)
-    subset = evalkit.SubsetFilter(e.min_height, e.max_height, e.min_visibility, e.max_visibility)
     gts_by_scene, ignored_by_scene = {}, {}
     for path in sorted(Path(e.scenes_dir).glob("*.txt")):
         selected = gts_by_scene[path.stem] = []
         ignored = ignored_by_scene[path.stem] = []
         for ped in load_scene(path).pedestrians:
-            (selected if subset.selects(ped.full, ped.visible) else ignored).append(ped.full)
+            (selected if e.selects(ped.full, ped.visible) else ignored).append(ped.full)
     curve = evalkit.fppi_curve(dets, gts_by_scene, e.match_iou, ignored_by_scene)
     evalkit.save_curve(curve, out_dir / "curve.csv")
     mr2 = evalkit.log_average_miss_rate(curve)

@@ -5,16 +5,23 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 from .anchors import _SIZES, _STRIDE
 from .baselines import CompositeConfig
 from .couloss import CouLossConfig
-from .errors import ConfigError, InvalidInputError, check, non_negative, open_text, positive
-from .evalkit import _MATCH_IOU, _NMS_THRESHOLD
-from .simulator import DEFAULT_NMS_THRESHOLDS, SimConfig
+from .errors import ConfigError, check, non_negative, open_text, positive
+from .evalkit import _MATCH_IOU, _NMS_THRESHOLD, SubsetFilter
+from .simulator import DEFAULT_NMS_THRESHOLDS, SimConfig, standard_variants
 
 _MAP_KINDS = ("bump", "indicator", "flat", "file")
+_VARIANTS = tuple(standard_variants())
+# the rule for a variant list, in [run] and [nms]
+_VARIANT_LIST = (lambda v: 0 < len(set(v) & set(_VARIANTS)) == len(v),
+                 f"non-empty, each one of {', '.join(_VARIANTS)} at most once")
+# the rule for a seed list, in [run] and --seeds
+_SEEDS = (lambda v: bool(v) and min(v) >= 0, "non-empty, each >= 0")
 
 
 @dataclass(frozen=True)
@@ -34,6 +41,7 @@ class AnchorDemoConfig:
         check(self, ("stride",), *_STRIDE)
         check(self, ("scales", "ratios"), *_SIZES)
         check(self, ("map_kind",), _MAP_KINDS.__contains__, f"one of {', '.join(_MAP_KINDS)}")
+        check(self, ("map_file",), lambda v: bool(v) == (self.map_kind == "file"), "set exactly when map_kind is file")
         check(self, ("flat_value", "peak", "background"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
         check(self, ("negative_iou_threshold",), *_MATCH_IOU)
 
@@ -56,33 +64,37 @@ class GradCheckConfig:
 class NmsSweepConfig:
     thresholds: tuple[float, ...] = DEFAULT_NMS_THRESHOLDS  # swept in this order
     match_iou: float = 0.5
-    variants: tuple[str, ...] = ("baseline", "couloss")
+    variants: tuple[str, ...] = _VARIANTS[:2]  # the baseline and the full CouLoss
 
     def __post_init__(self):
         ok, rule = _NMS_THRESHOLD
         check(self, ("thresholds",), lambda v: bool(v) and all(map(ok, v)), f"non-empty, each {rule}")
-        if not self.variants:
-            raise InvalidInputError("variants must not be empty")
+        check(self, ("variants",), *_VARIANT_LIST)
         check(self, ("match_iou",), *_MATCH_IOU)
 
 
 @dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(SubsetFilter):
     detections: str = ""
     scenes_dir: str = ""
     match_iou: float = 0.5
     target_miss_rate: float = 0.1
-    min_height: float = 0.0
-    max_height: float = math.inf
-    min_visibility: float = 0.0
-    max_visibility: float = 1.0
 
     def __post_init__(self):
         check(self, ("match_iou",), *_MATCH_IOU)
         check(self, ("target_miss_rate",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-        check(self, ("min_height",), lambda v: 0.0 <= v <= self.max_height, "in [0, max_height]")
-        check(self, ("max_visibility",), lambda v: v <= 1.0, "<= 1")
-        check(self, ("min_visibility",), lambda v: 0.0 <= v <= self.max_visibility, "in [0, max_visibility]")
+        super().__post_init__()
+
+
+@dataclass(frozen=True)
+class RunSection:
+    seeds: tuple[int, ...] = tuple(range(20))
+    out: str = "."
+    variants: tuple[str, ...] = _VARIANTS
+
+    def __post_init__(self):
+        check(self, ("seeds",), *_SEEDS)
+        check(self, ("variants",), *_VARIANT_LIST)
 
 
 @dataclass(frozen=True)
@@ -94,9 +106,7 @@ class RunConfig:
     gradcheck: GradCheckConfig = GradCheckConfig()
     nms: NmsSweepConfig = NmsSweepConfig()
     eval: EvalConfig = EvalConfig()
-    seeds: tuple[int, ...] = tuple(range(20))
-    out_dir: str = "."
-    variants: tuple[str, ...] = ("baseline", "couloss", "only_att", "only_rep")
+    run: RunSection = RunSection()
 
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -119,19 +129,15 @@ def _coerce(raw: str, default, key: str):
             raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
         return value
     if isinstance(default, tuple):
-        parts = [p for p in (s.strip() for s in raw.split(",")) if p]
         elem = default[0] if default else 0.0
-        return tuple(_coerce(p, elem, key) for p in parts)
+        return tuple(_coerce(p, elem, key) for p in raw.split(",")) if raw else ()
     return raw
 
 
 def parse_seeds(raw: str, key: str) -> tuple[int, ...]:
-    """The non-empty, non-negative integer seed list ``raw``; errors name ``key``."""
+    """The seed list ``raw`` under ``[run] seeds``' rule; errors name ``key``."""
     seeds = _coerce(raw, (0,), key)
-    if not seeds:
-        raise ConfigError(f"{key} must not be empty")
-    if min(seeds) < 0:
-        raise ConfigError(f"{key} must be non-negative, got {seeds!r}")
+    check(SimpleNamespace(**{key: seeds}), (key,), *_SEEDS)
     return seeds
 
 
@@ -180,25 +186,12 @@ def load_run_config(path: str | None = None) -> RunConfig:
     for key in parser.defaults():
         raise ConfigError(f"unknown key {key!r} in section [DEFAULT]")
 
-    # each section fills the config-dataclass field of its name
-    sections = {f.name: f.default for f in fields(RunConfig) if is_dataclass(f.default)}
+    # each section fills the section record of its name
+    sections = {f.name: f.default for f in fields(RunConfig)}
     updates = {}
     for section_name in parser.sections():
-        if section_name == "run":
-            for key, raw in parser.items("run"):
-                if key == "seeds":
-                    updates["seeds"] = parse_seeds(raw, "[run] seeds")
-                elif key == "out":
-                    updates["out_dir"] = raw.strip()
-                elif key == "variants":
-                    updates["variants"] = _coerce(raw, ("baseline",), "[run] variants")
-                else:
-                    raise ConfigError(f"unknown key {key!r} in section [run]")
-            continue
         if section_name not in sections:
             raise ConfigError(f"unknown config section [{section_name}]")
         section = dict(parser.items(section_name))
         updates[section_name] = _fill_section(sections[section_name], section, section_name)
-    if not updates.get("variants", ("baseline",)):
-        raise ConfigError("[run] variants must not be empty")
     return replace(cfg, **updates)

@@ -59,6 +59,11 @@ class SubsetFilter:
     min_visibility: float = 0.0
     max_visibility: float = 1.0
 
+    def __post_init__(self):
+        check(self, ("min_height",), lambda v: 0.0 <= v <= self.max_height, "in [0, max_height]")
+        check(self, ("max_visibility",), lambda v: v <= 1.0, "<= 1")
+        check(self, ("min_visibility",), lambda v: 0.0 <= v <= self.max_visibility, "in [0, max_visibility]")
+
     def selects(self, full: BBox, visible: BBox) -> bool:
         h = full.height
         vis_ratio = visible.area / full.area

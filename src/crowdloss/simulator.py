@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -530,6 +531,7 @@ def nms_sensitivity_experiment(
     ground truths. The per-variant spread (max - min) and variance of miss
     counts across thresholds quantify threshold sensitivity.
     """
+    check(SimpleNamespace(seeds=seeds), ("seeds",), len, "non-empty")
     per_variant_dets: dict[str, list[tuple[Scene, list[Detection]]]] = {
         name: [] for name in variants
     }
@@ -609,11 +611,12 @@ def load_scene(path) -> Scene:
 
 
 def standard_variants(base: CompositeConfig | None = None) -> dict[str, CompositeConfig]:
-    """The four ablation variants: baseline, full, attraction-only, repulsion-only."""
-    base = base or CompositeConfig()
+    """The four ablation variants of ``base``: baseline, full, attraction-only,
+    repulsion-only. Each sets both CouLoss term flags, so ``base``'s are not read."""
+    both = replace(base or CompositeConfig(), include_attraction=True, include_repulsion=True)
     return {
-        "baseline": replace(base, alpha=0.0),
-        "couloss": base,
-        "only_att": replace(base, include_repulsion=False),
-        "only_rep": replace(base, include_attraction=False),
+        "baseline": replace(both, alpha=0.0),
+        "couloss": both,
+        "only_att": replace(both, include_repulsion=False),
+        "only_rep": replace(both, include_attraction=False),
     }

@@ -20,6 +20,8 @@ from crowdloss.geometry import BBox
 from crowdloss.simulator import DEFAULT_NMS_THRESHOLDS, SimConfig, generate_scene, load_scene, save_scene
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+# the rule of a [run] or [nms] variant list, as a regex
+VARIANT_RULE = r"non-empty, each one of baseline, couloss, only_att, only_rep at most once"
 # the crowd-dense workload's config file
 CROWD_DENSE = (
     "[sim]\npedestrian_count = 6\nproposals_per_gt = 8\nrecompute_assignments = false\n"
@@ -43,7 +45,7 @@ class TestConfigFile:
         cfg = load_run_config(None)
         assert isinstance(cfg, RunConfig)
         assert cfg.sim.pedestrian_count == 2
-        assert cfg.seeds == tuple(range(20))
+        assert cfg.run.seeds == tuple(range(20))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -63,8 +65,8 @@ class TestConfigFile:
         assert cfg.couloss.aggregation_mode == "triplet-literal"
         assert cfg.composite.alpha == 0.5
         assert cfg.composite.include_repulsion is False
-        assert cfg.seeds == (4, 5)
-        assert cfg.out_dir == "results"
+        assert cfg.run.seeds == (4, 5)
+        assert cfg.run.out == "results"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", "[sim]\nwalrus = 1\n")
@@ -96,8 +98,20 @@ class TestConfigFile:
             ("[nms]\nthresholds = 0.5, 1.0\n", r"\[nms\].*thresholds must be non-empty, each in \(0, 1\), got \(0.5, 1.0\)$"),
             ("[nms]\nthresholds = nan\n", r"^\[nms\] thresholds: expected a finite number, got 'nan'$"),
             ("[nms]\nthresholds = 0.5, low\n", r"^\[nms\] thresholds: expected a number, got 'low'$"),
-            ("[nms]\nvariants =\n", r"\[nms\].*variants must not be empty"),
-            ("[run]\nvariants =\n", r"\[run\] variants must not be empty"),
+            ("[nms]\nvariants =\n", rf"^invalid values in section \[nms\]: variants must be {VARIANT_RULE}, got \(\)$"),
+            ("[run]\nvariants =\n", rf"^invalid values in section \[run\]: variants must be {VARIANT_RULE}, got \(\)$"),
+            # each of these was accepted: a repeated variant wrote one row per seed, a blank element was dropped
+            (
+                "[run]\nvariants = baseline, baseline\n",
+                rf"^invalid values in section \[run\]: variants must be {VARIANT_RULE}, got \('baseline', 'baseline'\)$",
+            ),
+            ("[nms]\nvariants = bogus\n", rf"^invalid values in section \[nms\]: variants must be {VARIANT_RULE}, got \('bogus',\)$"),
+            ("[run]\nseeds = 1,,2\n", r"^\[run\] seeds: expected an integer, got ''$"),
+            ("[nms]\nthresholds = 0.5,,0.6,\n", r"^\[nms\] thresholds: expected a number, got ''$"),
+            (
+                "[anchors]\nmap_file = m.txt\n",
+                r"^invalid values in section \[anchors\]: map_file must be set exactly when map_kind is file, got 'm.txt'$",
+            ),
             ("[gradcheck]\ntolerance = 0\n", r"\[gradcheck\].*tolerance must be finite and > 0"),
             ("[gradcheck]\nfd_step_fraction = 0\n", r"\[gradcheck\].*fd_step_fraction must be finite and > 0"),
             ("[gradcheck]\nkink_tolerance = -0.001\n", r"\[gradcheck\].*kink_tolerance must be finite and >= 0"),
@@ -131,14 +145,15 @@ class TestConfigFile:
             ("[sim]\nextent = 100, 0\n", r"\[sim\].*extent must be two values, each finite and > 0"),
             ("[sim]\nheight_range = 0.3\n", r"\[sim\].*height_range must be two values"),
             ("[sim]\ndistractor_count = -2\n", r"\[sim\].*distractor_count must be >= 0, got -2"),
-            ("[run]\nseeds = -3\n", r"^\[run\] seeds must be non-negative, got \(-3,\)$"),
+            ("[run]\nseeds = -3\n", r"^invalid values in section \[run\]: seeds must be non-empty, each >= 0, got \(-3,\)$"),
             # the keys of the retired min/max/step grid
             ("[nms]\nthreshold_step = 0.05\n", r"^unknown key 'threshold_step' in section \[nms\]$"),
         ],
         ids=[
             "not-a-number", "nan-noise", "nan-step", "inf-tuple", "inf-finite-default",
             "nms-thresholds-empty", "nms-threshold-zero", "nms-threshold-one", "nms-threshold-nan",
-            "nms-threshold-word", "nms-no-variants", "run-no-variants",
+            "nms-threshold-word", "nms-no-variants", "run-no-variants", "run-variant-repeated", "nms-variant-unknown",
+            "run-seeds-blank-element", "nms-thresholds-blank-element", "anchors-map-file-without-file-kind",
             "gradcheck-tolerance-zero", "gradcheck-step-zero", "gradcheck-kink-negative",
             "couloss-kink-negative", "composite-focal-alpha-above-one",
             "gradcheck-no-scenes", "gradcheck-no-retries", "anchors-stride-zero", "anchors-scale-negative",
@@ -185,7 +200,7 @@ class TestConfigFile:
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
         cfg = load_run_config(write_config(tmp_path / "run.cfg", example))
-        assert cfg.seeds == (0, 1, 2, 3)
+        assert cfg.run.seeds == (0, 1, 2, 3)
         assert cfg.anchors.scales == (30.0,)
         assert cfg.nms.thresholds == DEFAULT_NMS_THRESHOLDS
 
@@ -201,7 +216,7 @@ class TestConfigFile:
 
     def test_values_are_literal(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", "[run]\nout = a%(b)s\n")
-        assert load_run_config(path).out_dir == "a%(b)s"
+        assert load_run_config(path).run.out == "a%(b)s"
 
     def test_attribute_name_is_no_section(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", "[__class__]\nx = 1\n")
@@ -211,7 +226,7 @@ class TestConfigFile:
     def test_seeds_flag_follows_run_seeds(self, tmp_path):
         from_file = load_run_config(write_config(tmp_path / "run.cfg", "[run]\nseeds = 4, 5\n"))
         args = build_parser().parse_args(["simulate", "--seeds", " 4, 5", "--out", str(tmp_path / "out")])
-        assert _resolve(RunConfig(), args)[0].seeds == from_file.seeds == (4, 5)
+        assert _resolve(RunConfig(), args)[0].run.seeds == from_file.run.seeds == (4, 5)
 
     def test_infinite_default_accepts_inf(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", "[eval]\nmax_height = inf\nmin_height = 5\n")
@@ -240,13 +255,36 @@ class TestExitCodes:
 
     def test_empty_seed_list_exits_one(self, tmp_path, capsys):
         assert main(["simulate", "--seeds", ",", "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == "error: --seeds must not be empty\n"
+        assert capsys.readouterr().err == "error: --seeds: expected an integer, got ''\n"
+
+    def test_empty_seeds_flag_exits_one(self, tmp_path, capsys):
+        # an empty flag ran the 20 default seeds
+        assert main(["simulate", "--seeds", "", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: --seeds must be non-empty, each >= 0, got ()\n"
 
     @pytest.mark.parametrize("flag", [["--seeds=-1"], ["--seeds", "2,-1"]], ids=["equals", "list"])
     def test_negative_seed_names_flag(self, tmp_path, capsys, flag):
         assert main(["simulate", *flag, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --seeds must be non-negative") and err.count("\n") == 1
+        assert err.startswith("error: --seeds must be non-empty, each >= 0, got (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, section, key",
+        [
+            ("[run]\nvariants = baseline, baseline\n", "run", "variants"),
+            ("[nms]\nvariants = bogus\n", "nms", "variants"),
+            ("[anchors]\nmap_file = m.txt\n", "anchors", "map_file"),
+            ("[run]\nseeds = 1,,2\n", "run", "seeds"),
+        ],
+        ids=["run-variant-repeated", "nms-variant-unknown", "map-file-without-file-kind", "run-seeds-blank-element"],
+    )
+    def test_bad_run_input_exits_one_naming_key(self, tmp_path, capsys, text, section, key):
+        # simulate accepted each of these: it ran, or ignored the value, or dropped part of it
+        cfg = write_config(tmp_path / "run.cfg", text)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"[{section}]" in err and key in err and err.count("\n") == 1
+        assert "Traceback" not in err and not (tmp_path / "out" / "simulate.csv").exists()
 
     @pytest.mark.parametrize("text", ["extent = 100", "extent = 100, 0", "height_range = 0.3", "distractor_count = -2"])
     def test_bad_sim_value_exits_one_naming_key(self, tmp_path, capsys, text):
@@ -443,7 +481,7 @@ class TestAnchorDemo:
     def test_file_map_requires_map_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", "[anchors]\nmap_kind = file\n")
         assert main(["anchor-demo", "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "out")]) == 1
-        assert "[anchors] map_kind=file requires map_file" in capsys.readouterr().err
+        assert "[anchors]: map_file must be set exactly when map_kind is file, got ''" in capsys.readouterr().err
 
     def test_file_map_reproduces_saved_map(self, tmp_path):
         # the probability map a run saves, read back as map_kind = file, gives the same stats

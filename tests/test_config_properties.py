@@ -63,7 +63,7 @@ def test_config_loads_or_names_a_drawn_key(tmp_path, config):
         named = [(s, k) for s, k in drawn if f"[{s}]" in message and re.search(rf"\b{k}\b", message)]
         assert named, f"{message!r} names none of {drawn}"
         return
-    seed = cfg.seeds[0]
+    seed = cfg.run.seeds[0]
     try:
         spawn_proposals(generate_scene(cfg.sim, seed), cfg.sim, seed + 1)
     except CrowdLossError:

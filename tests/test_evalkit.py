@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -412,6 +414,22 @@ class TestSubsetFilter:
         assert not SubsetFilter(min_height=12).selects(full, full)
         assert SubsetFilter(max_visibility=0.6).selects(full, vis_half)
         assert not SubsetFilter(min_visibility=0.6).selects(full, vis_half)
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ({"min_height": 50, "max_height": 40}, r"^min_height must be in \[0, max_height\], got 50$"),
+            ({"min_height": -1}, r"^min_height must be in \[0, max_height\], got -1$"),
+            ({"max_visibility": 2}, r"^max_visibility must be <= 1, got 2$"),
+            ({"min_visibility": 0.7, "max_visibility": 0.6}, r"^min_visibility must be in \[0, max_visibility\], got 0.7$"),
+            ({"min_height": math.nan}, r"^min_height must be in \[0, max_height\], got nan$"),
+        ],
+        ids=["height-above-max", "height-negative", "visibility-above-one", "visibility-above-max", "height-nan"],
+    )
+    def test_bad_bounds_rejected(self, bounds, message):
+        # each of these built a filter that selects nothing or everything without a word
+        with pytest.raises(InvalidInputError, match=message):
+            SubsetFilter(**bounds)
 
 
 class TestCsvIO:

@@ -582,6 +582,30 @@ class TestNmsSensitivity:
         b = nms_sensitivity_experiment(variants, [0, 1], cfg, thresholds=(0.4, 0.6))
         assert a.rows == b.rows
 
+    def test_no_seeds_rejected(self):
+        # ended in a bare ZeroDivisionError: the miss rate of no ground truths
+        with pytest.raises(InvalidInputError, match=r"^seeds must be non-empty, got \[\]$"):
+            nms_sensitivity_experiment(standard_variants(), [], SimConfig(descent_steps=2))
+
+
+class TestStandardVariants:
+    @pytest.mark.parametrize(
+        "base",
+        [CompositeConfig(include_attraction=False), CompositeConfig(include_repulsion=False),
+         CompositeConfig(alpha=2.5, include_attraction=False, include_repulsion=False)],
+        ids=["attraction-off", "repulsion-off", "both-off"],
+    )
+    def test_each_variant_sets_its_terms(self, base):
+        # an attraction-off base once made only_att equal the baseline and couloss equal only_rep
+        variants = standard_variants(base)
+        terms = {name: (c.include_attraction, c.include_repulsion) for name, c in variants.items()}
+        assert terms == {
+            "baseline": (True, True), "couloss": (True, True), "only_att": (True, False), "only_rep": (False, True)
+        }
+        assert variants["baseline"].alpha == 0.0
+        assert all(replace(c, alpha=base.alpha, include_attraction=base.include_attraction,
+                           include_repulsion=base.include_repulsion) == base for c in variants.values())
+
 
 class TestSceneIO:
     def test_roundtrip(self, tmp_path):
