@@ -189,8 +189,6 @@ def build_target_map(scene, grid_shape: tuple[int, int], stride: float) -> Targe
     height, width = grid_shape
     if height < 1 or width < 1:
         raise InvalidInputError("grid must have at least one cell")
-    for ped in scene.pedestrians:
-        ped.check()
 
     points = _grid_points(grid_shape, stride)
     pos = _covered(box_array(p.visible for p in scene.pedestrians), points)

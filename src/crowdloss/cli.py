@@ -17,7 +17,7 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from . import evalkit, svgplot
-from .config import RunConfig, load_run_config, parse_seeds
+from .config import RunConfig, load_run_config, with_flags
 from .errors import ConfigError, CrowdLossError, DivergenceError
 from .gradcheck import run_gradcheck
 from .simulator import (
@@ -60,8 +60,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve(cfg: RunConfig, args) -> tuple[RunConfig, Path]:
-    run = cfg.run if args.seeds is None else replace(cfg.run, seeds=parse_seeds(args.seeds, "--seeds"))
-    out_dir = Path(args.out or run.out)
+    run = with_flags(cfg.run, args.seeds, args.out)
+    out_dir = Path(run.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return replace(cfg, run=run), out_dir
 

@@ -20,8 +20,8 @@ _VARIANTS = tuple(standard_variants())
 # the rule for a variant list, in [run] and [nms]
 _VARIANT_LIST = (lambda v: 0 < len(set(v) & set(_VARIANTS)) == len(v),
                  f"non-empty, each one of {', '.join(_VARIANTS)} at most once")
-# the rule for a seed list, in [run] and --seeds
-_SEEDS = (lambda v: bool(v) and min(v) >= 0, "non-empty, each >= 0")
+# the rules of the [run] keys that a flag of the same name overrides: --seeds and --out
+_RUN_FLAGS = {"seeds": (lambda v: bool(v) and min(v) >= 0, "non-empty, each >= 0"), "out": (bool, "non-empty")}
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ class RunSection:
     variants: tuple[str, ...] = _VARIANTS
 
     def __post_init__(self):
-        check(self, ("seeds",), *_SEEDS)
+        for key, rule in _RUN_FLAGS.items():
+            check(self, (key,), *rule)
         check(self, ("variants",), *_VARIANT_LIST)
 
 
@@ -134,11 +135,14 @@ def _coerce(raw: str, default, key: str):
     return raw
 
 
-def parse_seeds(raw: str, key: str) -> tuple[int, ...]:
-    """The seed list ``raw`` under ``[run] seeds``' rule; errors name ``key``."""
-    seeds = _coerce(raw, (0,), key)
-    check(SimpleNamespace(**{key: seeds}), (key,), *_SEEDS)
-    return seeds
+def with_flags(run: RunSection, seeds: str | None, out: str | None) -> RunSection:
+    """``run`` with the ``--seeds`` and ``--out`` that are given, each under its
+    ``[run]`` key's rule; errors name the flag."""
+    flags = {"seeds": None if seeds is None else _coerce(seeds, (0,), "--seeds"), "out": out}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    for key, value in flags.items():
+        check(SimpleNamespace(**{f"--{key}": value}), (f"--{key}",), *_RUN_FLAGS[key])
+    return replace(run, **flags)
 
 
 def _fill_section(instance, section: dict, section_name: str):

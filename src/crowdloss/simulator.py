@@ -44,7 +44,7 @@ class Pedestrian:
     full: BBox
     visible: BBox
 
-    def check(self) -> None:
+    def __post_init__(self):
         """Reject a visible box that is not inside the full box."""
         f, v = self.full, self.visible
         if not (f.x1 <= v.x1 and v.x2 <= f.x2 and f.y1 <= v.y1 and v.y2 <= f.y2):
@@ -60,8 +60,6 @@ class Scene:
     def __post_init__(self):
         check(self, ("extent",), *_EXTENT)
         w, h = self.extent
-        for ped in self.pedestrians:
-            ped.check()
         for box in [p.full for p in self.pedestrians] + list(self.distractors):
             if box.x1 < 0.0 or box.y1 < 0.0 or box.x2 > w or box.y2 > h:
                 raise InvalidInputError(f"box {box.as_tuple()} outside extent {self.extent}")
@@ -335,6 +333,15 @@ class Descent:
     seed: int = 0
     intended_targets: list[int] | None = None
 
+    def __post_init__(self):
+        n, targets = len(self.scene.pedestrians), self.intended_targets
+        if not n:
+            raise InvalidInputError("scene has no pedestrians")
+        if targets is not None and len(targets) != len(self.proposals):
+            raise InvalidInputError("intended_targets length must match proposals")
+        if targets is not None and not all(0 <= t < n for t in targets):
+            raise InvalidInputError(f"intended_targets must index the {n} pedestrians")
+
 
 def run_descent(
     scene: Scene,
@@ -377,16 +384,6 @@ def run_descents(
     sim_cfg = sim_cfg or SimConfig()
     if not descents:
         return []
-    for d in descents:
-        gts = d.scene.gt_boxes
-        if not gts:
-            raise InvalidInputError("scene has no pedestrians")
-        if d.intended_targets is None:
-            continue
-        if len(d.intended_targets) != len(d.proposals):
-            raise InvalidInputError("intended_targets length must match proposals")
-        if not all(0 <= t < len(gts) for t in d.intended_targets):
-            raise InvalidInputError(f"intended_targets must index the {len(gts)} pedestrians")
     shapes = {(len(d.scene.pedestrians), len(d.proposals)) for d in descents}
     if len(shapes) > 1:
         raise InvalidInputError("batched descents need equal pedestrian and proposal counts")

@@ -274,13 +274,6 @@ class TestTargetMap:
                 extent=(10.0, 10.0),
                 pedestrians=[Pedestrian(full=BBox(2, 2, 4, 4), visible=BBox(1, 2, 4, 4))],
             )
-        scene = two_ped_scene()
-        bad = Pedestrian.__new__(Pedestrian)
-        object.__setattr__(bad, "full", BBox(2, 2, 4, 4))
-        object.__setattr__(bad, "visible", BBox(1, 2, 4, 4))
-        scene.pedestrians.append(bad)
-        with pytest.raises(InvalidAnnotationError):
-            build_target_map(scene, (10, 10), 2.0)
 
     def test_multi_character_label_rejected_not_truncated(self):
         with pytest.raises(InvalidInputError, match="unknown target label 'PX'"):

@@ -262,6 +262,22 @@ class TestExitCodes:
         assert main(["simulate", "--seeds", "", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: --seeds must be non-empty, each >= 0, got ()\n"
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--out", ""], "error: --out must be non-empty, got ''\n"),
+            (["--config", "run.cfg"], "error: invalid values in section [run]: out must be non-empty, got ''\n"),
+        ],
+        ids=["flag", "config"],
+    )
+    def test_empty_out_exits_one_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, error):
+        # both wrote simulate.csv into the working directory and exited 0
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "run.cfg", "[sim]\ndescent_steps = 2\n[run]\nout =\n")
+        assert main(["simulate", "--seeds", "0", *argv]) == 1
+        assert capsys.readouterr().err == error
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     @pytest.mark.parametrize("flag", [["--seeds=-1"], ["--seeds", "2,-1"]], ids=["equals", "list"])
     def test_negative_seed_names_flag(self, tmp_path, capsys, flag):
         assert main(["simulate", *flag, "--out", str(tmp_path)]) == 1
@@ -601,6 +617,8 @@ MALFORMED = {
     # a second header is blamed, not the valid box before it that it would put outside the extent
     "scene-repeated-extent": (load_scene, "extent 100 100\nped 10 10 30 60 10 10 30 40\nextent 50 50\n", 3),
     "scene-visible-then-extent": (load_scene, "extent 10 10\nped 1 1 5 9 0 0 5 9\ndistractor 5 5 12 9\n", 2),
+    # an annotation is checked while its line is read, the extent only after the whole file
+    "scene-extent-then-visible": (load_scene, "extent 10 10\ndistractor 5 5 12 9\nped 1 1 5 9 0 0 5 9\n", 3),
     # a byte that is not UTF-8 is named at its line, counted as universal newlines count lines
     "scene-not-utf8": (load_scene, b"extent 100 100\r\nped 1 1 5 9 1 1 5 9\rdistractor \xff\n", 3),
     "map-not-utf8": (load_probability_map, b"2 2 1.0\n0.1 0.2\n0.3 \xff\n", 3),

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -145,6 +146,29 @@ class TestSceneGeneration:
                 extent=(10.0, 10.0),
                 pedestrians=[Pedestrian(full=BBox(1, 1, 3, 5), visible=BBox(0.5, 1, 3, 5))],
             )
+
+
+class TestRecordsCheckThemselves:
+    def test_pedestrian_rejects_visible_box_outside_full_box(self):
+        with pytest.raises(InvalidAnnotationError, match=re.escape("visible box (-1, 0, 4, 4) not inside full box")):
+            Pedestrian(BBox(0, 0, 4, 8), BBox(-1, 0, 4, 4))
+
+    def test_descent_rejects_scene_without_pedestrians(self):
+        with pytest.raises(InvalidInputError, match="^scene has no pedestrians$"):
+            Descent(Scene((10.0, 10.0), []), [])
+
+    @pytest.mark.parametrize(
+        "targets, error",
+        [
+            ([0], "intended_targets length must match proposals"),
+            ([0, 2], "intended_targets must index the 2 pedestrians"),
+        ],
+        ids=["length", "range"],
+    )
+    def test_descent_rejects_bad_intended_targets(self, targets, error):
+        scene = generate_scene(SimConfig(), 0)
+        with pytest.raises(InvalidInputError, match=f"^{error}$"):
+            Descent(scene, scene.gt_boxes, intended_targets=targets)
 
 
 class TestSpawnProposals:
