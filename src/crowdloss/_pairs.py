@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .geometry import BBox, angle_cosine, border_factor, centers, iou_and_grad, iou_parts, ray_length, scalar_map
 
 
@@ -72,6 +73,13 @@ class PairFrame(NamedTuple):
 
 def box_array(boxes) -> np.ndarray:
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def scene_boxes(gts, proposals) -> tuple[np.ndarray, np.ndarray]:
+    """One scene's ground truths and proposals as ``(1, M, 4)`` and ``(1, N, 4)`` arrays; it needs a ground truth."""
+    if not gts:
+        raise InvalidInputError("at least one ground-truth box is required")
+    return box_array(gts)[None], box_array(proposals)[None]
 
 
 def valid_boxes(coords: np.ndarray) -> np.ndarray:

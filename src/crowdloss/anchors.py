@@ -11,14 +11,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from ._pairs import box_array, check_boxes, iou_matrix
 from .baselines import CompositeConfig, _focal
-from .errors import InvalidInputError, at_line, check, open_text, positive
+from .errors import InvalidInputError, at_line, check, freeze, open_text, positive
 from .evalkit import _MATCH_IOU
 from .geometry import centers, contains
 
@@ -31,7 +31,7 @@ _SIZES = (lambda v: bool(v) and all(map(positive, v)), "non-empty, each finite a
 _STRIDE = (positive, "finite and > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbabilityMap:
     """2-D grid of pedestrian-existence probabilities.
 
@@ -44,7 +44,7 @@ class ProbabilityMap:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        freeze(self, values=np.array(self.values, dtype=float))
         _check_grid(self, self.values, "probability map")
         if not np.all(np.isfinite(self.values)):
             raise InvalidInputError("probability values must be finite")
@@ -60,7 +60,7 @@ class ProbabilityMap:
         return self.values.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetMap:
     """Per-cell P/I/N labels on the same grid layout as a probability map."""
 
@@ -73,7 +73,7 @@ class TargetMap:
         bad = (labels != POSITIVE) & (labels != IGNORED) & (labels != NEGATIVE)
         for label in sorted(set(labels[bad].tolist())):  # not np.unique: it imports numpy.ma
             _label(label)
-        self.labels = labels.astype("<U1")
+        freeze(self, labels=labels.astype("<U1"))
 
 
 def _check_grid(record, cells: np.ndarray, name: str) -> None:
@@ -83,7 +83,7 @@ def _check_grid(record, cells: np.ndarray, name: str) -> None:
     check(record, ("stride",), *_STRIDE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnchorSet:
     """Anchors retained by the dynamic threshold, with their provenance.
 
@@ -98,10 +98,10 @@ class AnchorSet:
     stride: float
     scales: tuple[float, ...]
     ratios: tuple[float, ...]
-    cells: list[tuple[int, int]] = field(default_factory=list)
+    cells: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        self.anchors = np.asarray(self.anchors, dtype=float).reshape(-1, 4)
+        freeze(self, "scales", "ratios", "cells", anchors=np.array(self.anchors, dtype=float).reshape(-1, 4))
         check_boxes(self.anchors)
 
 
@@ -175,7 +175,7 @@ def select_anchors(
         stride=pmap.stride,
         scales=scales,
         ratios=ratios,
-        cells=list(zip(rows.tolist(), cols.tolist())),
+        cells=zip(rows.tolist(), cols.tolist()),
     )
 
 
@@ -256,9 +256,8 @@ def negative_informativeness(
         inside = _covered(distractors, box_centers)
         return int(negative.sum()), int((negative & inside).sum())
 
-    uniform = _uniform_anchors(
-        selected.grid_height, selected.grid_width, selected.stride, tuple(selected.scales), tuple(selected.ratios)
-    )
+    grid = (selected.grid_height, selected.grid_width, selected.stride)
+    uniform = _uniform_anchors(*grid, selected.scales, selected.ratios)
     sel_neg, sel_hit = stats(selected.anchors, centers(np.ascontiguousarray(selected.anchors.T)))
     uni_neg, uni_hit = stats(*uniform)
     return InformativenessStats(
@@ -294,7 +293,7 @@ def scene_grid(scene, stride: float) -> tuple[int, int]:
 
 def indicator_probability_map(scene, stride: float) -> ProbabilityMap:
     """Probability 1 on cells whose center lies in any pedestrian or distractor box."""
-    boxes = box_array([p.full for p in scene.pedestrians] + list(scene.distractors))
+    boxes = box_array(scene.gt_boxes + scene.distractors)
     covered = _covered(boxes, _grid_points(scene_grid(scene, stride), stride))
     return ProbabilityMap(stride=stride, values=covered.astype(float))
 
@@ -311,7 +310,7 @@ def bump_probability_map(
     shape = scene_grid(scene, stride)
     gx, gy = _grid_points(shape, stride)
     values = np.random.default_rng(seed).uniform(0.0, background, shape)
-    for box in [p.full for p in scene.pedestrians] + list(scene.distractors):
+    for box in scene.gt_boxes + scene.distractors:
         cx, cy = (box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0
         sx, sy = box.width / 4.0, box.height / 4.0
         bump = peak * np.exp(-0.5 * (((gx - cx) / sx) ** 2 + ((gy - cy) / sy) ** 2))

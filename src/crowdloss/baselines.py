@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._pairs import best_gt, box_array
+from ._pairs import best_gt, scene_boxes
 from .couloss import CouLossConfig, LossReport, TripletStructure, _couloss, _evaluate, _loss_report
 from .errors import InvalidInputError, check, non_negative, positive
 from .geometry import BBox, centers, ray_length
@@ -83,9 +83,7 @@ def regression_targets(gts: list[BBox], proposals: list[BBox]) -> list[int]:
     from every ground truth fall back to the nearest center (ties again
     toward the lowest index).
     """
-    if not gts:
-        raise InvalidInputError("at least one ground-truth box is required")
-    g, p = box_array(gts)[None], box_array(proposals)[None]
+    g, p = scene_boxes(gts, proposals)
     return _targets(g, p, best_gt(g, p))[0].tolist()
 
 
@@ -165,8 +163,8 @@ def _one_scene(gts, proposals, cfg, cou_cfg, structure, targets, gradient=False,
     """The composite report of one scene's boxes and, with ``gradient``, its
     ``(N, 4)`` gradient (else None)."""
     cfg, cou_cfg = cfg or CompositeConfig(), cou_cfg or CouLossConfig()
+    (G, P), warn = scene_boxes(gts, proposals), np.array([warn_kinks])
     weights = _Weights.of([cfg], np.array([scene_scale(gts)]), len(proposals))
-    G, P, warn = box_array(gts)[None], box_array(proposals)[None], np.array([warn_kinks])
     targets = None if targets is None else np.asarray(targets, dtype=np.intp).reshape(1, -1)
     args = (G, P, weights, cou_cfg, gradient, targets, structure)
     (sl1, cou, total), grad, evaluation, _ = _composite(*args, warn=warn)

@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from ._pairs import PairFrame, PairWork, Pairs, best_gt, box_array, iou_matrix, pair_work
-from .errors import InvalidInputError, NoOverlapError, check, non_negative
+from ._pairs import PairFrame, PairWork, Pairs, best_gt, iou_matrix, pair_work, scene_boxes
+from .errors import NoOverlapError, check, non_negative
 from .geometry import BBox, border_factor, centers, contains
 
 AGGREGATION_MODES = ("deduplicated", "triplet-literal")
@@ -115,7 +115,7 @@ class TripletStructure:
     @classmethod
     def from_boxes(cls, gts: list[BBox], proposals: list[BBox], cfg: CouLossConfig | None = None):
         """Assign proposals and derive the pairs without enumerating triplets."""
-        return _structure(box_array(gts)[None], box_array(proposals)[None], cfg or CouLossConfig())
+        return _structure(*scene_boxes(gts, proposals), cfg or CouLossConfig())
 
     @cached_property
     def assignments(self) -> tuple[Assignment, ...]:
@@ -176,8 +176,6 @@ def _structure(gts: np.ndarray, proposals: np.ndarray, cfg: CouLossConfig, ranke
     single-scene order. ``keep`` ((2, B) bool) builds only the attraction and
     repulsion pairs of the scenes it marks; by default all of them.
     """
-    if gts.shape[1] == 0:
-        raise InvalidInputError("at least one ground-truth box is required")
     iou, best, best_v = ranked or best_gt(gts, proposals)
     B, M, N = iou.shape
     g = gts[np.arange(B)[:, None], best].transpose(2, 0, 1)
@@ -265,10 +263,8 @@ def _couloss(parts, evaluation: _Evaluation, num_gts: int, gradient=False):
 def _scene_loss(gts, proposals, cfg, structure, parts, gradient=False, warn_kinks=False):
     """The :class:`LossReport` of one scene's boxes and, with ``gradient``, its
     ``(N, 4)`` gradient (else None)."""
-    if not gts:
-        raise InvalidInputError("couloss requires at least one ground-truth box")
     cfg = cfg or CouLossConfig()
-    G, P, warn = box_array(gts)[None], box_array(proposals)[None], np.array([warn_kinks])
+    (G, P), warn = scene_boxes(gts, proposals), np.array([warn_kinks])
     evaluation = _evaluate(G, P, cfg, structure, gradient=gradient, warn=warn)
     losses, grad = _couloss(np.array(parts)[:, None], evaluation, len(gts), gradient)
     return _loss_report(cfg, len(gts), evaluation, losses), None if grad is None else grad[0]
@@ -397,7 +393,7 @@ def detect_kinks(
     """
     cfg = cfg or CouLossConfig()
     tol = cfg.kink_tolerance if tolerance is None else tolerance
-    G, P = box_array(gts)[None], box_array(proposals)[None]
+    G, P = scene_boxes(gts, proposals)
     return _kinks(G, P, cfg, tol, _evaluate(G, P, cfg, structure))[0]
 
 

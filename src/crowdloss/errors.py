@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the value rule every config record checks with."""
+"""Exception types shared across the package, and the rules every record checks and freezes its values with."""
 
 import io
 import math
@@ -75,3 +75,14 @@ def check(record, keys, ok, rule: str) -> None:
         value = getattr(record, key)
         if not ok(value):
             raise InvalidInputError(f"{key} must be {rule}, got {value!r}")
+
+
+def freeze(record, *sequences, **arrays) -> None:
+    """From a frozen dataclass's ``__post_init__``: store its fields ``sequences`` as
+    tuples (None stays None), and ``arrays``, the record's own copies, read-only."""
+    for name in sequences:
+        value = getattr(record, name)
+        object.__setattr__(record, name, value if value is None else tuple(value))
+    for name, array in arrays.items():
+        array.flags.writeable = False
+        object.__setattr__(record, name, array)

@@ -27,6 +27,7 @@ from .errors import (
     InvalidInputError,
     at_line,
     check,
+    freeze,
     non_negative,
     open_text,
     positive,
@@ -51,22 +52,23 @@ class Pedestrian:
             raise InvalidAnnotationError(f"visible box {v.as_tuple()} not inside full box {f.as_tuple()}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scene:
     extent: tuple[float, float]
-    pedestrians: list[Pedestrian]
-    distractors: list[BBox] = field(default_factory=list)
+    pedestrians: tuple[Pedestrian, ...]
+    distractors: tuple[BBox, ...] = ()
 
     def __post_init__(self):
         check(self, ("extent",), *_EXTENT)
+        freeze(self, "extent", "pedestrians", "distractors")
         w, h = self.extent
-        for box in [p.full for p in self.pedestrians] + list(self.distractors):
+        for box in self.gt_boxes + self.distractors:
             if box.x1 < 0.0 or box.y1 < 0.0 or box.x2 > w or box.y2 > h:
                 raise InvalidInputError(f"box {box.as_tuple()} outside extent {self.extent}")
 
     @property
-    def gt_boxes(self) -> list[BBox]:
-        return [p.full for p in self.pedestrians]
+    def gt_boxes(self) -> tuple[BBox, ...]:
+        return tuple(p.full for p in self.pedestrians)
 
 
 @dataclass(frozen=True)
@@ -328,12 +330,13 @@ class Descent:
     """One member of :func:`run_descents`, with the arguments of :func:`run_descent`."""
 
     scene: Scene
-    proposals: list[BBox]
+    proposals: tuple[BBox, ...]
     comp_cfg: CompositeConfig = field(default_factory=CompositeConfig)
     seed: int = 0
-    intended_targets: list[int] | None = None
+    intended_targets: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        freeze(self, "proposals", "intended_targets")
         n, targets = len(self.scene.pedestrians), self.intended_targets
         if not n:
             raise InvalidInputError("scene has no pedestrians")

@@ -73,7 +73,7 @@ class TestSelectAnchors:
     def test_single_hot_cell(self):
         sel = select_anchors(pmap([[0, 0], [0, 1]]), scales=(2.0, 4.0), ratios=(0.5, 1.0))
         assert not sel.fallback
-        assert sel.cells == [(1, 1)]
+        assert sel.cells == ((1, 1),)
         assert len(sel.anchors) == 4  # 2 scales x 2 ratios
         assert sel.threshold == pytest.approx(0.5, abs=1e-15)
 
@@ -142,7 +142,7 @@ class TestSelectAnchors:
         keep = np.array([[True, False], [False, False]])
         sel = select_anchors(pmap(values), scales=(2.0,), ratios=(1.0,), keep_mask=keep)
         assert not sel.fallback
-        assert sel.cells == [(0, 0), (1, 1)]
+        assert sel.cells == ((0, 0), (1, 1))
         with pytest.raises(InvalidInputError):
             select_anchors(pmap(values), keep_mask=np.ones((3, 3), dtype=bool))
 

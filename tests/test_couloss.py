@@ -193,10 +193,15 @@ class TestAssembleTriplets:
         assert triplets == [] and assignments == []
 
 
+def detect_kinks_with_structure(gts, proposals):
+    """``detect_kinks`` with a given structure, which skips the assignment."""
+    return detect_kinks(gts, proposals, structure=TripletStructure.from_boxes([G_I, G_J], [P_P, P_N2]))
+
+
 @pytest.mark.parametrize(
     "fn",
-    [detect_kinks, assemble_triplets, TripletStructure.from_boxes, regression_targets, couloss_gradient,
-     composite_gradient],
+    [detect_kinks, detect_kinks_with_structure, assemble_triplets, TripletStructure.from_boxes, regression_targets,
+     couloss_gradient, composite_gradient],
     ids=lambda fn: fn.__name__,
 )
 def test_no_ground_truths_rejected(fn):
