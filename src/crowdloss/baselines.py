@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._pairs import best_gt, scene_boxes
-from .couloss import CouLossConfig, LossReport, TripletStructure, _couloss, _evaluate, _loss_report
+from .couloss import CouLossConfig, LossReport, TripletStructure, _evaluate, _loss_report
 from .errors import InvalidInputError, check, non_negative, positive
 from .geometry import BBox, centers, ray_length
 
@@ -172,7 +172,7 @@ def _one_scene(gts, proposals, cfg, cou_cfg, structure, targets, gradient=False,
         total=float(total[0]),
         smooth_l1=float(sl1[0]),
         couloss_total=float(cou[2][0]),
-        couloss=None if evaluation is None else _loss_report(cou_cfg, len(gts), evaluation, cou),
+        couloss=None if evaluation is None else _loss_report(cou_cfg, len(gts), evaluation),
     )
     return composite, None if grad is None else grad[0]
 
@@ -205,8 +205,8 @@ def _composite(gts, proposals, weights, cou_cfg, gradient, targets=None, structu
     sl1 = rows.cumsum(axis=-1)[..., -1] / weights.norm if rows.shape[-1] else np.zeros(rows.shape[:-1])
     cou, cou_grad, evaluation = np.zeros((3, *sl1.shape)), None, None
     if weighs:
-        evaluation = _evaluate(gts, proposals, cou_cfg, structure, ranked, gradient, keep, warn, frame)
-        cou, cou_grad = _couloss(weights.parts, evaluation, gts.shape[1], gradient)
+        evaluation = _evaluate(gts, proposals, cou_cfg, weights.parts, structure, ranked, gradient, keep, warn, frame)
+        cou, cou_grad = evaluation.losses, evaluation.grad
     values = (sl1, cou, weights.smoothl1_weight * sl1 + weights.alpha * cou[2])
     if not gradient:
         return values, None, evaluation, targets

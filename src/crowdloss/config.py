@@ -11,7 +11,7 @@ from types import SimpleNamespace
 from .anchors import _SIZES, _STRIDE
 from .baselines import CompositeConfig
 from .couloss import CouLossConfig
-from .errors import ConfigError, check, non_negative, open_text, positive
+from .errors import ConfigError, check, freeze, non_negative, open_text, positive
 from .evalkit import _MATCH_IOU, _NMS_THRESHOLD, SubsetFilter
 from .simulator import DEFAULT_NMS_THRESHOLDS, SimConfig, standard_variants
 
@@ -38,6 +38,7 @@ class AnchorDemoConfig:
     negative_iou_threshold: float = 0.3
 
     def __post_init__(self):
+        freeze(self, "scales", "ratios")
         check(self, ("stride",), *_STRIDE)
         check(self, ("scales", "ratios"), *_SIZES)
         check(self, ("map_kind",), _MAP_KINDS.__contains__, f"one of {', '.join(_MAP_KINDS)}")
@@ -67,6 +68,7 @@ class NmsSweepConfig:
     variants: tuple[str, ...] = _VARIANTS[:2]  # the baseline and the full CouLoss
 
     def __post_init__(self):
+        freeze(self, "thresholds", "variants")
         ok, rule = _NMS_THRESHOLD
         check(self, ("thresholds",), lambda v: bool(v) and all(map(ok, v)), f"non-empty, each {rule}")
         check(self, ("variants",), *_VARIANT_LIST)
@@ -93,6 +95,7 @@ class RunSection:
     variants: tuple[str, ...] = _VARIANTS
 
     def __post_init__(self):
+        freeze(self, "seeds", "variants")
         for key, rule in _RUN_FLAGS.items():
             check(self, (key,), *rule)
         check(self, ("variants",), *_VARIANT_LIST)

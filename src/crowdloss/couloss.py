@@ -84,8 +84,8 @@ class TripletStructure:
 
     ``pairs`` holds the ``num_attraction`` attraction pairs (g, positive),
     then the repulsion pairs (g, negative), each group sorted. ``assigned``
-    holds the assigned proposals, their targets and IoUs. ``assignments``,
-    ``target_of`` and ``triplets`` are computed on first access.
+    holds the assigned proposals, their targets and IoUs. ``assignments`` and
+    ``triplets`` are computed on first access.
     """
 
     pairs: Pairs
@@ -109,7 +109,7 @@ class TripletStructure:
             assigned=(*assigned, np.array([a.iou_with_target for a in assignments], dtype=float)),
         )
         # already known: fill the cached properties
-        structure.__dict__.update(triplets=triplets, assignments=assignments, target_of=target_of)
+        structure.__dict__.update(triplets=triplets, assignments=assignments)
         return structure
 
     @classmethod
@@ -120,10 +120,6 @@ class TripletStructure:
     @cached_property
     def assignments(self) -> tuple[Assignment, ...]:
         return tuple(Assignment(*a) for a in zip(*(x.tolist() for x in self.assigned)))
-
-    @cached_property
-    def target_of(self) -> dict[int, int]:
-        return dict(zip(self.assigned[0].tolist(), self.assigned[1].tolist()))
 
     @cached_property
     def triplets(self) -> tuple[Triplet, ...]:
@@ -201,32 +197,45 @@ def _structure(gts: np.ndarray, proposals: np.ndarray, cfg: CouLossConfig, ranke
 
 
 class _Evaluation(NamedTuple):
-    """One kernel evaluation of B scenes' boxes. ``sums`` ((2, B)) holds each
-    scene's attraction and repulsion work, its pairs added left to right."""
+    """One kernel evaluation of B scenes' boxes. ``losses`` holds each scene's
+    switched attraction and repulsion work (its pairs added left to right) and
+    CouLoss, each ``(B,)``; ``grad`` is their ``(B, N, 4)`` gradient, or None."""
 
     structure: TripletStructure
     work: PairWork
-    sums: np.ndarray
+    losses: tuple[np.ndarray, np.ndarray, np.ndarray]
+    grad: np.ndarray | None
     frame: PairFrame  # the structure's
 
 
-def _evaluate(gts, proposals, cfg, structure=None, ranked=None, gradient=False, keep=None, warn=None, frame=None):
+def _evaluate(gts, proposals, cfg, parts, structure=None, ranked=None, gradient=False, keep=None, warn=None,
+              frame=None):
     """The :class:`_Evaluation` of B scenes' ``(B, M, 4)`` and ``(B, N, 4)`` boxes, from
     one kernel call. The structure (with ``keep``) and its ``PairFrame``, which
     measures the repulsion pairs' reference rays, are built when not given.
-    Each scene that ``warn`` ((B,) bool) marks raises one :class:`KinkWarning` if its
-    boxes sit near a non-differentiable point.
+    ``parts`` ((2, B) bool) switches attraction and repulsion on per scene; against
+    one scene's boxes it gives B variants of that scene, and (2, V, 1) V variants
+    of each scene, with values (V, B) and gradients (V, B, N, 4). Each scene that
+    ``warn`` ((B,) bool) marks raises one :class:`KinkWarning` if its boxes sit
+    near a non-differentiable point.
     """
     if structure is None:
         structure = _structure(gts, proposals, cfg, ranked, keep)
-    B, N = proposals.shape[:2]
+    (B, N), num_gts = proposals.shape[:2], gts.shape[1]
     frame = frame or PairFrame.of(gts.reshape(-1, 4), structure.pairs, structure.num_attraction, B * N)
     literal = cfg.aggregation_mode == "triplet-literal"
     work = pair_work(frame, proposals.reshape(-1, 4), cfg.iou_floor, literal=literal, gradient=gradient)
     weighted = work.work * structure.pairs.mult if literal else work.work
     scene, ka = structure.pairs.proposal // N, structure.num_attraction
     sums = [np.bincount(scene[k], weighted[k], minlength=B) for k in (slice(ka), slice(ka, None))]
-    evaluation = _Evaluation(structure, work, np.array(sums), frame)
+    sums = np.array(sums).reshape(2, *[1] * (parts.ndim - 2), -1)  # against a trailing variant axis
+    att, rep = np.where(parts, sums, 0.0)
+    grad = None
+    if gradient:
+        grad_att, grad_rep = (np.where(on[:, None, None], g.reshape(B, N, 4), 0.0)
+                              for on, g in zip(parts, (work.grad_attraction, work.grad_repulsion)))
+        grad = grad_att / num_gts + grad_rep / num_gts
+    evaluation = _Evaluation(structure, work, (att, rep, att / num_gts + rep / num_gts), grad, frame)
     if warn is not None and warn.any():
         for lines in compress(_kinks(gts, proposals, cfg, cfg.kink_tolerance, evaluation), warn):
             if lines:
@@ -238,41 +247,18 @@ def _evaluate(gts, proposals, cfg, structure=None, ranked=None, gradient=False, 
     return evaluation
 
 
-def _couloss(parts, evaluation: _Evaluation, num_gts: int, gradient=False):
-    """Attraction sums, repulsion sums and losses of B scenes with ``num_gts``
-    ground truths each, each ``(B,)``, and with ``gradient`` their ``(B, N, 4)``
-    gradients (else None), from an ``_evaluate`` of their boxes.
-
-    ``parts`` ((2, B) bool) switches attraction and repulsion on per scene;
-    against one scene's evaluation it gives B variants of that scene, and
-    (2, V, 1) V variants of each scene, with values (V, B).
-    """
-    sums = evaluation.sums.reshape(2, *[1] * (parts.ndim - 2), -1)  # against a trailing variant axis
-    att, rep = np.where(parts, sums, 0.0)
-    losses = (att, rep, att / num_gts + rep / num_gts)
-    if not gradient:
-        return losses, None
-    work, scenes = evaluation.work, evaluation.sums.shape[-1]
-    grad_att, grad_rep = (
-        np.where(on[:, None, None], grad.reshape(scenes, -1, 4), 0.0)
-        for on, grad in zip(parts, (work.grad_attraction, work.grad_repulsion))
-    )
-    return losses, grad_att / num_gts + grad_rep / num_gts
-
-
 def _scene_loss(gts, proposals, cfg, structure, parts, gradient=False, warn_kinks=False):
     """The :class:`LossReport` of one scene's boxes and, with ``gradient``, its
     ``(N, 4)`` gradient (else None)."""
     cfg = cfg or CouLossConfig()
     (G, P), warn = scene_boxes(gts, proposals), np.array([warn_kinks])
-    evaluation = _evaluate(G, P, cfg, structure, gradient=gradient, warn=warn)
-    losses, grad = _couloss(np.array(parts)[:, None], evaluation, len(gts), gradient)
-    return _loss_report(cfg, len(gts), evaluation, losses), None if grad is None else grad[0]
+    evaluation = _evaluate(G, P, cfg, np.array(parts)[:, None], structure, gradient=gradient, warn=warn)
+    return _loss_report(cfg, len(gts), evaluation), None if evaluation.grad is None else evaluation.grad[0]
 
 
-def _loss_report(cfg: CouLossConfig, num_gts: int, evaluation, losses) -> LossReport:
-    """The :class:`LossReport` of one scene from its ``_evaluate`` and ``_couloss`` sums."""
-    att, rep, total = (float(x[0]) for x in losses)
+def _loss_report(cfg: CouLossConfig, num_gts: int, evaluation: _Evaluation) -> LossReport:
+    """The :class:`LossReport` of one scene from its ``_evaluate``."""
+    att, rep, total = (float(x[0]) for x in evaluation.losses)
     return LossReport(
         total=total,
         attractive_work=att,
@@ -394,7 +380,7 @@ def detect_kinks(
     cfg = cfg or CouLossConfig()
     tol = cfg.kink_tolerance if tolerance is None else tolerance
     G, P = scene_boxes(gts, proposals)
-    return _kinks(G, P, cfg, tol, _evaluate(G, P, cfg, structure))[0]
+    return _kinks(G, P, cfg, tol, _evaluate(G, P, cfg, np.ones((2, 1), bool), structure))[0]
 
 
 def _kinks(G: np.ndarray, P: np.ndarray, cfg: CouLossConfig, tol: float, evaluation: _Evaluation):

@@ -59,8 +59,8 @@ class Scene:
     distractors: tuple[BBox, ...] = ()
 
     def __post_init__(self):
-        check(self, ("extent",), *_EXTENT)
         freeze(self, "extent", "pedestrians", "distractors")
+        check(self, ("extent",), *_EXTENT)
         w, h = self.extent
         for box in self.gt_boxes + self.distractors:
             if box.x1 < 0.0 or box.y1 < 0.0 or box.x2 > w or box.y2 > h:
@@ -98,6 +98,7 @@ class SimConfig:
     warn_kinks: bool = False
 
     def __post_init__(self):
+        freeze(self, "extent", "height_range")
         check(self, ("extent",), *_EXTENT)
         check(self, ("pedestrian_count", "proposals_per_gt", "descent_steps"), lambda v: v >= 1, ">= 1")
         check(self, ("crowd_iou_max",), lambda v: v < 1.0, "< 1")
@@ -531,7 +532,7 @@ def nms_sensitivity_experiment(
     ground truths. The per-variant spread (max - min) and variance of miss
     counts across thresholds quantify threshold sensitivity.
     """
-    check(SimpleNamespace(seeds=seeds), ("seeds",), len, "non-empty")
+    check(SimpleNamespace(seeds=seeds, thresholds=thresholds), ("seeds", "thresholds"), len, "non-empty")
     per_variant_dets: dict[str, list[tuple[Scene, list[Detection]]]] = {
         name: [] for name in variants
     }

@@ -18,7 +18,7 @@ from crowdloss.baselines import (
 from crowdloss.couloss import AGGREGATION_MODES, CouLossConfig, couloss
 from crowdloss.errors import InfeasibleConfigError, InvalidInputError
 from crowdloss.geometry import BBox
-from crowdloss.simulator import SimConfig, generate_scene, spawn_proposals
+from crowdloss.simulator import SimConfig, generate_scene, spawn_proposals, standard_variants
 from oracles import central_difference_gradient, scalar_regression_targets
 from util import jittered_box, overlapping_pair
 
@@ -238,6 +238,21 @@ class TestComposite:
     def test_empty_gts_error(self):
         with pytest.raises(InvalidInputError):
             composite_regression_loss([], [BBox(0, 0, 1, 1)])
+
+    @pytest.mark.parametrize("mode", AGGREGATION_MODES)
+    @pytest.mark.parametrize("variant", [k for k, v in standard_variants().items() if v.alpha > 0.0])
+    def test_couloss_report_is_the_standalone_couloss(self, variant, mode):
+        # the composite's CouLoss breakdown, term switches included, bit for bit
+        comp_cfg, cou_cfg, sim = standard_variants()[variant], CouLossConfig(aggregation_mode=mode), SimConfig()
+        for seed in range(40):
+            scene = generate_scene(sim, seed)
+            gts, props = scene.gt_boxes, spawn_proposals(scene, sim, seed + 1)
+            got = composite_regression_loss(gts, props, comp_cfg, cou_cfg).couloss
+            want = couloss(gts, props, cou_cfg, include_attraction=comp_cfg.include_attraction,
+                           include_repulsion=comp_cfg.include_repulsion)
+            bits = [(r.total.hex(), r.attractive_work.hex(), r.repulsive_work.hex()) for r in (got, want)]
+            assert bits[0] == bits[1] and got == want, seed
+            assert np.array_equal(got.pair_work, want.pair_work), seed
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

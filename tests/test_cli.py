@@ -19,7 +19,8 @@ from crowdloss.evalkit import load_curve, load_detections
 from crowdloss.geometry import BBox
 from crowdloss.simulator import DEFAULT_NMS_THRESHOLDS, SimConfig, generate_scene, load_scene, save_scene
 
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "perfbench" / "reference"
 # the rule of a [run] or [nms] variant list, as a regex
 VARIANT_RULE = r"non-empty, each one of baseline, couloss, only_att, only_rep at most once"
 # the crowd-dense workload's config file
@@ -197,7 +198,7 @@ class TestConfigFile:
         assert err.startswith(f"error: {cfg}:{line}: ") and err.count("\n") == 1
 
     def test_readme_example_loads(self, tmp_path):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
         cfg = load_run_config(write_config(tmp_path / "run.cfg", example))
         assert cfg.run.seeds == (0, 1, 2, 3)
@@ -205,10 +206,9 @@ class TestConfigFile:
         assert cfg.nms.thresholds == DEFAULT_NMS_THRESHOLDS
 
     def test_readme_library_example_runs(self, tmp_path):
-        root = Path(__file__).resolve().parent.parent
-        readme = (root / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         (example,) = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, re.S)
-        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         done = subprocess.run(
             [sys.executable, "-c", example], cwd=tmp_path, env=env, capture_output=True, text=True
         )
@@ -415,11 +415,28 @@ class TestSimulate:
         assert elapsed < 300.0
 
 
+@pytest.mark.parametrize(
+    "text, code", [("descent_steps = 2", 0), ("extent = 100", 1)], ids=["simulate", "bad-extent"]
+)
+def test_module_entry_point(tmp_path, text, code):
+    # python -m crowdloss in a fresh interpreter: its exit code, and at most one error line
+    cfg, out = write_config(tmp_path / "run.cfg", f"[sim]\n{text}\n"), tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["-m", "crowdloss", "simulate", "--config", cfg, "--seeds", "0", "--out", str(out)]
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    if code:
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "[sim]" in done.stderr and "extent" in done.stderr and "Traceback" not in done.stderr
+    else:
+        assert (out / "simulate.csv").is_file() and done.stderr == ""
+
+
 class TestNmsSweep:
     def test_rows_and_svg(self, tmp_path):
         cfg = write_config(
             tmp_path / "run.cfg",
-            fast_sim_section() + "[nms]\nthresholds = 0.4, 0.6, 0.5\n",
+            fast_sim_section(warn_kinks="true") + "[nms]\nthresholds = 0.4, 0.6, 0.5\n",
         )
         out = tmp_path / "out"
         assert main(
@@ -477,13 +494,14 @@ class TestAnchorDemo:
         assert (out / "target_map.txt").exists()
 
     def test_bump_demo_writes_stats(self, tmp_path):
-        cfg = write_config(tmp_path / "run.cfg", fast_sim_section())
+        cfg = write_config(tmp_path / "run.cfg", fast_sim_section() + "[anchors]\nstride = 4\n")
         out = tmp_path / "out"
         assert main(["anchor-demo", "--config", cfg, "--seeds", "1,2,3", "--out", str(out)]) == 0
         rows = read_csv(out / "anchor_stats.csv")
         assert len(rows) == 4
         for row in rows[1:]:
             assert float(row[5]) >= 0.0  # selected fraction present
+        assert all((out / name).stat().st_size for name in ("probability_map.txt", "target_map.txt"))
 
     def test_deterministic(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", fast_sim_section())
@@ -669,9 +687,10 @@ def test_unknown_target_label_printed_as_text(tmp_path):
 
 class TestGradcheckCommand:
     def test_small_run_passes(self, tmp_path):
+        # 40 scenes: a full block of 32 and a partial one
         cfg = write_config(
             tmp_path / "run.cfg",
-            fast_sim_section() + "[gradcheck]\nnum_scenes = 25\n",
+            fast_sim_section() + "[gradcheck]\nnum_scenes = 40\n",
         )
         out = tmp_path / "out"
         assert main(["gradcheck", "--config", cfg, "--out", str(out)]) == 0

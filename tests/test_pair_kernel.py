@@ -96,7 +96,7 @@ def moved(rng, props, sigma):
 def package_structure(structure):
     return (
         [(t.gt_index, t.positive_index, t.negative_index) for t in structure.triplets],
-        dict(structure.target_of),
+        {a.proposal_index: a.target_gt_index for a in structure.assignments},
     )
 
 

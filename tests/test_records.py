@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import crowdloss
+import crowdloss.config
 from crowdloss.anchors import AnchorSet, ProbabilityMap, TargetMap, select_anchors
+from crowdloss.config import AnchorDemoConfig, NmsSweepConfig, RunSection
 from crowdloss.errors import InvalidInputError
 from crowdloss.geometry import BBox
 from crowdloss.simulator import Descent, Pedestrian, Scene, SimConfig, run_descents
@@ -29,19 +31,37 @@ BUILDERS = {
     "TargetMap": lambda make: TargetMap(1.0, make([["P", "N"], ["I", "N"]])),
     "AnchorSet": lambda make: AnchorSet(make([[0.0, 0.0, 1.0, 1.0]]), 0.5, False, 1, 1, 1.0, make([1.0]), make([1.0]),
                                         [(0, 0)]),
+    "SimConfig": lambda make: SimConfig(extent=make([50.0, 60.0]), height_range=make([0.3, 0.5])),
+    "AnchorDemoConfig": lambda make: AnchorDemoConfig(scales=make([10.0, 20.0]), ratios=make([0.41])),
+    "NmsSweepConfig": lambda make: NmsSweepConfig(thresholds=make([0.4, 0.5]), variants=make(["baseline"])),
+    "RunSection": lambda make: RunSection(seeds=make([1, 2]), variants=make(["couloss"])),
+}
+
+# each record with sequence fields: its other arguments, and a value for each sequence field
+SEQUENCES = {
+    Scene: ({}, dict(extent=(10.0, 10.0), pedestrians=(Pedestrian(BBox(1, 1, 3, 5), BBox(1, 1, 3, 4)),),
+                     distractors=(BBox(6, 6, 8, 9),))),
+    Descent: (dict(scene=one_pedestrian_scene()), dict(proposals=(BBox(1, 1, 3, 5),), intended_targets=(0,))),
+    AnchorSet: (dict(anchors=[[0.0, 0.0, 1.0, 1.0]], threshold=0.5, fallback=False, grid_height=1, grid_width=1,
+                     stride=1.0), dict(scales=(1.0,), ratios=(1.0,), cells=((0, 0),))),
+    SimConfig: ({}, dict(extent=(50.0, 60.0), height_range=(0.3, 0.5))),
+    AnchorDemoConfig: ({}, dict(scales=(10.0, 20.0), ratios=(0.41,))),
+    NmsSweepConfig: ({}, dict(thresholds=(0.4, 0.5), variants=("baseline",))),
+    RunSection: ({}, dict(seeds=(1, 2), variants=("couloss",))),
 }
 
 
-def exported_records():
-    """Every dataclass exported by the package that defines ``__post_init__``, i.e. checks a rule."""
-    return [
-        cls for cls in vars(crowdloss).values()
+def checked_records():
+    """Every dataclass exported by the package or defined by its config module that
+    defines ``__post_init__``, i.e. checks a rule."""
+    return {
+        cls for module in (crowdloss, crowdloss.config) for cls in vars(module).values()
         if isinstance(cls, type) and dataclasses.is_dataclass(cls) and "__post_init__" in vars(cls)
-    ]
+    }
 
 
 def test_every_checked_record_is_frozen():
-    records = exported_records()
+    records = checked_records()
     assert set(BUILDERS) <= {cls.__name__ for cls in records}
     assert [cls.__name__ for cls in records if not cls.__dataclass_params__.frozen] == []
 
@@ -66,6 +86,33 @@ def test_record_holds_tuples_and_its_own_read_only_arrays(name, make):
         assert not isinstance(value, (list, dict, set)), field.name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(record, dataclasses.fields(record)[0].name, None)
+
+
+def test_every_sequence_field_has_a_generator_case():
+    sequence_fields = {
+        cls: [f.name for f in dataclasses.fields(cls) if f.type.startswith("tuple")] for cls in checked_records()
+    }
+    assert {cls: names for cls, names in sequence_fields.items() if names} == {
+        cls: list(values) for cls, (_, values) in SEQUENCES.items()
+    }
+
+
+@pytest.mark.parametrize("cls", SEQUENCES, ids=lambda cls: cls.__name__)
+def test_record_takes_each_sequence_once_from_a_generator(cls):
+    # a record that checked a field before freezing it kept a used-up generator, or
+    # failed on its length: Scene, SimConfig and the config records
+    others, sequences = SEQUENCES[cls]
+    record = cls(**others, **{name: (v for v in values) for name, values in sequences.items()})
+    for name, values in sequences.items():
+        assert type(getattr(record, name)) is tuple and getattr(record, name) == values, name
+
+
+def test_config_sequence_cannot_be_edited_after_its_check():
+    # a list height_range could be edited after its check, and generate_scene used the edit
+    cfg = SimConfig(height_range=[0.3, 0.5])
+    with pytest.raises(TypeError):
+        cfg.height_range[1] = 5.0
+    assert cfg.height_range == (0.3, 0.5)
 
 
 class TestScene:

@@ -611,6 +611,11 @@ class TestNmsSensitivity:
         with pytest.raises(InvalidInputError, match=r"^seeds must be non-empty, got \[\]$"):
             nms_sensitivity_experiment(standard_variants(), [], SimConfig(descent_steps=2))
 
+    def test_no_thresholds_rejected(self):
+        # ended in a bare ValueError: the min() of no miss counts
+        with pytest.raises(InvalidInputError, match=r"^thresholds must be non-empty, got \(\)$"):
+            nms_sensitivity_experiment(standard_variants(), [0], SimConfig(descent_steps=2), thresholds=())
+
 
 class TestStandardVariants:
     @pytest.mark.parametrize(
