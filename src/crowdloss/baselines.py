@@ -14,7 +14,7 @@ import numpy as np
 
 from ._pairs import best_gt, scene_boxes
 from .couloss import CouLossConfig, LossReport, TripletStructure, _evaluate, _loss_report
-from .errors import InvalidInputError, check, non_negative, positive
+from .errors import check, non_negative, positive
 from .geometry import BBox, centers, ray_length
 
 
@@ -69,11 +69,11 @@ def _focal(probs: np.ndarray, positive: np.ndarray, focal_gamma: float, focal_al
     return -alpha_t * np.power(1.0 - p_t, focal_gamma) * np.log(p_t)
 
 
-def scene_scale(gts: list[BBox]) -> float:
-    """Characteristic length of a scene: mean ground-truth max extent."""
-    if not gts:
-        raise InvalidInputError("at least one ground-truth box is required")
-    return sum(max(g.width, g.height) for g in gts) / len(gts)
+def scene_scale(gts: np.ndarray) -> np.ndarray:
+    """Characteristic length of each scene of ``(..., M, 4)`` ground truths: their mean
+    max extent, the extents added left to right."""
+    extent = np.maximum(gts[..., 2] - gts[..., 0], gts[..., 3] - gts[..., 1])
+    return extent.cumsum(axis=-1)[..., -1] / gts.shape[-2]
 
 
 def regression_targets(gts: list[BBox], proposals: list[BBox]) -> list[int]:
@@ -164,7 +164,7 @@ def _one_scene(gts, proposals, cfg, cou_cfg, structure, targets, gradient=False,
     ``(N, 4)`` gradient (else None)."""
     cfg, cou_cfg = cfg or CompositeConfig(), cou_cfg or CouLossConfig()
     (G, P), warn = scene_boxes(gts, proposals), np.array([warn_kinks])
-    weights = _Weights.of([cfg], np.array([scene_scale(gts)]), len(proposals))
+    weights = _Weights.of([cfg], scene_scale(G), len(proposals))
     targets = None if targets is None else np.asarray(targets, dtype=np.intp).reshape(1, -1)
     args = (G, P, weights, cou_cfg, gradient, targets, structure)
     (sl1, cou, total), grad, evaluation, _ = _composite(*args, warn=warn)

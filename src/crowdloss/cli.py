@@ -125,7 +125,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_nms_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
+def cmd_nms_sweep(cfg: RunConfig, out_dir: Path) -> int:
     variants = _variant_configs(cfg, cfg.nms.variants)
     result = nms_sensitivity_experiment(
         variants, list(cfg.run.seeds), cfg.sim, cfg.couloss, thresholds=cfg.nms.thresholds, match_iou=cfg.nms.match_iou
@@ -135,17 +135,16 @@ def cmd_nms_sweep(cfg: RunConfig, out_dir: Path, svg: bool) -> int:
     evalkit._write_csv(path, NMS_FIELDS, rows)
     spreads = [(v, lo, hi, hi - lo, result.miss_variance[v]) for v, (lo, hi) in result.miss_spread.items()]
     evalkit._write_csv(summary, NMS_SUMMARY_FIELDS, spreads)
-    if svg:
-        series = {}
-        for r in result.rows:
-            series.setdefault(r.variant, []).append((r.threshold, r.miss_rate))
-        svgplot.write_line_plot(
-            out_dir / "nms_sweep.svg",
-            series,
-            title="Miss rate vs NMS threshold",
-            xlabel="NMS threshold",
-            ylabel="miss rate",
-        )
+    series = {}
+    for r in result.rows:
+        series.setdefault(r.variant, []).append((r.threshold, r.miss_rate))
+    svgplot.write_line_plot(
+        out_dir / "nms_sweep.svg",
+        series,
+        title="Miss rate vs NMS threshold",
+        xlabel="NMS threshold",
+        ylabel="miss rate",
+    )
     print(f"nms-sweep: wrote {path} and {summary}")
     return EXIT_OK
 
@@ -233,26 +232,23 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-# each command: its function and its boolean flags beyond --config, --out and --seeds
 COMMANDS = {
-    "gradcheck": (cmd_gradcheck, {}),
-    "simulate": (cmd_simulate, {}),
-    "nms-sweep": (cmd_nms_sweep, {"svg": "also write an SVG plot"}),
-    "anchor-demo": (cmd_anchor_demo, {}),
-    "eval": (cmd_eval, {}),
+    "gradcheck": cmd_gradcheck,
+    "simulate": cmd_simulate,
+    "nms-sweep": cmd_nms_sweep,
+    "anchor-demo": cmd_anchor_demo,
+    "eval": cmd_eval,
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="crowdloss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in COMMANDS.items():
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="path to a key = value config file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
         p.add_argument("--seeds", default=None, help="comma-separated seed list")
-        for flag, text in flags.items():
-            p.add_argument(f"--{flag}", action="store_true", help=text)
     return parser
 
 
@@ -262,10 +258,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    command, flags = COMMANDS[args.command]
     try:
         cfg, out_dir = _resolve(load_run_config(args.config), args)
-        return command(cfg, out_dir, **{flag: getattr(args, flag) for flag in flags})
+        return COMMANDS[args.command](cfg, out_dir)
     except DivergenceError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ABORT

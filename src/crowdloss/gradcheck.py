@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pairs import box_array, check_boxes
+from ._pairs import box_array, check_boxes, scene_boxes
 from .baselines import CompositeConfig, _composite, _Weights, scene_scale
 from .couloss import CouLossConfig, _kinks
 from .geometry import BBox
@@ -78,9 +78,10 @@ def check_scene(
     The analytic point is one evaluation of all five terms with their
     gradients; the 8N central-difference points are one batched evaluation.
     """
-    G, P, scale = box_array(gts), box_array(proposals), scene_scale(gts)
-    analytic = _terms(G[None], P[None], _weights(comp_cfg, np.array([scale]), len(P)), cou_cfg, gradient=True)[1]
-    return _errors(G, P, analytic[:, 0], scale, comp_cfg, cou_cfg, fd_step_fraction)
+    G, P = scene_boxes(gts, proposals)
+    scale = scene_scale(G)
+    analytic = _terms(G, P, _weights(comp_cfg, scale, P.shape[1]), cou_cfg, gradient=True)[1]
+    return _errors(G[0], P[0], analytic[:, 0], scale[0], comp_cfg, cou_cfg, fd_step_fraction)
 
 
 @dataclass
@@ -106,8 +107,8 @@ def _kink_free(scenes, sim_cfg, comp_cfg, cou_cfg, kink_tolerance, max_perturb_r
             break
         G = np.array([box_array(scenes[seed].gt_boxes) for seed in pending])
         P = np.array([box_array(spawn_proposals(scenes[seed], sim_cfg, seed * 1000 + retry + 1)) for seed in pending])
-        scales = [scene_scale(scenes[seed].gt_boxes) for seed in pending]
-        _, grads, evaluation = _terms(G, P, _weights(comp_cfg, np.array(scales), P.shape[1]), cou_cfg, gradient=True)
+        scales = scene_scale(G)
+        _, grads, evaluation = _terms(G, P, _weights(comp_cfg, scales, P.shape[1]), cou_cfg, gradient=True)
         for b, (seed, lines) in enumerate(zip(pending, _kinks(G, P, cou_cfg, kink_tolerance, evaluation))):
             if not lines:
                 found[seed] = (G[b], P[b], grads[:, b].copy(), scales[b])

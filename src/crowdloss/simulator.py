@@ -397,7 +397,7 @@ def run_descents(
     if N == 0:
         return [_summarize(coords[b], G[b], [], [], 0) for b in range(B)]
 
-    scale = np.array([scene_scale(d.scene.gt_boxes) for d in descents])
+    scale = scene_scale(G)
     weights = _Weights.of([d.comp_cfg for d in descents], scale, N)
     weighs = weights.alpha > 0.0
     # each member's pairs, unless it leaves them out of its loss and its kink check
@@ -436,9 +436,10 @@ def run_descents(
                 partial_result=partial,
             )
             active[b] = False
-        if sim_cfg.gradient_noise > 0.0:
-            grad = grad + np.array([rng.normal(0.0, sim_cfg.gradient_noise, (N, 4)) for rng in rngs])
-        moved = _project_min_size(coords - step * grad, min_size)
+        with np.errstate(over="ignore", invalid="ignore"):  # valid_boxes reports a non-finite box below
+            if sim_cfg.gradient_noise > 0.0:
+                grad = grad + np.array([rng.normal(0.0, sim_cfg.gradient_noise, (N, 4)) for rng in rngs])
+            moved = _project_min_size(coords - step * grad, min_size)
         for b in np.flatnonzero(active & ~valid_boxes(moved).all(axis=1)).tolist():
             try:
                 check_boxes(moved[b])

@@ -8,7 +8,7 @@ _WIDTH, _HEIGHT = 640, 440
 _MARGIN = 60
 
 
-def write_line_plot(path, series: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
+def write_line_plot(path, series: dict, title: str, xlabel: str, ylabel: str) -> None:
     """Write one polyline per named series with simple axes and a legend.
 
     ``series`` maps a label to a list of (x, y) pairs.
@@ -49,20 +49,15 @@ def write_line_plot(path, series: dict, title: str = "", xlabel: str = "", ylabe
             f'<text x="{_MARGIN - 8}" y="{sy(ty):.1f}" font-size="11" '
             f'text-anchor="end">{ty:.3g}</text>'
         )
-    if title:
-        lines.append(
-            f'<text x="{_WIDTH / 2}" y="24" font-size="15" text-anchor="middle">{title}</text>'
-        )
-    if xlabel:
-        lines.append(
-            f'<text x="{_WIDTH / 2}" y="{_HEIGHT - 14}" font-size="12" '
-            f'text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        lines.append(
-            f'<text x="16" y="{_HEIGHT / 2}" font-size="12" text-anchor="middle" '
-            f'transform="rotate(-90 16 {_HEIGHT / 2})">{ylabel}</text>'
-        )
+    lines.append(f'<text x="{_WIDTH / 2}" y="24" font-size="15" text-anchor="middle">{title}</text>')
+    lines.append(
+        f'<text x="{_WIDTH / 2}" y="{_HEIGHT - 14}" font-size="12" '
+        f'text-anchor="middle">{xlabel}</text>'
+    )
+    lines.append(
+        f'<text x="16" y="{_HEIGHT / 2}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 16 {_HEIGHT / 2})">{ylabel}</text>'
+    )
     for idx, (label, pts) in enumerate(series.items()):
         color = _COLORS[idx % len(_COLORS)]
         coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in sorted(pts))

@@ -198,6 +198,11 @@ def test_bad_stride_rejected_by_one_rule(entry, stride):
 
 
 class TestTargetMap:
+    @pytest.mark.parametrize("grid", [(0, 3), (-1, 3)])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(InvalidInputError, match="^grid must have at least one cell$"):
+            build_target_map(two_ped_scene(), grid, 1.0)
+
     def test_empty_scene_all_negative(self):
         scene = Scene(extent=(10.0, 10.0), pedestrians=[], distractors=[])
         tmap = build_target_map(scene, (5, 5), 2.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crowdloss._pairs import best_gt
+from crowdloss._pairs import best_gt, box_array
 from crowdloss.anchors import NEGATIVE, POSITIVE, ProbabilityMap, TargetMap, location_branch_loss
 from crowdloss.baselines import (
     CompositeConfig,
@@ -206,7 +206,7 @@ class TestComposite:
                 continue
             cfg = CompositeConfig(smoothl1_weight=rng.uniform(0.5, 30.0))
             analytic = composite_gradient(gts, props, cfg, cou_cfg)
-            scale = scene_scale(gts)
+            scale = scene_scale(box_array(gts))
 
             def f(tuples):
                 return composite_regression_loss(

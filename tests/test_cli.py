@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -342,6 +343,14 @@ def fast_sim_section(**over):
     return "[sim]\n" + "\n".join(f"{k} = {v}" for k, v in base.items()) + "\n"
 
 
+def test_every_command_takes_the_same_three_options():
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands) == ["gradcheck", "simulate", "nms-sweep", "anchor-demo", "eval"]
+    for parser in commands.values():
+        options = {o for a in parser._actions for o in a.option_strings}
+        assert options == {"-h", "--help", "--config", "--out", "--seeds"}
+
+
 class TestSimulate:
     def test_rows_and_determinism(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", fast_sim_section())
@@ -392,8 +401,7 @@ class TestSimulate:
             fast_sim_section() + "[composite]\nsmoothl1_weight = 1e300\n[run]\nvariants = couloss\n",
         )
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["simulate", "--config", cfg, "--seeds", "2,1", "--out", str(out)])
+        code = main(["simulate", "--config", cfg, "--seeds", "2,1", "--out", str(out)])
         assert code == 1
         assert "box" in capsys.readouterr().err
         assert not (out / "simulate.csv").exists()
@@ -416,9 +424,16 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize(
-    "text, code", [("descent_steps = 2", 0), ("extent = 100", 1)], ids=["simulate", "bad-extent"]
+    "text, code, needles",
+    [
+        ("descent_steps = 2", 0, ()),
+        ("extent = 100", 1, ("[sim]", "extent")),
+        # the noise overflows the first step: one error line, no numpy warnings before it
+        ("descent_steps = 5\ngradient_noise = 1e308", 1, ("non-finite box",)),
+    ],
+    ids=["simulate", "bad-extent", "overflow"],
 )
-def test_module_entry_point(tmp_path, text, code):
+def test_module_entry_point(tmp_path, text, code, needles):
     # python -m crowdloss in a fresh interpreter: its exit code, and at most one error line
     cfg, out = write_config(tmp_path / "run.cfg", f"[sim]\n{text}\n"), tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -426,8 +441,9 @@ def test_module_entry_point(tmp_path, text, code):
     done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
     assert done.returncode == code, done.stderr
     if code:
-        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-        assert "[sim]" in done.stderr and "extent" in done.stderr and "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+        assert all(n in done.stderr for n in needles)
+        assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
     else:
         assert (out / "simulate.csv").is_file() and done.stderr == ""
 
@@ -439,9 +455,7 @@ class TestNmsSweep:
             fast_sim_section(warn_kinks="true") + "[nms]\nthresholds = 0.4, 0.6, 0.5\n",
         )
         out = tmp_path / "out"
-        assert main(
-            ["nms-sweep", "--config", cfg, "--seeds", "1,2", "--out", str(out), "--svg"]
-        ) == 0
+        assert main(["nms-sweep", "--config", cfg, "--seeds", "1,2", "--out", str(out)]) == 0
         rows = read_csv(out / "nms_sweep.csv")
         assert rows[0] == ["variant", "threshold", "kept", "false_positives", "misses", "miss_rate"]
         assert len(rows) == 1 + 2 * 3  # two variants x three thresholds
@@ -451,6 +465,12 @@ class TestNmsSweep:
         assert len(summary) == 3
         svg = (out / "nms_sweep.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_svg_flag_retired(self, tmp_path, capsys):
+        # the plot is always written, so --svg is an unknown option like any other
+        assert main(["nms-sweep", "--svg", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --svg\n"
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", fast_sim_section())
@@ -466,6 +486,7 @@ class TestNmsSweep:
         assert main(["nms-sweep", "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical abort:") and "at step 1" in err
+        assert not any((tmp_path / "out").iterdir())  # no partial CSV, no plot
 
 
 class TestAnchorDemo:
@@ -516,6 +537,21 @@ class TestAnchorDemo:
         cfg = write_config(tmp_path / "run.cfg", "[anchors]\nmap_kind = file\n")
         assert main(["anchor-demo", "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "out")]) == 1
         assert "[anchors]: map_file must be set exactly when map_kind is file, got ''" in capsys.readouterr().err
+
+    def test_scene_file_sets_the_grid(self, tmp_path):
+        # a saved 60 x 40 scene at stride 4 is every seed's scene: 15 x 10 cells, not [sim] extent's
+        scene_path, out = tmp_path / "scene.txt", tmp_path / "out"
+        save_scene(generate_scene(SimConfig(extent=(60.0, 40.0)), 5), scene_path)
+        cfg = write_config(tmp_path / "run.cfg", f"[anchors]\nstride = 4\nscene_file = {scene_path}\n")
+        assert main(["anchor-demo", "--config", cfg, "--seeds", "1,2", "--out", str(out)]) == 0
+        rows = read_csv(out / "anchor_stats.csv")
+        assert [row[3] for row in rows[1:]] == ["150", "150"]
+
+    def test_missing_scene_file_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", f"[anchors]\nscene_file = {tmp_path / 'missing.txt'}\n")
+        assert main(["anchor-demo", "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "missing.txt" in err
 
     def test_file_map_reproduces_saved_map(self, tmp_path):
         # the probability map a run saves, read back as map_kind = file, gives the same stats

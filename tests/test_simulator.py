@@ -385,7 +385,7 @@ class TestRunDescent:
         proposals = spawn_proposals(scene, cfg, 4)
         calls = Counter()
         patch_everywhere(monkeypatch, "pair_work", counted(_pairs.pair_work, calls, "pair_work"))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError):
             run_descent(scene, proposals, sim_cfg=cfg, seed=1)
         # rejected right after the first step, before a loss is evaluated at the invalid boxes
         assert calls["pair_work"] == 1
@@ -484,9 +484,8 @@ class TestBatchedDescent:
             proposals = spawn_proposals(scene, sim, seed + 1)
             for comp in (CompositeConfig(), CompositeConfig(alpha=0.0), CompositeConfig(smoothl1_weight=1e300)):
                 members.append(Descent(scene, proposals, comp, seed + 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            batch = run_descents(members, sim_cfg=sim)
-            expected = sequential(members, CouLossConfig(), sim)
+        batch = run_descents(members, sim_cfg=sim)
+        expected = sequential(members, CouLossConfig(), sim)
         assert [outcome(r) for r in batch] == [outcome(r) for r in expected]
         kinds = [type(r).__name__ for r in batch]
         assert kinds[:3] == ["DivergenceError", "SimResult", "InvalidInputError"]
