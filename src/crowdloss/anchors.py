@@ -29,6 +29,41 @@ NEGATIVE = "N"
 _SIZES = (lambda v: bool(v) and all(map(positive, v)), "non-empty, each finite and > 0")
 # the rule for a grid's stride, in the map records, in scene_grid and in [anchors]
 _STRIDE = (positive, "finite and > 0")
+_MAP_KINDS = ("bump", "indicator", "flat", "file")
+
+
+# the [anchors] section; its defaults are the anchor functions' defaults
+@dataclass(frozen=True)
+class AnchorDemoConfig:
+    stride: float = 2.0
+    scales: tuple[float, ...] = (40.0,)
+    ratios: tuple[float, ...] = (0.41,)
+    map_kind: str = "bump"  # one of _MAP_KINDS
+    map_file: str = ""
+    scene_file: str = ""
+    flat_value: float = 0.5
+    peak: float = 0.9
+    background: float = 0.08
+    negative_iou_threshold: float = 0.3
+
+    def __post_init__(self):
+        freeze(self, "scales", "ratios")
+        check(self, ("stride",), *_STRIDE)
+        check(self, ("scales", "ratios"), *_SIZES)
+        check(self, ("map_kind",), _MAP_KINDS.__contains__, f"one of {', '.join(_MAP_KINDS)}")
+        check(self, ("map_file",), lambda v: bool(v) == (self.map_kind == "file"), "set exactly when map_kind is file")
+        check(self, ("flat_value", "peak", "background"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        check(self, ("negative_iou_threshold",), *_MATCH_IOU)
+
+    def probability_map(self, scene, seed: int) -> ProbabilityMap:
+        """The ``map_kind`` map of ``scene`` at ``stride``; a ``file`` map keeps its header's stride."""
+        if self.map_kind == "file":
+            return load_probability_map(self.map_file)
+        if self.map_kind == "bump":
+            return bump_probability_map(scene, self.stride, peak=self.peak, background=self.background, seed=seed)
+        if self.map_kind == "indicator":
+            return indicator_probability_map(scene, self.stride)
+        return ProbabilityMap(stride=self.stride, values=np.full(scene_grid(scene, self.stride), self.flat_value))  # flat
 
 
 @dataclass(frozen=True)
@@ -141,7 +176,7 @@ def _anchor_boxes(rows: np.ndarray, cols: np.ndarray, stride: float, scales, rat
 
 
 def select_anchors(
-    pmap: ProbabilityMap, scales=(32.0,), ratios=(0.41,), keep_mask: np.ndarray | None = None
+    pmap: ProbabilityMap, scales=AnchorDemoConfig.scales, ratios=AnchorDemoConfig.ratios, keep_mask: np.ndarray | None = None
 ) -> AnchorSet:
     """Instantiate anchors at cells whose probability beats the RMS threshold.
 
@@ -238,7 +273,7 @@ class InformativenessStats:
 
 
 def negative_informativeness(
-    selected: AnchorSet, scene, negative_iou_threshold: float = 0.3
+    selected: AnchorSet, scene, negative_iou_threshold: float = AnchorDemoConfig.negative_iou_threshold
 ) -> InformativenessStats:
     """Measure how often selected negative anchors land on distractors.
 
@@ -299,7 +334,7 @@ def indicator_probability_map(scene, stride: float) -> ProbabilityMap:
 
 
 def bump_probability_map(
-    scene, stride: float, peak: float = 0.9, background: float = 0.08, seed: int = 0
+    scene, stride: float, peak=AnchorDemoConfig.peak, background=AnchorDemoConfig.background, seed: int = 0
 ) -> ProbabilityMap:
     """Gaussian bump per pedestrian and distractor over a noisy background.
 

@@ -13,8 +13,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import anchors as anchors_mod
 from . import evalkit, svgplot
 from .config import RunConfig, load_run_config, with_flags
@@ -149,20 +147,6 @@ def cmd_nms_sweep(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _anchor_map(cfg: RunConfig, scene, seed: int):
-    a = cfg.anchors
-    if a.map_kind == "file":
-        return anchors_mod.load_probability_map(a.map_file)
-    if a.map_kind == "bump":
-        return anchors_mod.bump_probability_map(
-            scene, a.stride, peak=a.peak, background=a.background, seed=seed
-        )
-    if a.map_kind == "indicator":
-        return anchors_mod.indicator_probability_map(scene, a.stride)
-    height, width = anchors_mod.scene_grid(scene, a.stride)  # flat
-    return anchors_mod.ProbabilityMap(stride=a.stride, values=np.full((height, width), a.flat_value))
-
-
 def cmd_anchor_demo(cfg: RunConfig, out_dir: Path) -> int:
     a = cfg.anchors
     rows = []
@@ -170,7 +154,7 @@ def cmd_anchor_demo(cfg: RunConfig, out_dir: Path) -> int:
     first_tmap = None
     for seed in cfg.run.seeds:
         scene = load_scene(a.scene_file) if a.scene_file else generate_scene(cfg.sim, seed)
-        pmap = _anchor_map(cfg, scene, seed)
+        pmap = a.probability_map(scene, seed)
         selected = anchors_mod.select_anchors(pmap, a.scales, a.ratios)
         stats = anchors_mod.negative_informativeness(selected, scene, a.negative_iou_threshold)
         tmap = anchors_mod.build_target_map(scene, (pmap.height, pmap.width), pmap.stride)

@@ -8,43 +8,19 @@ import os
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
-from .anchors import _SIZES, _STRIDE
+from .anchors import AnchorDemoConfig
 from .baselines import CompositeConfig
 from .couloss import CouLossConfig
 from .errors import ConfigError, check, freeze, non_negative, open_text, positive
-from .evalkit import _MATCH_IOU, _NMS_THRESHOLD, SubsetFilter
+from .evalkit import _MATCH_IOU, _MISS_RATE, _NMS_THRESHOLD, SubsetFilter
 from .simulator import DEFAULT_NMS_THRESHOLDS, SimConfig, standard_variants
 
-_MAP_KINDS = ("bump", "indicator", "flat", "file")
 _VARIANTS = tuple(standard_variants())
 # the rule for a variant list, in [run] and [nms]
 _VARIANT_LIST = (lambda v: 0 < len(set(v) & set(_VARIANTS)) == len(v),
                  f"non-empty, each one of {', '.join(_VARIANTS)} at most once")
 # the rules of the [run] keys that a flag of the same name overrides: --seeds and --out
 _RUN_FLAGS = {"seeds": (lambda v: bool(v) and min(v) >= 0, "non-empty, each >= 0"), "out": (bool, "non-empty")}
-
-
-@dataclass(frozen=True)
-class AnchorDemoConfig:
-    stride: float = 2.0
-    scales: tuple[float, ...] = (40.0,)
-    ratios: tuple[float, ...] = (0.41,)
-    map_kind: str = "bump"  # one of _MAP_KINDS
-    map_file: str = ""
-    scene_file: str = ""
-    flat_value: float = 0.5
-    peak: float = 0.9
-    background: float = 0.08
-    negative_iou_threshold: float = 0.3
-
-    def __post_init__(self):
-        freeze(self, "scales", "ratios")
-        check(self, ("stride",), *_STRIDE)
-        check(self, ("scales", "ratios"), *_SIZES)
-        check(self, ("map_kind",), _MAP_KINDS.__contains__, f"one of {', '.join(_MAP_KINDS)}")
-        check(self, ("map_file",), lambda v: bool(v) == (self.map_kind == "file"), "set exactly when map_kind is file")
-        check(self, ("flat_value", "peak", "background"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-        check(self, ("negative_iou_threshold",), *_MATCH_IOU)
 
 
 @dataclass(frozen=True)
@@ -84,7 +60,7 @@ class EvalConfig(SubsetFilter):
 
     def __post_init__(self):
         check(self, ("match_iou",), *_MATCH_IOU)
-        check(self, ("target_miss_rate",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        check(self, ("target_miss_rate",), *_MISS_RATE)
         super().__post_init__()
 
 

@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -379,6 +380,7 @@ def detect_kinks(
     """
     cfg = cfg or CouLossConfig()
     tol = cfg.kink_tolerance if tolerance is None else tolerance
+    check(SimpleNamespace(tolerance=tol), ("tolerance",), non_negative, "finite and >= 0")
     G, P = scene_boxes(gts, proposals)
     return _kinks(G, P, cfg, tol, _evaluate(G, P, cfg, np.ones((2, 1), bool), structure))[0]
 

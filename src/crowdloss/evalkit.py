@@ -18,6 +18,8 @@ from .geometry import BBox
 _MATCH_IOU = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 # the rule for an NMS threshold, in greedy_nms and in [nms]
 _NMS_THRESHOLD = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+# the rule for a target miss rate, in fppi_at_miss_rate and in [eval]
+_MISS_RATE = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,7 @@ def fppi_at_miss_rate(curve: EvalCurve, target_miss_rate: float = 0.1) -> float:
     """
     if not curve.points:
         raise InvalidInputError("fppi_at_miss_rate requires a non-empty curve")
+    check(SimpleNamespace(target_miss_rate=target_miss_rate), ("target_miss_rate",), *_MISS_RATE)
     return min(curve.points, key=lambda p: (abs(p[1] - target_miss_rate), p[0]))[0]
 
 

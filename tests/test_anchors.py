@@ -6,8 +6,10 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import crowdloss.config
 from crowdloss.anchors import (
     IGNORED,
+    AnchorDemoConfig,
     AnchorSet,
     NEGATIVE,
     POSITIVE,
@@ -579,3 +581,30 @@ class TestBumpMap:
         col = int((ped.x1 + ped.x2) / 2)
         assert m.values[row, col] > 0.7
         assert m.values[row, col] > 4 * m.values.mean()
+
+
+class TestAnchorDemoMap:
+    # each map kind, and the library map that [anchors] with it should make for seed 5
+    KINDS = {
+        "bump": lambda cfg, scene: bump_probability_map(scene, cfg.stride, peak=cfg.peak, background=cfg.background,
+                                                        seed=5),
+        "indicator": lambda cfg, scene: indicator_probability_map(scene, cfg.stride),
+        "flat": lambda cfg, scene: ProbabilityMap(cfg.stride, np.full(scene_grid(scene, cfg.stride), cfg.flat_value)),
+        "file": lambda cfg, scene: load_probability_map(cfg.map_file),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_kind_is_the_library_map(self, tmp_path, kind):
+        save_probability_map(pmap([[0.1, 0.7], [0.4, 0.2]], stride=3.0), tmp_path / "map.txt")
+        cfg = AnchorDemoConfig(stride=1.5, map_kind=kind, map_file=str(tmp_path / "map.txt") if kind == "file" else "",
+                               flat_value=0.3, peak=0.8, background=0.1)
+        made, expected = cfg.probability_map(two_ped_scene(), 5), self.KINDS[kind](cfg, two_ped_scene())
+        assert (made.stride, made.values.tobytes()) == (expected.stride, expected.values.tobytes())
+
+    def test_file_map_keeps_its_header_stride(self, tmp_path):
+        save_probability_map(pmap([[0.1, 0.7]], stride=3.0), tmp_path / "map.txt")
+        cfg = AnchorDemoConfig(stride=1.5, map_kind="file", map_file=str(tmp_path / "map.txt"))
+        assert cfg.probability_map(two_ped_scene(), 0).stride == 3.0
+
+    def test_config_module_shares_the_record(self):
+        assert crowdloss.config.AnchorDemoConfig is AnchorDemoConfig

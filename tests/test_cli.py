@@ -506,7 +506,8 @@ class TestAnchorDemo:
             fast_sim_section() + "[anchors]\nmap_kind = indicator\nstride = 2.0\n",
         )
         out = tmp_path / "out"
-        assert main(["anchor-demo", "--config", cfg, "--seeds", "1", "--out", str(out)]) == 0
+        with pytest.warns(UserWarning, match="clamped"):
+            assert main(["anchor-demo", "--config", cfg, "--seeds", "1", "--out", str(out)]) == 0
         rows = read_csv(out / "anchor_stats.csv")
         retained = int(rows[1][2])
         total = int(rows[1][3])

@@ -410,6 +410,11 @@ class TestKinks:
         lines = detect_kinks([g], [p], tolerance=1e-6)
         assert any("positive threshold" in line for line in lines)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(InvalidInputError, match=rf"^tolerance must be finite and >= 0, got {tolerance!r}$"):
+            detect_kinks([BBox(0, 0, 10, 10)], [BBox(0, 0, 10, 5.0000001)], tolerance=tolerance)
+
     def test_center_line_configuration_detected(self):
         lines = detect_kinks([G_I, G_J], [P_P, P_N])
         assert any("min(l,r) or min(t,b) tie" in line or "zero clamp" in line for line in lines)

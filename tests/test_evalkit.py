@@ -405,6 +405,12 @@ class TestLogAverageMissRate:
         assert fppi_at_miss_rate(curve, 0.1) == 0.2
         assert fppi_at_miss_rate(curve, 0.5) == 0.01
 
+    @pytest.mark.parametrize("target", [math.nan, -0.1, 1.5])
+    def test_bad_target_miss_rate_rejected(self, target):
+        curve = EvalCurve(thresholds=(0.9, 0.6, 0.3), points=((0.0, 0.5), (0.2, 0.12), (1.5, 0.02)))
+        with pytest.raises(InvalidInputError, match=rf"^target_miss_rate must be in \[0, 1\], got {target!r}$"):
+            fppi_at_miss_rate(curve, target)
+
 
 class TestSubsetFilter:
     def test_height_and_visibility_predicates(self):
