@@ -177,6 +177,12 @@ def _one_scene(gts, proposals, cfg, cou_cfg, structure, targets, gradient=False,
     return composite, None if grad is None else grad[0]
 
 
+def _values(weights: _Weights, sl1_sums: np.ndarray, cou):
+    """SmoothL1 means, CouLoss sums and composite totals of scenes from SmoothL1 row sums and ``_losses``."""
+    sl1 = sl1_sums / weights.norm
+    return sl1, cou, weights.smoothl1_weight * sl1 + weights.alpha * cou[2]
+
+
 def _composite(gts, proposals, weights, cou_cfg, gradient, targets=None, structure=None, frame=None, keep=None,
                warn=None):
     """SmoothL1 means, CouLoss sums and composite totals of B scenes'
@@ -202,12 +208,12 @@ def _composite(gts, proposals, weights, cou_cfg, gradient, targets=None, structu
     rows, sl1_grad = _smooth_l1(d, weights.beta, gradient)
     # each scene's rows added left to right (they are never -0.0, so starting from
     # the first row is starting from 0.0)
-    sl1 = rows.cumsum(axis=-1)[..., -1] / weights.norm if rows.shape[-1] else np.zeros(rows.shape[:-1])
+    sl1 = rows.cumsum(axis=-1)[..., -1] if rows.shape[-1] else np.zeros(rows.shape[:-1])
     cou, cou_grad, evaluation = np.zeros((3, *sl1.shape)), None, None
     if weighs:
         evaluation = _evaluate(gts, proposals, cou_cfg, weights.parts, structure, ranked, gradient, keep, warn, frame)
         cou, cou_grad = evaluation.losses, evaluation.grad
-    values = (sl1, cou, weights.smoothl1_weight * sl1 + weights.alpha * cou[2])
+    values = _values(weights, sl1, cou)
     if not gradient:
         return values, None, evaluation, targets
     grad = sl1_grad * weights.grad_factor

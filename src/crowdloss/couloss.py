@@ -229,14 +229,12 @@ def _evaluate(gts, proposals, cfg, parts, structure=None, ranked=None, gradient=
     weighted = work.work * structure.pairs.mult if literal else work.work
     scene, ka = structure.pairs.proposal // N, structure.num_attraction
     sums = [np.bincount(scene[k], weighted[k], minlength=B) for k in (slice(ka), slice(ka, None))]
-    sums = np.array(sums).reshape(2, *[1] * (parts.ndim - 2), -1)  # against a trailing variant axis
-    att, rep = np.where(parts, sums, 0.0)
     grad = None
     if gradient:
         grad_att, grad_rep = (np.where(on[:, None, None], g.reshape(B, N, 4), 0.0)
                               for on, g in zip(parts, (work.grad_attraction, work.grad_repulsion)))
         grad = grad_att / num_gts + grad_rep / num_gts
-    evaluation = _Evaluation(structure, work, (att, rep, att / num_gts + rep / num_gts), grad, frame)
+    evaluation = _Evaluation(structure, work, _losses(np.array(sums), parts, num_gts), grad, frame)
     if warn is not None and warn.any():
         for lines in compress(_kinks(gts, proposals, cfg, cfg.kink_tolerance, evaluation), warn):
             if lines:
@@ -246,6 +244,12 @@ def _evaluate(gts, proposals, cfg, parts, structure=None, ranked=None, gradient=
                     stacklevel=_outside_level(),
                 )
     return evaluation
+
+
+def _losses(sums, parts, num_gts):
+    """Switched attraction and repulsion work and CouLoss of the ``(2, B)`` pair work sums of B scenes."""
+    att, rep = np.where(parts, sums.reshape(2, *[1] * (parts.ndim - 2), -1), 0.0)  # against a trailing variant axis
+    return att, rep, att / num_gts + rep / num_gts
 
 
 def _scene_loss(gts, proposals, cfg, structure, parts, gradient=False, warn_kinks=False):

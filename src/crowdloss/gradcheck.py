@@ -6,9 +6,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pairs import box_array, check_boxes, scene_boxes
-from .baselines import CompositeConfig, _composite, _Weights, scene_scale
-from .couloss import CouLossConfig, _kinks
+from ._pairs import PairFrame, best_gt, box_array, check_boxes, pair_work, scene_boxes
+from .baselines import CompositeConfig, _composite, _smooth_l1, _targets, _values, _Weights, scene_scale
+from .couloss import CouLossConfig, _kinks, _losses, _structure
 from .geometry import BBox
 from .simulator import SimConfig, generate_scene, spawn_proposals
 
@@ -38,19 +38,65 @@ def _terms(gts, points, weights, cou_cfg, gradient=False):
     return values, grads, evaluation
 
 
-def finite_difference(gts, coords, weights, cou_cfg, h: float) -> np.ndarray:
-    """Central finite differences of the ``TERMS`` values of ``_terms`` over the
-    ``(N, 4)`` proposal coordinates: shape ``(len(TERMS), N, 4)``. The 8N
-    perturbed points are evaluated as one batch, and must all be valid boxes."""
-    n = coords.size
-    # the +h and -h copies of each coordinate in turn, all checked at once
-    points = np.repeat(coords[None], 2 * n, axis=0)
-    flat, k = points.reshape(2 * n, n), np.arange(n)
-    flat[2 * k, k] += h
-    flat[2 * k + 1, k] -= h
-    check_boxes(points.reshape(-1, 4))
-    values = _terms(gts, points, weights, cou_cfg)[0]
-    return ((values[:, 0::2] - values[:, 1::2]) / (2.0 * h)).reshape(len(TERMS), *coords.shape)
+def _at(weights: _Weights, scenes: np.ndarray) -> _Weights:
+    """The ``_weights`` at the scene indices ``scenes``: on the last axis, or on the second of ``beta`` and
+    ``grad_factor``; a length-1 scene axis broadcasts, and stays."""
+    return _Weights(*(w if w.shape[a] == 1 else w.take(scenes, axis=a) for w, a in zip(weights, (-1,) * 4 + (1, 1))))
+
+
+def _swept_sums(values: np.ndarray, owner: np.ndarray, n: int, size: int) -> np.ndarray:
+    """``(size * 8,)``: each point's sum of its scene's items, added in order by ``np.bincount``. An item's
+    ``values`` ``(I, 9)`` are at the base point and at the 8 points that move its ``owner``, else its base."""
+    proposals = (owner // n * n)[:, None] + np.arange(n)  # (I, n): each item's scene's proposals
+    owned = proposals == owner[:, None]
+    return np.array([np.bincount(proposals.ravel(), np.where(owned, values[:, move, None], values[:, :1]).ravel(),
+                                 size) for move in range(1, 9)]).T.ravel()
+
+
+def _topology(G, boxes, cou_cfg):
+    """From one IoU matrix of B scenes' ``(B, N, 9, 4)`` boxes: the base pair structure and SmoothL1 targets, and
+    the points (flat) whose moved proposal changes its SmoothL1 target, its assignment or its overlaps."""
+    B, N = boxes.shape[:2]
+    boxes = boxes.reshape(B, 9 * N, 4)
+    ranked = best_gt(G, boxes)
+    targets, assigned = _targets(G, boxes, ranked), np.zeros(boxes.shape[:2], bool)
+    assigned.flat[_structure(G, boxes, cou_cfg, ranked, keep=np.zeros((2, B), bool)).assigned[0]] = True
+    keys = np.concatenate([targets[:, None], assigned[:, None], ranked[0] > 0.0], axis=1)
+    keys = keys.reshape(*keys.shape[:2], N, 9)  # each box's keys, against its proposal's base box's
+    tripped = np.flatnonzero((keys[..., 1:] != keys[..., :1]).any(axis=1))
+    return _structure(G, boxes[:, ::9], cou_cfg, tuple(r[..., ::9] for r in ranked)), targets[:, ::9], tripped
+
+
+def finite_difference(G, P, weights, cou_cfg, h) -> np.ndarray:
+    """Central finite differences ``(5, B, N, 4)`` of the ``TERMS`` values of ``_terms`` over B scenes'
+    ``(B, N, 4)`` proposals, of ``(B, M, 4)`` ground truths and ``(B,)`` steps ``h``. Each point moves one
+    proposal to a valid box. One kernel call evaluates each pair at its base point and at the 8 points that
+    move its proposal; a point's other pairs and SmoothL1 rows are its base ones, added in the order of a full
+    evaluation, so it has the values of ``_terms`` bit for bit. ``_terms`` evaluates the points ``_topology`` trips."""
+    (B, N), c = P.shape[:2], np.arange(4)
+    boxes = np.repeat(P[:, :, None], 9, axis=2)  # each proposal, then +h and -h on each coordinate in turn
+    boxes[:, :, 1 + 2 * c, c] += h[:, None, None]
+    boxes[:, :, 2 + 2 * c, c] -= h[:, None, None]
+    check_boxes(boxes[:, :, 1:].reshape(-1, 4))
+    structure, targets, tripped = _topology(G, boxes, cou_cfg)
+    (_, prop, _, mult), ka = structure.pairs, structure.num_attraction
+    frame = PairFrame.of(G.reshape(-1, 4), structure.pairs, ka, B * N)
+    # each pair at the 9 boxes of its proposal; a value-only pair_work reads no other field of the pairs
+    frame = PairFrame(structure.pairs._replace(proposal=(9 * prop[:, None] + np.arange(9)).ravel()), 9 * ka,
+                      *(np.repeat(a, 9, axis=-1) for a in frame[2:6]), None)
+    literal = cou_cfg.aggregation_mode == "triplet-literal"
+    work = pair_work(frame, boxes.reshape(-1, 4), cou_cfg.iou_floor, literal=literal).work.reshape(-1, 9)
+    work = work * mult[:, None] if literal else work
+    sums = np.array([_swept_sums(work[k], prop[k], N, B * N) for k in (slice(ka), slice(ka, None))])
+    rows = _smooth_l1(boxes - G[np.arange(B)[:, None], targets, None], weights.beta[..., None])[0]
+    sl1 = np.array([_swept_sums(r.reshape(B * N, 9), np.arange(B * N), N, B * N) for r in rows])
+    at = _at(weights, np.repeat(np.arange(B), 8 * N))
+    values = _values(at, sl1, _losses(sums, at.parts, G.shape[1]))[2]
+    if tripped.size:
+        scene, full = tripped // (8 * N), P[tripped // (8 * N)]
+        full[np.arange(len(tripped)), tripped // 8 % N] = boxes[:, :, 1:].reshape(-1, 4)[tripped]
+        values[:, tripped] = _terms(G[scene], full, _at(weights, scene), cou_cfg)[0]
+    return (values[:, 0::2] - values[:, 1::2]).reshape(len(TERMS), B, N, 4) / (2.0 * h)[:, None, None]
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -58,12 +104,10 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max()) / max(denom, 1e-8) if denom else 0.0
 
 
-def _errors(gts, coords, analytic, scale, comp_cfg, cou_cfg, fd_step_fraction):
-    """``check_scene`` of one scene's ``(M, 4)`` and ``(N, 4)`` boxes, from their
-    ``(5, N, 4)`` analytic gradients: the 8N central-difference points are one batch."""
-    weights = _weights(comp_cfg, np.array([scale]), len(coords))
-    numeric = finite_difference(gts, coords, weights, cou_cfg, fd_step_fraction * scale)
-    return {t: relative_error(a, n) for t, a, n in zip(TERMS, analytic, numeric)}
+def _errors(G, P, analytic, scales, comp_cfg, cou_cfg, fd_step_fraction) -> list[dict[str, float]]:
+    """``check_scene`` of B scenes' boxes from their ``(B, 5, N, 4)`` analytic gradients: one sweep."""
+    numeric = finite_difference(G, P, _weights(comp_cfg, scales, P.shape[1]), cou_cfg, fd_step_fraction * scales)
+    return [{t: relative_error(*d) for t, *d in zip(TERMS, a, n)} for a, n in zip(analytic, numeric.swapaxes(0, 1))]
 
 
 def check_scene(
@@ -73,15 +117,12 @@ def check_scene(
     cou_cfg: CouLossConfig,
     fd_step_fraction: float = 1e-5,
 ) -> dict[str, float]:
-    """Per-term relative errors between analytic gradients and central differences.
-
-    The analytic point is one evaluation of all five terms with their
-    gradients; the 8N central-difference points are one batched evaluation.
-    """
+    """Per-term relative errors between analytic gradients, one evaluation of all five terms, and
+    the central differences of ``finite_difference``'s substituted sweep on a block of one scene."""
     G, P = scene_boxes(gts, proposals)
     scale = scene_scale(G)
     analytic = _terms(G, P, _weights(comp_cfg, scale, P.shape[1]), cou_cfg, gradient=True)[1]
-    return _errors(G[0], P[0], analytic[:, 0], scale[0], comp_cfg, cou_cfg, fd_step_fraction)
+    return _errors(G, P, analytic.swapaxes(0, 1), scale, comp_cfg, cou_cfg, fd_step_fraction)[0]
 
 
 @dataclass
@@ -98,9 +139,9 @@ class GradCheckOutcome:
 
 
 def _kink_free(scenes, sim_cfg, comp_cfg, cou_cfg, kink_tolerance, max_perturb_retries, kink_lines):
-    """The first four ``_errors`` arguments of each scene of ``scenes`` ({seed: scene})
-    that a retry makes kink-free, by seed. A retry round is one evaluation of the pending
-    scenes: their kink reports and analytic gradients. Round 0's kink lines go to ``kink_lines``."""
+    """The boxes, ``(B, 5, N, 4)`` analytic gradients and scales of the B scenes of ``scenes`` ({seed: scene})
+    that a retry makes kink-free, stacked in seed order (or ``[]``). A retry round is one evaluation of the
+    pending scenes: their kink reports and analytic gradients. Round 0's kink lines go to ``kink_lines``."""
     pending, found = list(scenes), {}
     for retry in range(max_perturb_retries):
         if not pending:
@@ -115,7 +156,7 @@ def _kink_free(scenes, sim_cfg, comp_cfg, cou_cfg, kink_tolerance, max_perturb_r
             elif retry == 0:
                 kink_lines.append(f"kink_warning seed={seed} {lines[0]}")
         pending = [seed for seed in pending if seed not in found]
-    return found
+    return [np.array(x) for x in zip(*(found[seed] for seed in sorted(found)))]
 
 
 def run_gradcheck(
@@ -130,18 +171,17 @@ def run_gradcheck(
 ) -> GradCheckOutcome:
     """Gradient check over seeded random scenes.
 
-    Scenes whose configuration sits near a non-differentiable switch are
-    re-jittered (fresh proposal seed) up to the retry budget; an
-    irreducibly kinky scene is skipped and recorded as a warning line.
-    Scenes are checked in blocks of ``_BLOCK`` seeds: the retry rounds of ``_kink_free``,
-    then each kink-free scene's central differences as one batch, in seed order.
+    Scenes whose configuration sits near a non-differentiable switch are re-jittered (fresh
+    proposal seed) up to the retry budget; an irreducibly kinky scene is skipped and recorded as a
+    warning line. Scenes are checked in blocks of ``_BLOCK`` seeds: the retry rounds of
+    ``_kink_free``, then one ``finite_difference`` sweep of the block's kink-free scenes.
     """
     errors, kink_lines = [], []
     end = seed_base + num_scenes
     for start in range(seed_base, end, _BLOCK):
         scenes = {seed: generate_scene(sim_cfg, seed) for seed in range(start, min(start + _BLOCK, end))}
         found = _kink_free(scenes, sim_cfg, comp_cfg, cou_cfg, kink_tolerance, max_perturb_retries, kink_lines)
-        errors += [_errors(*found[seed], comp_cfg, cou_cfg, fd_step_fraction) for seed in sorted(found)]
+        errors += _errors(*found, comp_cfg, cou_cfg, fd_step_fraction) if found else []
     checked = len(errors)
     return GradCheckOutcome(
         scenes_checked=checked,

@@ -658,11 +658,11 @@ def five_sweep_check_scene(gts, proposals, comp_cfg, cou_cfg, fd_step_fraction=1
 
 
 def per_point_finite_difference(gts, coords, weights, cou_cfg, h):
-    """``gradcheck.finite_difference`` one point at a time.
+    """``gradcheck.finite_difference`` of one scene, one point at a time.
 
     Each of the 8N perturbed points is its own ``gradcheck._terms`` call, a
-    batch of one, and each coordinate's central difference is taken from its
-    two calls. Returns the ``(5, N, 4)`` array.
+    batch of one evaluated in full, and each coordinate's central difference
+    is taken from its two calls. Returns the ``(5, N, 4)`` array.
     """
     from crowdloss.gradcheck import TERMS, _terms
 

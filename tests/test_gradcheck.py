@@ -1,7 +1,11 @@
-"""The finite-difference gradcheck: one batch per scene, same errors as five sweeps,
-and blocks of scenes give the outcome of the one-scene-at-a-time loop."""
+"""The finite-difference gradcheck: one substituted sweep per block of scenes, whose
+central differences equal a full evaluation of each point (a point whose moved
+proposal changes its topology is evaluated in full), the same errors as five
+sweeps, and blocks of scenes give the outcome of the one-scene-at-a-time loop;
+the report bytes of three runs are pinned."""
 
 import dataclasses
+import hashlib
 import math
 import struct
 from collections import Counter
@@ -13,9 +17,10 @@ from hypothesis import strategies as st
 
 from crowdloss import _pairs, gradcheck
 from crowdloss.baselines import CompositeConfig, regression_targets
-from crowdloss.couloss import AGGREGATION_MODES, CouLossConfig, detect_kinks
+from crowdloss.cli import main
+from crowdloss.couloss import AGGREGATION_MODES, CouLossConfig, TripletStructure, detect_kinks
 from crowdloss.errors import InvalidInputError
-from crowdloss.geometry import BBox
+from crowdloss.geometry import BBox, iou
 from crowdloss.gradcheck import TERMS, check_scene, finite_difference, run_gradcheck
 from crowdloss.simulator import SimConfig, generate_scene, spawn_proposals
 from oracles import five_sweep_check_scene, per_point_finite_difference, sequential_run_gradcheck
@@ -57,7 +62,7 @@ def test_two_assignments_and_two_kernel_calls_per_scene(monkeypatch):
     for name in ("pair_work", "best_gt"):
         patch_everywhere(monkeypatch, name, counted(getattr(_pairs, name), calls, name))
     check_scene(gts, proposals, CompositeConfig(), CouLossConfig())
-    # the analytic point, and the 2 perturbed points per coordinate as one batch
+    # the analytic point, and the substituted sweep of the 8N points: nothing trips its guard here
     assert n == 12
     assert calls["pair_work"] == 2
     assert calls["best_gt"] == 2
@@ -80,9 +85,9 @@ def test_batched_points_equal_per_point_evaluation(pedestrians, proposals_per_gt
         mp.setattr(gradcheck, "finite_difference", lambda *args: captured.append(args) or finite_difference(*args))
         check_scene(gts, proposals, comp_cfg, dataclasses.replace(cou_cfg, aggregation_mode=mode))
     (args,) = captured
-    batched = finite_difference(*args)
-    assert batched.shape == (len(TERMS), len(proposals), 4)
-    assert np.array_equal(batched, per_point_finite_difference(*args))
+    (gts, coords, weights, cou_cfg, h), batched = args, finite_difference(*args)
+    assert batched.shape == (len(TERMS), 1, len(proposals), 4)
+    assert np.array_equal(batched[:, 0], per_point_finite_difference(gts[0], coords[0], weights, cou_cfg, h[0]))
 
 
 @pytest.mark.parametrize("mode", AGGREGATION_MODES)
@@ -155,7 +160,7 @@ def test_blocks_equal_sequential_loop(name):
     assert bits(got) == bits(want)
 
 
-def test_one_kernel_call_per_retry_round_and_per_checked_scene(monkeypatch):
+def test_one_kernel_call_per_retry_round_and_per_block(monkeypatch):
     sim, cou_cfg, num_scenes = SimConfig(), CouLossConfig(), 70
     # each scene's retry rounds in the sequential loop; a block runs as many as its slowest scene
     rounds = Counter()
@@ -170,4 +175,97 @@ def test_one_kernel_call_per_retry_round_and_per_checked_scene(monkeypatch):
     calls = Counter()
     patch_everywhere(monkeypatch, "pair_work", counted(_pairs.pair_work, calls, "pair_work"))
     outcome = run_gradcheck(sim, CompositeConfig(), cou_cfg, num_scenes)
-    assert calls["pair_work"] == sum(rounds.values()) + outcome.scenes_checked
+    # every block has a kink-free scene; its sweep is one kernel call, none of its points tripping the guard
+    assert outcome.scenes_checked > 2 * gradcheck._BLOCK
+    assert calls["pair_work"] == sum(rounds.values()) + len(rounds)
+
+
+# scenes where a one-step move changes the moved proposal's topology, with the points that change it as
+# (proposal, coordinate, +h / -h); h is 1e-5 of the scene scale 20
+TOPOLOGY_SWITCHES = {
+    # proposal 0's right edge touches gt 1, which has a positive: at +h it becomes gt 1's negative
+    "edge-touches-non-target": (
+        [BBox(0.0, 0.0, 10.0, 20.0), BBox(10.0, 0.0, 20.0, 20.0)],
+        [BBox(1.0, 1.0, 10.0, 21.0), BBox(11.0, 1.0, 20.0, 21.0)],
+        CouLossConfig(), {(0, 2, 0)},
+    ),
+    # proposal 0's center sits on gt 0's right border (IoU 1/3): moving it right leaves it unassigned
+    "center-on-target-border": (
+        [BBox(0.0, 0.0, 10.0, 20.0), BBox(12.0, 0.0, 22.0, 20.0)],
+        [BBox(5.0, 0.0, 15.0, 20.0), BBox(12.5, 0.5, 21.5, 20.5)],
+        CouLossConfig(positive_iou_threshold=0.3), {(0, 0, 0), (0, 2, 0)},
+    ),
+    # unassigned proposal 0 ties its IoU (0.2) with both gts and disjoint proposal 2 its distance to their
+    # centers: moving either right moves its SmoothL1 target from gt 0 to gt 1
+    "smoothl1-target-ties": (
+        [BBox(0.0, 0.0, 10.0, 20.0), BBox(20.0, 0.0, 30.0, 20.0)],
+        [BBox(5.0, 0.0, 25.0, 20.0), BBox(1.0, 1.0, 10.0, 21.0), BBox(13.0, 35.0, 17.0, 45.0)],
+        CouLossConfig(), {(0, 0, 0), (0, 2, 0), (2, 0, 0), (2, 2, 0)},
+    ),
+    # proposal 0's best IoU is exactly the threshold 0.5: growing it down assigns it, a positive and a negative
+    "best-iou-at-threshold": (
+        [BBox(0.0, 0.0, 10.0, 20.0), BBox(8.0, 0.0, 18.0, 20.0)],
+        [BBox(0.0, 0.0, 10.0, 10.0), BBox(8.5, 0.5, 17.5, 20.5)],
+        CouLossConfig(), {(0, 3, 0)},
+    ),
+}
+
+
+def topology(gts, proposals, cou_cfg, i):
+    """Proposal ``i``'s SmoothL1 target, CouLoss target (None unassigned) and overlapped ground truths."""
+    assignments = TripletStructure.from_boxes(gts, proposals, cou_cfg).assignments
+    targets = {a.proposal_index: a.target_gt_index for a in assignments}
+    return regression_targets(gts, proposals)[i], targets.get(i), [iou(g, proposals[i]) > 0.0 for g in gts]
+
+
+@pytest.mark.parametrize("mode", AGGREGATION_MODES)
+@pytest.mark.parametrize("name", sorted(TOPOLOGY_SWITCHES))
+def test_topology_switch_points_are_evaluated_in_full(name, mode):
+    gts, proposals, cou_cfg, switches = TOPOLOGY_SWITCHES[name]
+    cou_cfg = dataclasses.replace(cou_cfg, aggregation_mode=mode)
+    h = 1e-5 * 20.0
+    points = {}  # (proposal, coordinate, sign) -> the point's proposals
+    for i, c, sign in np.ndindex(len(proposals), 4, 2):
+        coords = list(proposals[i].as_tuple())
+        coords[c] += -h if sign else h
+        points[i, c, sign] = [*proposals[:i], BBox(*coords), *proposals[i + 1:]]
+    base = [topology(gts, proposals, cou_cfg, i) for i in range(len(proposals))]
+    assert {k for k, ps in points.items() if topology(gts, ps, cou_cfg, k[0]) != base[k[0]]} == switches
+    comp_cfg = CompositeConfig()
+    sweeps, full = [], []
+    terms = gradcheck._terms
+
+    def spy(gts, points, weights, cou_cfg, gradient=False):
+        if not gradient:  # a point the sweep evaluates in full
+            full.append(points.copy())
+        return terms(gts, points, weights, cou_cfg, gradient)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradcheck, "finite_difference", lambda *args: sweeps.append(args) or finite_difference(*args))
+        mp.setattr(gradcheck, "_terms", spy)
+        got = check_scene(gts, proposals, comp_cfg, cou_cfg)
+    assert got == five_sweep_check_scene(gts, proposals, comp_cfg, cou_cfg)
+    (evaluated,) = full
+    want = np.array([[b.as_tuple() for b in points[k]] for k in sorted(switches)])
+    assert np.array_equal(evaluated, want)
+    ((G, P, weights, cou, steps),) = sweeps
+    assert steps[0] == h
+    assert np.array_equal(finite_difference(*sweeps[0])[:, 0], per_point_finite_difference(G[0], P[0], weights, cou, h))
+
+
+# the SHA-256 of gradcheck_report.txt as the per-point evaluation wrote it: (config file, digest)
+REPORT_SHA256 = {
+    "defaults-1000": ("", "44fee4545e1121db2981c435db36932aea963df3689403e6ae59bdfe13b8f4a3"),
+    "triplet-literal-300": ("[couloss]\naggregation_mode = triplet-literal\n\n[gradcheck]\nnum_scenes = 300\n",
+                            "d329bc73db366f899150f8dffac38cf9b7406a6bb4411aaff7662f8d29e3d308"),
+    "4x6-96": ("[sim]\npedestrian_count = 4\nproposals_per_gt = 6\n\n[gradcheck]\nnum_scenes = 96\n",
+               "101b846da71e65704d874069a2b318e6baf3797f747bc805d0bcaa27afeb6088"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_bytes_pinned(tmp_path, name):
+    text, digest = REPORT_SHA256[name]
+    (tmp_path / "run.cfg").write_text(text)
+    assert main(["gradcheck", "--config", str(tmp_path / "run.cfg"), "--seeds", "0", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "gradcheck_report.txt").read_bytes()).hexdigest() == digest
