@@ -11,70 +11,26 @@ from types import SimpleNamespace
 from .anchors import AnchorDemoConfig
 from .baselines import CompositeConfig
 from .couloss import CouLossConfig
-from .errors import ConfigError, check, freeze, non_negative, open_text, positive
-from .evalkit import _MATCH_IOU, _MISS_RATE, _NMS_THRESHOLD, SubsetFilter
-from .simulator import DEFAULT_NMS_THRESHOLDS, SimConfig, standard_variants
+from .errors import ConfigError, check, freeze, open_text
+from .evalkit import EvalConfig
+from .gradcheck import GradCheckConfig
+from .simulator import VARIANT_LIST, NmsSweepConfig, SimConfig, standard_variants
 
-_VARIANTS = tuple(standard_variants())
-# the rule for a variant list, in [run] and [nms]
-_VARIANT_LIST = (lambda v: 0 < len(set(v) & set(_VARIANTS)) == len(v),
-                 f"non-empty, each one of {', '.join(_VARIANTS)} at most once")
 # the rules of the [run] keys that a flag of the same name overrides: --seeds and --out
 _RUN_FLAGS = {"seeds": (lambda v: bool(v) and min(v) >= 0, "non-empty, each >= 0"), "out": (bool, "non-empty")}
-
-
-@dataclass(frozen=True)
-class GradCheckConfig:
-    num_scenes: int = 1000
-    tolerance: float = 1e-4
-    fd_step_fraction: float = 1e-5
-    kink_tolerance: float = 1e-3
-    max_perturb_retries: int = 20
-
-    def __post_init__(self):
-        check(self, ("tolerance", "fd_step_fraction"), positive, "finite and > 0")
-        check(self, ("kink_tolerance",), non_negative, "finite and >= 0")
-        check(self, ("num_scenes", "max_perturb_retries"), lambda v: v >= 1, ">= 1")
-
-
-@dataclass(frozen=True)
-class NmsSweepConfig:
-    thresholds: tuple[float, ...] = DEFAULT_NMS_THRESHOLDS  # swept in this order
-    match_iou: float = 0.5
-    variants: tuple[str, ...] = _VARIANTS[:2]  # the baseline and the full CouLoss
-
-    def __post_init__(self):
-        freeze(self, "thresholds", "variants")
-        ok, rule = _NMS_THRESHOLD
-        check(self, ("thresholds",), lambda v: bool(v) and all(map(ok, v)), f"non-empty, each {rule}")
-        check(self, ("variants",), *_VARIANT_LIST)
-        check(self, ("match_iou",), *_MATCH_IOU)
-
-
-@dataclass(frozen=True)
-class EvalConfig(SubsetFilter):
-    detections: str = ""
-    scenes_dir: str = ""
-    match_iou: float = 0.5
-    target_miss_rate: float = 0.1
-
-    def __post_init__(self):
-        check(self, ("match_iou",), *_MATCH_IOU)
-        check(self, ("target_miss_rate",), *_MISS_RATE)
-        super().__post_init__()
 
 
 @dataclass(frozen=True)
 class RunSection:
     seeds: tuple[int, ...] = tuple(range(20))
     out: str = "."
-    variants: tuple[str, ...] = _VARIANTS
+    variants: tuple[str, ...] = tuple(standard_variants())
 
     def __post_init__(self):
         freeze(self, "seeds", "variants")
         for key, rule in _RUN_FLAGS.items():
             check(self, (key,), *rule)
-        check(self, ("variants",), *_VARIANT_LIST)
+        check(self, ("variants",), *VARIANT_LIST)
 
 
 @dataclass(frozen=True)
@@ -124,7 +80,7 @@ def with_flags(run: RunSection, seeds: str | None, out: str | None) -> RunSectio
     return replace(run, **flags)
 
 
-def _fill_section(instance, section: dict, section_name: str):
+def _fill_section(instance, section, section_name: str):
     valid = {f.name for f in fields(instance)}
     kwargs = {}
     for key, raw in section.items():
@@ -155,9 +111,8 @@ def load_run_config(path: str | None = None) -> RunConfig:
 
     Unknown sections or keys, and any key under ``[DEFAULT]``, are rejected.
     """
-    cfg = RunConfig()
     if path is None:
-        return cfg
+        return RunConfig()
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
@@ -175,6 +130,5 @@ def load_run_config(path: str | None = None) -> RunConfig:
     for section_name in parser.sections():
         if section_name not in sections:
             raise ConfigError(f"unknown config section [{section_name}]")
-        section = dict(parser.items(section_name))
-        updates[section_name] = _fill_section(sections[section_name], section, section_name)
-    return replace(cfg, **updates)
+        updates[section_name] = _fill_section(sections[section_name], parser[section_name], section_name)
+    return RunConfig(**updates)

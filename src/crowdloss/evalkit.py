@@ -75,6 +75,19 @@ class SubsetFilter:
         )
 
 
+@dataclass(frozen=True)
+class EvalConfig(SubsetFilter):
+    detections: str = ""
+    scenes_dir: str = ""
+    match_iou: float = 0.5
+    target_miss_rate: float = 0.1
+
+    def __post_init__(self):
+        check(self, ("match_iou",), *_MATCH_IOU)
+        check(self, ("target_miss_rate",), *_MISS_RATE)
+        super().__post_init__()
+
+
 def greedy_nms(dets: list[Detection], threshold: float) -> list[Detection]:
     """Standard score-descending suppression.
 
@@ -131,7 +144,7 @@ def _greedy_pass(dets, gts, iou_threshold, ignored_gts):
 def match(
     dets: list[Detection],
     gts: list[BBox],
-    iou_threshold: float = 0.5,
+    iou_threshold: float = EvalConfig.match_iou,
     ignored_gts: list[BBox] = (),
 ) -> MatchResult:
     """Greedy detection-to-GT matching in descending score order.
@@ -153,7 +166,7 @@ def match(
 def fppi_curve(
     dets: list[Detection],
     gts_by_scene: dict,
-    iou_threshold: float = 0.5,
+    iou_threshold: float = EvalConfig.match_iou,
     ignored_by_scene: dict | None = None,
 ) -> EvalCurve:
     """Sweep score thresholds over all distinct detection scores.
@@ -218,7 +231,7 @@ def log_average_miss_rate(curve: EvalCurve, floor: float = 1e-4) -> float:
     return math.exp(acc / len(refs))
 
 
-def fppi_at_miss_rate(curve: EvalCurve, target_miss_rate: float = 0.1) -> float:
+def fppi_at_miss_rate(curve: EvalCurve, target_miss_rate: float = EvalConfig.target_miss_rate) -> float:
     """FPPI of the curve point whose miss rate is nearest the target.
 
     Nearest-point semantics; ties resolve toward the smaller FPPI.

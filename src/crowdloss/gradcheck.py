@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from ._pairs import PairFrame, best_gt, box_array, check_boxes, pair_work, scene_boxes
 from .baselines import CompositeConfig, _composite, _smooth_l1, _targets, _values, _Weights, scene_scale
 from .couloss import CouLossConfig, _kinks, _losses, _structure
+from .errors import check, non_negative, positive
 from .geometry import BBox
-from .simulator import SimConfig, generate_scene, spawn_proposals
+from .simulator import _SEED, SimConfig, generate_scene, spawn_proposals
 
 TERMS = ("couloss", "couloss_attraction", "couloss_repulsion", "smooth_l1", "composite")
 # the first four terms' configs: CouLoss (0 * SmoothL1 + 1 * CouLoss is CouLoss bit for bit), its parts, SmoothL1
@@ -19,6 +21,23 @@ _FIXED_TERMS = (_COULOSS, replace(_COULOSS, include_repulsion=False), replace(_C
                 CompositeConfig(alpha=0.0))
 # scene seeds per run_gradcheck block: bounds the memory of a retry round's evaluation
 _BLOCK = 32
+# the rules of the [gradcheck] keys that run_gradcheck checks too
+_RUN_RULES = ((("kink_tolerance",), non_negative, "finite and >= 0"),
+              (("num_scenes", "max_perturb_retries"), lambda v: v >= 1, ">= 1"))
+
+
+@dataclass(frozen=True)
+class GradCheckConfig:
+    num_scenes: int = 1000
+    tolerance: float = 1e-4
+    fd_step_fraction: float = 1e-5
+    kink_tolerance: float = 1e-3
+    max_perturb_retries: int = 20
+
+    def __post_init__(self):
+        check(self, ("tolerance", "fd_step_fraction"), positive, "finite and > 0")
+        for rule in _RUN_RULES:
+            check(self, *rule)
 
 
 def _weights(comp_cfg: CompositeConfig, scales: np.ndarray, num_proposals: int):
@@ -115,7 +134,7 @@ def check_scene(
     proposals: list[BBox],
     comp_cfg: CompositeConfig,
     cou_cfg: CouLossConfig,
-    fd_step_fraction: float = 1e-5,
+    fd_step_fraction: float = GradCheckConfig.fd_step_fraction,
 ) -> dict[str, float]:
     """Per-term relative errors between analytic gradients, one evaluation of all five terms, and
     the central differences of ``finite_difference``'s substituted sweep on a block of one scene."""
@@ -163,10 +182,10 @@ def run_gradcheck(
     sim_cfg: SimConfig,
     comp_cfg: CompositeConfig,
     cou_cfg: CouLossConfig,
-    num_scenes: int = 1000,
-    fd_step_fraction: float = 1e-5,
-    kink_tolerance: float = 1e-3,
-    max_perturb_retries: int = 20,
+    num_scenes: int = GradCheckConfig.num_scenes,
+    fd_step_fraction: float = GradCheckConfig.fd_step_fraction,
+    kink_tolerance: float = GradCheckConfig.kink_tolerance,
+    max_perturb_retries: int = GradCheckConfig.max_perturb_retries,
     seed_base: int = 0,
 ) -> GradCheckOutcome:
     """Gradient check over seeded random scenes.
@@ -176,6 +195,11 @@ def run_gradcheck(
     warning line. Scenes are checked in blocks of ``_BLOCK`` seeds: the retry rounds of
     ``_kink_free``, then one ``finite_difference`` sweep of the block's kink-free scenes.
     """
+    # fd_step_fraction is left unchecked: a step of 0 is how a caller reaches NaN errors, which fail the check
+    args = SimpleNamespace(num_scenes=num_scenes, kink_tolerance=kink_tolerance,
+                           max_perturb_retries=max_perturb_retries, seed_base=seed_base)
+    for rule in (*_RUN_RULES, (("seed_base",), *_SEED)):
+        check(args, *rule)
     errors, kink_lines = [], []
     end = seed_base + num_scenes
     for start in range(seed_base, end, _BLOCK):

@@ -32,12 +32,14 @@ from .errors import (
     open_text,
     positive,
 )
-from .evalkit import Detection, _plain, greedy_nms, match
+from .evalkit import _MATCH_IOU, _NMS_THRESHOLD, Detection, _plain, greedy_nms, match
 from .geometry import BBox, centers, contains, iou, iou_parts, scalar_map
 
 
 # the extent rule of check, for scenes and their config
 _EXTENT = (lambda v: len(v) == 2 and all(map(positive, v)), "two values, each finite and > 0")
+# the rule for a seed, where a generator is seeded: generate_scene, spawn_proposals, Descent and run_gradcheck
+_SEED = (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0, "an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,7 @@ def generate_scene(cfg: SimConfig, seed: int) -> Scene:
     occlusion order (larger y2 occludes), and distractors are placed with
     IoU < 0.3 against every pedestrian.
     """
+    check(SimpleNamespace(seed=seed), ("seed",), *_SEED)
     rng = np.random.default_rng(seed)
     for _ in range(_SCENE_TRIES):
         scene = _try_generate(cfg, rng)
@@ -264,6 +267,7 @@ def spawn_proposals(scene: Scene, cfg: SimConfig, seed: int) -> list[BBox]:
     truth order, clipped to the scene extent, each side at least the descent's
     minimal size. With zero jitter the proposals equal their ground truths.
     """
+    check(SimpleNamespace(seed=seed), ("seed",), *_SEED)
     ew, eh = scene.extent
     min_size = _MIN_SIZE * max(ew, eh)
     sigma = cfg.proposal_jitter
@@ -338,6 +342,7 @@ class Descent:
 
     def __post_init__(self):
         freeze(self, "proposals", "intended_targets")
+        check(self, ("seed",), *_SEED)
         n, targets = len(self.scene.pedestrians), self.intended_targets
         if not n:
             raise InvalidInputError("scene has no pedestrians")
@@ -515,7 +520,38 @@ class NmsSweepResult:
     miss_variance: dict
 
 
+def standard_variants(base: CompositeConfig | None = None) -> dict[str, CompositeConfig]:
+    """The four ablation variants of ``base``: baseline, full, attraction-only,
+    repulsion-only. Each sets both CouLoss term flags, so ``base``'s are not read."""
+    both = replace(base or CompositeConfig(), include_attraction=True, include_repulsion=True)
+    return {
+        "baseline": replace(both, alpha=0.0),
+        "couloss": both,
+        "only_att": replace(both, include_repulsion=False),
+        "only_rep": replace(both, include_attraction=False),
+    }
+
+
+_VARIANTS = tuple(standard_variants())
+# the rule for a variant list, in [run] and [nms]
+VARIANT_LIST = (lambda v: 0 < len(set(v) & set(_VARIANTS)) == len(v),
+                f"non-empty, each one of {', '.join(_VARIANTS)} at most once")
 DEFAULT_NMS_THRESHOLDS = tuple(round(0.3 + 0.05 * k, 2) for k in range(11))
+
+
+@dataclass(frozen=True)
+class NmsSweepConfig:
+    thresholds: tuple[float, ...] = DEFAULT_NMS_THRESHOLDS  # swept in this order
+    match_iou: float = 0.5
+    variants: tuple[str, ...] = _VARIANTS[:2]  # the baseline and the full CouLoss
+
+    def __post_init__(self):
+        freeze(self, "thresholds", "variants")
+        ok, rule = _NMS_THRESHOLD
+        check(self, ("thresholds",), lambda v: bool(v) and all(map(ok, v)), f"non-empty, each {rule}")
+        check(self, ("thresholds",), lambda v: len(set(v)) == len(v), f"non-empty, each {rule}, at most once")
+        check(self, ("variants",), *VARIANT_LIST)
+        check(self, ("match_iou",), *_MATCH_IOU)
 
 
 def nms_sensitivity_experiment(
@@ -523,8 +559,8 @@ def nms_sensitivity_experiment(
     seeds: list[int],
     sim_cfg: SimConfig | None = None,
     cou_cfg: CouLossConfig | None = None,
-    thresholds=DEFAULT_NMS_THRESHOLDS,
-    match_iou: float = 0.5,
+    thresholds=NmsSweepConfig.thresholds,
+    match_iou: float = NmsSweepConfig.match_iou,
 ) -> NmsSweepResult:
     """Miss/false-positive counts per NMS threshold for each loss variant.
 
@@ -610,15 +646,3 @@ def load_scene(path) -> Scene:
             with at_line(path, lineno):
                 Scene(extent=extent, pedestrians=line_peds, distractors=line_distractors)
         raise
-
-
-def standard_variants(base: CompositeConfig | None = None) -> dict[str, CompositeConfig]:
-    """The four ablation variants of ``base``: baseline, full, attraction-only,
-    repulsion-only. Each sets both CouLoss term flags, so ``base``'s are not read."""
-    both = replace(base or CompositeConfig(), include_attraction=True, include_repulsion=True)
-    return {
-        "baseline": replace(both, alpha=0.0),
-        "couloss": both,
-        "only_att": replace(both, include_repulsion=False),
-        "only_rep": replace(both, include_attraction=False),
-    }

@@ -100,6 +100,12 @@ class TestConfigFile:
             ("[nms]\nthresholds = 0.5, 1.0\n", r"\[nms\].*thresholds must be non-empty, each in \(0, 1\), got \(0.5, 1.0\)$"),
             ("[nms]\nthresholds = nan\n", r"^\[nms\] thresholds: expected a finite number, got 'nan'$"),
             ("[nms]\nthresholds = 0.5, low\n", r"^\[nms\] thresholds: expected a number, got 'low'$"),
+            # swept 0.5 twice: nms_summary.csv's variance counted it twice
+            (
+                "[nms]\nthresholds = 0.5, 0.5, 0.7\n",
+                r"^invalid values in section \[nms\]: thresholds must be non-empty, each in \(0, 1\), at most once, "
+                r"got \(0.5, 0.5, 0.7\)$",
+            ),
             ("[nms]\nvariants =\n", rf"^invalid values in section \[nms\]: variants must be {VARIANT_RULE}, got \(\)$"),
             ("[run]\nvariants =\n", rf"^invalid values in section \[run\]: variants must be {VARIANT_RULE}, got \(\)$"),
             # each of these was accepted: a repeated variant wrote one row per seed, a blank element was dropped
@@ -154,7 +160,8 @@ class TestConfigFile:
         ids=[
             "not-a-number", "nan-noise", "nan-step", "inf-tuple", "inf-finite-default",
             "nms-thresholds-empty", "nms-threshold-zero", "nms-threshold-one", "nms-threshold-nan",
-            "nms-threshold-word", "nms-no-variants", "run-no-variants", "run-variant-repeated", "nms-variant-unknown",
+            "nms-threshold-word", "nms-threshold-repeated", "nms-no-variants", "run-no-variants", "run-variant-repeated",
+            "nms-variant-unknown",
             "run-seeds-blank-element", "nms-thresholds-blank-element", "anchors-map-file-without-file-kind",
             "gradcheck-tolerance-zero", "gradcheck-step-zero", "gradcheck-kink-negative",
             "couloss-kink-negative", "composite-focal-alpha-above-one",

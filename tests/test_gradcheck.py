@@ -7,6 +7,7 @@ the report bytes of three runs are pinned."""
 import dataclasses
 import hashlib
 import math
+import re
 import struct
 from collections import Counter
 
@@ -21,7 +22,7 @@ from crowdloss.cli import main
 from crowdloss.couloss import AGGREGATION_MODES, CouLossConfig, TripletStructure, detect_kinks
 from crowdloss.errors import InvalidInputError
 from crowdloss.geometry import BBox, iou
-from crowdloss.gradcheck import TERMS, check_scene, finite_difference, run_gradcheck
+from crowdloss.gradcheck import TERMS, GradCheckConfig, check_scene, finite_difference, run_gradcheck
 from crowdloss.simulator import SimConfig, generate_scene, spawn_proposals
 from oracles import five_sweep_check_scene, per_point_finite_difference, sequential_run_gradcheck
 from util import counted, patch_everywhere
@@ -125,6 +126,30 @@ def test_nan_errors_fail():
     assert outcome.scenes_checked > 0
     assert all(math.isnan(e) for e in outcome.max_error.values())
     assert not outcome.passed(1e-4)
+
+
+# each was accepted: a negative or NaN kink tolerance switched the kink screen off (0 kink lines over 40
+# scenes, 12 at the default), num_scenes = -3 reported -3 scenes skipped, and no retry checked no scene;
+# a negative seed_base ended in numpy's ValueError
+@pytest.mark.parametrize(
+    "keyword, value, rule",
+    [
+        ("kink_tolerance", -1.0, "finite and >= 0"),
+        ("kink_tolerance", math.nan, "finite and >= 0"),
+        ("num_scenes", -3, ">= 1"),
+        ("num_scenes", 0, ">= 1"),
+        ("max_perturb_retries", 0, ">= 1"),
+        ("seed_base", -5, "an integer >= 0"),
+    ],
+    ids=["kink-negative", "kink-nan", "scenes-negative", "scenes-zero", "no-retries", "seed-base-negative"],
+)
+def test_bad_keyword_rejected_by_name(keyword, value, rule):
+    message = re.escape(f"{keyword} must be {rule}, got {value!r}")
+    with pytest.raises(InvalidInputError, match=message):
+        run_gradcheck(SimConfig(), CompositeConfig(), CouLossConfig(), **{"num_scenes": 2, keyword: value})
+    if keyword != "seed_base":  # the [gradcheck] key of the same name has the same rule
+        with pytest.raises(InvalidInputError, match=message):
+            GradCheckConfig(**{keyword: value})
 
 
 CROWD = SimConfig(pedestrian_count=6, proposals_per_gt=8)

@@ -1,5 +1,6 @@
 """What the package imports: every name a module imports is used in that
-module, and no command loads ``numpy.ma``."""
+module, the config reader takes no private name from a sibling and shares each
+section record with the module that runs it, and no command loads ``numpy.ma``."""
 
 import ast
 import os
@@ -8,6 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import crowdloss.config
+from crowdloss import evalkit, gradcheck, simulator
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crowdloss"
 # __init__.py imports only to export
@@ -39,6 +43,24 @@ def test_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """Underscore-prefixed names that ``source`` imports from a sibling module (``from .x import _y``)."""
+    return sorted(a.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom) and node.level
+                  for a in node.names if a.name.startswith("_"))
+
+
+def test_config_imports_no_private_name():
+    probe = "from .evalkit import _MATCH_IOU, EvalConfig\nfrom os import _exit\n"
+    assert private_sibling_imports(probe) == ["_MATCH_IOU"]
+    assert private_sibling_imports((PACKAGE / "config.py").read_text()) == []
+
+
+@pytest.mark.parametrize("module, name", [(gradcheck, "GradCheckConfig"), (simulator, "NmsSweepConfig"),
+                                          (evalkit, "EvalConfig")], ids=lambda v: getattr(v, "__name__", v))
+def test_config_module_shares_the_record(module, name):
+    assert getattr(crowdloss.config, name) is getattr(module, name)
 
 
 # eval and anchor-demo on tiny inputs, then a valid target map loaded, in a fresh interpreter

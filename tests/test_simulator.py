@@ -170,6 +170,26 @@ class TestRecordsCheckThemselves:
         with pytest.raises(InvalidInputError, match=f"^{error}$"):
             Descent(scene, scene.gt_boxes, intended_targets=targets)
 
+    # None drew a fresh scene on each call, -1 and 1.5 ended in numpy's errors, and True seeded as 1
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True], ids=["none", "negative", "float", "bool"])
+    @pytest.mark.parametrize("seeded", ["generate_scene", "spawn_proposals", "Descent"])
+    def test_bad_seed_rejected_by_name(self, seeded, seed):
+        scene = generate_scene(SimConfig(), 0)
+        make = {
+            "generate_scene": lambda: generate_scene(SimConfig(), seed),
+            "spawn_proposals": lambda: spawn_proposals(scene, SimConfig(), seed),
+            "Descent": lambda: Descent(scene, scene.gt_boxes, seed=seed),
+        }[seeded]
+        with pytest.raises(InvalidInputError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            make()
+
+    def test_numpy_integer_seed_is_its_int(self):
+        sim = SimConfig()
+        scene = generate_scene(sim, np.int64(3))
+        assert scene == generate_scene(sim, 3)
+        assert spawn_proposals(scene, sim, np.uint32(4)) == spawn_proposals(scene, sim, 4)
+        assert Descent(scene, scene.gt_boxes, seed=np.int64(5)).seed == 5
+
 
 class TestSpawnProposals:
     def test_zero_jitter_copies_gts(self):
