@@ -58,17 +58,15 @@ class PairFrame(NamedTuple):
     vertex: np.ndarray  # (2, R): each repulsion pair's center(g), center(target) - center(g) and its length
     ray: np.ndarray
     ray_len: np.ndarray
-    bins: np.ndarray  # (4, P): the gradient sums' bincount bins, (kind, coordinate, proposal) flat
 
     @classmethod
-    def of(cls, gts: np.ndarray, pairs: Pairs, num_attraction: int, n: int) -> PairFrame:
-        """Of ``pairs`` over ``n`` proposals and stacked ``(K, 4)`` ground truths."""
+    def of(cls, gts: np.ndarray, pairs: Pairs, num_attraction: int) -> PairFrame:
+        """Of ``pairs`` over stacked ``(K, 4)`` ground truths."""
         ka, gt, target = num_attraction, pairs.gt, pairs.target[num_attraction:]
         g = gts.T.take(gt, axis=1)  # row-contiguous, as every ufunc of the kernel prefers
         vertex = centers(g[:, ka:])
-        bins = pairs.proposal + n * (np.arange(4)[:, None] + 4 * (np.arange(len(gt)) >= ka))
         ray = centers(gts.T.take(target, axis=1)) - vertex
-        return cls(pairs, ka, g, vertex, ray, ray_length(ray), bins)
+        return cls(pairs, ka, g, vertex, ray, ray_length(ray))
 
 
 def box_array(boxes) -> np.ndarray:
@@ -154,8 +152,9 @@ def pair_work(frame: PairFrame, proposals: np.ndarray, iou_floor: float, *, lite
     grad[..., ka:] += force[ka:] * (0.5 * dcos_dc) * s[ka:]
     grad += fc * (0.5 * ds_dc)
 
-    # bincount adds each bin's weights in input order: (gt, proposal) order per proposal
+    # (kind, coordinate, proposal) bins; bincount adds each bin's weights in input order: (gt, proposal) order
     n, grad = proposals.shape[0], grad.reshape(4, -1)
     contrib = np.where(live, grad * pairs.mult if literal else grad, 0.0)
-    total = np.bincount(frame.bins.ravel(), contrib.ravel(), minlength=8 * n).reshape(2, 4, n)
+    bins = pairs.proposal + n * (np.arange(4)[:, None] + 4 * (np.arange(len(live)) >= ka))
+    total = np.bincount(bins.ravel(), contrib.ravel(), minlength=8 * n).reshape(2, 4, n)
     return work._replace(grad_attraction=total[0].T, grad_repulsion=total[1].T)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._pairs import box_array, check_boxes, iou_matrix
 from .baselines import CompositeConfig, _focal
-from .errors import InvalidInputError, at_line, check, freeze, open_text, positive
+from .errors import SEED, InvalidInputError, at_line, check, freeze, integer, open_text, positive
 from .evalkit import _MATCH_IOU
 from .geometry import centers, contains
 
@@ -221,6 +221,8 @@ def build_target_map(scene, grid_shape: tuple[int, int], stride: float) -> Targe
     it lies in a full-body box but no visible box, negative otherwise.
     Positive takes precedence over ignored across different pedestrians.
     """
+    check(SimpleNamespace(grid_shape=grid_shape), ("grid_shape",), lambda v: len(v) == 2 and all(map(integer, v)),
+          "two integers")
     height, width = grid_shape
     if height < 1 or width < 1:
         raise InvalidInputError("grid must have at least one cell")
@@ -342,6 +344,7 @@ def bump_probability_map(
     it with quarter-extent standard deviations (so the mass stays inside the
     box); cells also carry uniform background noise in [0, background].
     """
+    check(SimpleNamespace(seed=seed), ("seed",), *SEED)
     shape = scene_grid(scene, stride)
     gx, gy = _grid_points(shape, stride)
     values = np.random.default_rng(seed).uniform(0.0, background, shape)

@@ -100,18 +100,18 @@ def _targets(gts: np.ndarray, proposals: np.ndarray, ranked) -> np.ndarray:
 
 
 class _Weights(NamedTuple):
-    """Per-scene constants of the composite loss of B scenes, from their configs, ``scene_scale``s
-    and proposal count N (or of B configs against one scene; with ``variants``, of V configs
-    against each scene: fields (V, B), ``parts`` (2, V, B)). ``parts`` ((2, B)) marks the CouLoss
-    terms that are on and weighed; ``norm`` is N times the scale (1 without proposals); ``beta``
-    (the SmoothL1 beta in scene units) and ``grad_factor`` are shaped (B, 1, 1)."""
+    """Per-scene constants of the composite loss of B scenes, from their B configs, ``(B,)``
+    ``scene_scale``s and proposal count N: each field ``(B,)``, ``parts`` ``(2, B)``. With
+    ``variants``, of V configs against each scene: the scene axis last, after a V axis, and of
+    length 1 where the value is the config's alone. ``parts`` marks the CouLoss terms that are on
+    and weighed; ``norm`` is N times the scale (1 without proposals); ``beta`` is the SmoothL1
+    beta in scene units."""
 
     alpha: np.ndarray
     smoothl1_weight: np.ndarray
     parts: np.ndarray
     norm: np.ndarray
     beta: np.ndarray
-    grad_factor: np.ndarray
 
     @classmethod
     def of(cls, cfgs, scale: np.ndarray, num_proposals: int, variants: bool = False) -> _Weights:
@@ -120,8 +120,7 @@ class _Weights(NamedTuple):
         alpha, weight, beta = np.array(rows, dtype=float).reshape(-1, 3).T[tail]
         parts = np.array([(c.include_attraction, c.include_repulsion) for c in cfgs], bool).reshape(-1, 2).T[tail]
         norm = num_proposals * scale if num_proposals else np.ones_like(scale)
-        factors = ((beta * scale)[..., None, None], (weight / norm)[..., None, None])
-        return cls(alpha, weight, parts & (alpha > 0.0), norm, *factors)
+        return cls(alpha, weight, parts & (alpha > 0.0), norm, beta * scale)
 
 
 def composite_regression_loss(
@@ -195,17 +194,15 @@ def _composite(gts, proposals, weights, cou_cfg, gradient, targets=None, structu
     included) of its ``_evaluate``, whose kink warnings ``warn`` selects. Returns
     ``((smooth_l1, (attraction, repulsion, couloss), total), gradient,
     evaluation, targets)``, each value ``(B,)`` and ``evaluation`` None when no
-    scene weighs CouLoss; each scene's values are those it has alone. One
-    scene's boxes broadcast against B configs; V configs with a trailing axis on
-    each weight give each scene V variants: values ``(V, B)``, gradients
-    ``(V, B, N, 4)``.
+    scene weighs CouLoss; each scene's values are those it has alone. ``weights``
+    of V variants give values ``(V, B)`` and gradients ``(V, B, N, 4)``.
     """
     weighs = bool((weights.alpha > 0.0).any())
     ranked = best_gt(gts, proposals) if targets is None or (structure is None and weighs) else None
     if targets is None:
         targets = _targets(gts, proposals, ranked)
     d = proposals - gts[np.arange(targets.shape[0])[:, None], targets]
-    rows, sl1_grad = _smooth_l1(d, weights.beta, gradient)
+    rows, sl1_grad = _smooth_l1(d, weights.beta[..., None, None], gradient)
     # each scene's rows added left to right (they are never -0.0, so starting from
     # the first row is starting from 0.0)
     sl1 = rows.cumsum(axis=-1)[..., -1] if rows.shape[-1] else np.zeros(rows.shape[:-1])
@@ -216,7 +213,7 @@ def _composite(gts, proposals, weights, cou_cfg, gradient, targets=None, structu
     values = _values(weights, sl1, cou)
     if not gradient:
         return values, None, evaluation, targets
-    grad = sl1_grad * weights.grad_factor
+    grad = sl1_grad * (weights.smoothl1_weight / weights.norm)[..., None, None]
     if cou_grad is not None:
         alpha = weights.alpha[..., None, None]
         np.add(grad, alpha * cou_grad, out=grad, where=alpha > 0.0)

@@ -214,16 +214,15 @@ def _evaluate(gts, proposals, cfg, parts, structure=None, ranked=None, gradient=
     """The :class:`_Evaluation` of B scenes' ``(B, M, 4)`` and ``(B, N, 4)`` boxes, from
     one kernel call. The structure (with ``keep``) and its ``PairFrame``, which
     measures the repulsion pairs' reference rays, are built when not given.
-    ``parts`` ((2, B) bool) switches attraction and repulsion on per scene; against
-    one scene's boxes it gives B variants of that scene, and (2, V, 1) V variants
-    of each scene, with values (V, B) and gradients (V, B, N, 4). Each scene that
-    ``warn`` ((B,) bool) marks raises one :class:`KinkWarning` if its boxes sit
-    near a non-differentiable point.
+    ``parts`` ((2, B) bool) switches attraction and repulsion on per scene, and
+    (2, V, 1) gives each scene V variants, with values (V, B) and gradients
+    (V, B, N, 4). Each scene that ``warn`` ((B,) bool) marks raises one
+    :class:`KinkWarning` if its boxes sit near a non-differentiable point.
     """
     if structure is None:
         structure = _structure(gts, proposals, cfg, ranked, keep)
     (B, N), num_gts = proposals.shape[:2], gts.shape[1]
-    frame = frame or PairFrame.of(gts.reshape(-1, 4), structure.pairs, structure.num_attraction, B * N)
+    frame = frame or PairFrame.of(gts.reshape(-1, 4), structure.pairs, structure.num_attraction)
     literal = cfg.aggregation_mode == "triplet-literal"
     work = pair_work(frame, proposals.reshape(-1, 4), cfg.iou_floor, literal=literal, gradient=gradient)
     weighted = work.work * structure.pairs.mult if literal else work.work

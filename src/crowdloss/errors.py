@@ -2,6 +2,7 @@
 
 import io
 import math
+import numbers
 from contextlib import contextmanager
 
 
@@ -66,6 +67,14 @@ def positive(value) -> bool:
 
 def non_negative(value) -> bool:
     return math.isfinite(value) and value >= 0.0
+
+
+def integer(value) -> bool:  # a Python or numpy integer, not a bool
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# the rule for a seed, wherever a generator is seeded
+SEED = (lambda v: integer(v) and v >= 0, "an integer >= 0")
 
 
 def check(record, keys, ok, rule: str) -> None:

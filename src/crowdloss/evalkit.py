@@ -214,6 +214,7 @@ def log_average_miss_rate(curve: EvalCurve, floor: float = 1e-4) -> float:
     with FPPI <= reference is used; when no point qualifies, the highest
     miss rate on the curve stands in. Miss rates are floored before the log.
     """
+    check(SimpleNamespace(floor=floor), ("floor",), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
     if not curve.points:
         raise InvalidInputError("log_average_miss_rate requires a non-empty curve")
     pts = sorted(curve.points, key=lambda p: p[0])

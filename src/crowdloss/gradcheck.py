@@ -10,9 +10,9 @@ import numpy as np
 from ._pairs import PairFrame, best_gt, box_array, check_boxes, pair_work, scene_boxes
 from .baselines import CompositeConfig, _composite, _smooth_l1, _targets, _values, _Weights, scene_scale
 from .couloss import CouLossConfig, _kinks, _losses, _structure
-from .errors import check, non_negative, positive
+from .errors import SEED, check, non_negative, positive
 from .geometry import BBox
-from .simulator import _SEED, SimConfig, generate_scene, spawn_proposals
+from .simulator import SimConfig, generate_scene, spawn_proposals
 
 TERMS = ("couloss", "couloss_attraction", "couloss_repulsion", "smooth_l1", "composite")
 # the first four terms' configs: CouLoss (0 * SmoothL1 + 1 * CouLoss is CouLoss bit for bit), its parts, SmoothL1
@@ -58,9 +58,8 @@ def _terms(gts, points, weights, cou_cfg, gradient=False):
 
 
 def _at(weights: _Weights, scenes: np.ndarray) -> _Weights:
-    """The ``_weights`` at the scene indices ``scenes``: on the last axis, or on the second of ``beta`` and
-    ``grad_factor``; a length-1 scene axis broadcasts, and stays."""
-    return _Weights(*(w if w.shape[a] == 1 else w.take(scenes, axis=a) for w, a in zip(weights, (-1,) * 4 + (1, 1))))
+    """The ``_weights`` at the scene indices ``scenes``; a length-1 scene axis broadcasts, and stays."""
+    return _Weights(*(w if w.shape[-1] == 1 else w.take(scenes, axis=-1) for w in weights))
 
 
 def _swept_sums(values: np.ndarray, owner: np.ndarray, n: int, size: int) -> np.ndarray:
@@ -99,15 +98,15 @@ def finite_difference(G, P, weights, cou_cfg, h) -> np.ndarray:
     check_boxes(boxes[:, :, 1:].reshape(-1, 4))
     structure, targets, tripped = _topology(G, boxes, cou_cfg)
     (_, prop, _, mult), ka = structure.pairs, structure.num_attraction
-    frame = PairFrame.of(G.reshape(-1, 4), structure.pairs, ka, B * N)
+    frame = PairFrame.of(G.reshape(-1, 4), structure.pairs, ka)
     # each pair at the 9 boxes of its proposal; a value-only pair_work reads no other field of the pairs
     frame = PairFrame(structure.pairs._replace(proposal=(9 * prop[:, None] + np.arange(9)).ravel()), 9 * ka,
-                      *(np.repeat(a, 9, axis=-1) for a in frame[2:6]), None)
+                      *(np.repeat(a, 9, axis=-1) for a in frame[2:]))
     literal = cou_cfg.aggregation_mode == "triplet-literal"
     work = pair_work(frame, boxes.reshape(-1, 4), cou_cfg.iou_floor, literal=literal).work.reshape(-1, 9)
     work = work * mult[:, None] if literal else work
     sums = np.array([_swept_sums(work[k], prop[k], N, B * N) for k in (slice(ka), slice(ka, None))])
-    rows = _smooth_l1(boxes - G[np.arange(B)[:, None], targets, None], weights.beta[..., None])[0]
+    rows = _smooth_l1(boxes - G[np.arange(B)[:, None], targets, None], weights.beta[..., None, None, None])[0]
     sl1 = np.array([_swept_sums(r.reshape(B * N, 9), np.arange(B * N), N, B * N) for r in rows])
     at = _at(weights, np.repeat(np.arange(B), 8 * N))
     values = _values(at, sl1, _losses(sums, at.parts, G.shape[1]))[2]
@@ -198,7 +197,7 @@ def run_gradcheck(
     # fd_step_fraction is left unchecked: a step of 0 is how a caller reaches NaN errors, which fail the check
     args = SimpleNamespace(num_scenes=num_scenes, kink_tolerance=kink_tolerance,
                            max_perturb_retries=max_perturb_retries, seed_base=seed_base)
-    for rule in (*_RUN_RULES, (("seed_base",), *_SEED)):
+    for rule in (*_RUN_RULES, (("seed_base",), *SEED)):
         check(args, *rule)
     errors, kink_lines = [], []
     end = seed_base + num_scenes

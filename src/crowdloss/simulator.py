@@ -20,6 +20,7 @@ from ._pairs import box_array, check_boxes, iou_matrix, valid_boxes
 from .baselines import CompositeConfig, _composite, _Weights, scene_scale
 from .couloss import CouLossConfig
 from .errors import (
+    SEED,
     CrowdLossError,
     DivergenceError,
     InfeasibleConfigError,
@@ -38,8 +39,6 @@ from .geometry import BBox, centers, contains, iou, iou_parts, scalar_map
 
 # the extent rule of check, for scenes and their config
 _EXTENT = (lambda v: len(v) == 2 and all(map(positive, v)), "two values, each finite and > 0")
-# the rule for a seed, where a generator is seeded: generate_scene, spawn_proposals, Descent and run_gradcheck
-_SEED = (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0, "an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ def generate_scene(cfg: SimConfig, seed: int) -> Scene:
     occlusion order (larger y2 occludes), and distractors are placed with
     IoU < 0.3 against every pedestrian.
     """
-    check(SimpleNamespace(seed=seed), ("seed",), *_SEED)
+    check(SimpleNamespace(seed=seed), ("seed",), *SEED)
     rng = np.random.default_rng(seed)
     for _ in range(_SCENE_TRIES):
         scene = _try_generate(cfg, rng)
@@ -267,7 +266,7 @@ def spawn_proposals(scene: Scene, cfg: SimConfig, seed: int) -> list[BBox]:
     truth order, clipped to the scene extent, each side at least the descent's
     minimal size. With zero jitter the proposals equal their ground truths.
     """
-    check(SimpleNamespace(seed=seed), ("seed",), *_SEED)
+    check(SimpleNamespace(seed=seed), ("seed",), *SEED)
     ew, eh = scene.extent
     min_size = _MIN_SIZE * max(ew, eh)
     sigma = cfg.proposal_jitter
@@ -342,7 +341,7 @@ class Descent:
 
     def __post_init__(self):
         freeze(self, "proposals", "intended_targets")
-        check(self, ("seed",), *_SEED)
+        check(self, ("seed",), *SEED)
         n, targets = len(self.scene.pedestrians), self.intended_targets
         if not n:
             raise InvalidInputError("scene has no pedestrians")
@@ -569,7 +568,9 @@ def nms_sensitivity_experiment(
     ground truths. The per-variant spread (max - min) and variance of miss
     counts across thresholds quantify threshold sensitivity.
     """
-    check(SimpleNamespace(seeds=seeds, thresholds=thresholds), ("seeds", "thresholds"), len, "non-empty")
+    named = SimpleNamespace(variants=variants, seeds=seeds, thresholds=thresholds)
+    check(named, ("variants", "seeds", "thresholds"), len, "non-empty")
+    check(named, ("thresholds",), lambda v: len(set(v)) == len(v), "without a repeated value")
     per_variant_dets: dict[str, list[tuple[Scene, list[Detection]]]] = {
         name: [] for name in variants
     }

@@ -205,6 +205,12 @@ class TestTargetMap:
         with pytest.raises(InvalidInputError, match="^grid must have at least one cell$"):
             build_target_map(two_ped_scene(), grid, 1.0)
 
+    # a float ended in numpy's bare TypeError, and one value in an unpacking ValueError
+    @pytest.mark.parametrize("grid", [(2.5, 3), (3, 3.0), (True, 3), (3,)])
+    def test_non_integer_grid_rejected(self, grid):
+        with pytest.raises(InvalidInputError, match=rf"^grid_shape must be two integers, got {re.escape(repr(grid))}$"):
+            build_target_map(two_ped_scene(), grid, 1.0)
+
     def test_empty_scene_all_negative(self):
         scene = Scene(extent=(10.0, 10.0), pedestrians=[], distractors=[])
         tmap = build_target_map(scene, (5, 5), 2.0)

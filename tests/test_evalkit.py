@@ -411,6 +411,13 @@ class TestLogAverageMissRate:
         with pytest.raises(InvalidInputError, match=rf"^target_miss_rate must be in \[0, 1\], got {target!r}$"):
             fppi_at_miss_rate(curve, target)
 
+    # 0 and NaN ended in math's "math domain error" at a zero miss rate; 2.0 returned an LAMR of 2.0
+    @pytest.mark.parametrize("floor", [0.0, math.nan, -1e-4, 2.0])
+    def test_bad_floor_rejected(self, floor):
+        curve = EvalCurve(thresholds=(0.9,), points=((0.005, 0.0),))
+        with pytest.raises(InvalidInputError, match=rf"^floor must be in \(0, 1\], got {floor!r}$"):
+            log_average_miss_rate(curve, floor)
+
 
 class TestSubsetFilter:
     def test_height_and_visibility_predicates(self):

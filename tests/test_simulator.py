@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crowdloss import _pairs
+from crowdloss.anchors import bump_probability_map
 from crowdloss.baselines import CompositeConfig, regression_targets
 from crowdloss.couloss import CouLossConfig, KinkWarning, TripletStructure
 from crowdloss.errors import (
@@ -172,13 +173,14 @@ class TestRecordsCheckThemselves:
 
     # None drew a fresh scene on each call, -1 and 1.5 ended in numpy's errors, and True seeded as 1
     @pytest.mark.parametrize("seed", [None, -1, 1.5, True], ids=["none", "negative", "float", "bool"])
-    @pytest.mark.parametrize("seeded", ["generate_scene", "spawn_proposals", "Descent"])
+    @pytest.mark.parametrize("seeded", ["generate_scene", "spawn_proposals", "Descent", "bump_probability_map"])
     def test_bad_seed_rejected_by_name(self, seeded, seed):
         scene = generate_scene(SimConfig(), 0)
         make = {
             "generate_scene": lambda: generate_scene(SimConfig(), seed),
             "spawn_proposals": lambda: spawn_proposals(scene, SimConfig(), seed),
             "Descent": lambda: Descent(scene, scene.gt_boxes, seed=seed),
+            "bump_probability_map": lambda: bump_probability_map(scene, 2.0, seed=seed),
         }[seeded]
         with pytest.raises(InvalidInputError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
             make()
@@ -634,6 +636,17 @@ class TestNmsSensitivity:
         # ended in a bare ValueError: the min() of no miss counts
         with pytest.raises(InvalidInputError, match=r"^thresholds must be non-empty, got \(\)$"):
             nms_sensitivity_experiment(standard_variants(), [0], SimConfig(descent_steps=2), thresholds=())
+
+    def test_repeated_threshold_rejected(self):
+        # swept 0.5 twice: two rows for it, and counted twice in miss_variance
+        rule = r"^thresholds must be without a repeated value, got \(0\.5, 0\.5, 0\.7\)$"
+        with pytest.raises(InvalidInputError, match=rule):
+            nms_sensitivity_experiment(standard_variants(), [0], SimConfig(descent_steps=2), thresholds=(0.5, 0.5, 0.7))
+
+    def test_no_variants_rejected(self):
+        # returned an empty result, with no row
+        with pytest.raises(InvalidInputError, match=r"^variants must be non-empty, got \{\}$"):
+            nms_sensitivity_experiment({}, [0], SimConfig(descent_steps=2))
 
 
 class TestStandardVariants:
