@@ -5,7 +5,8 @@ Boxes travel as ``(K, 4)`` float arrays and are read coordinate-major,
 ``geometry`` (IoU, border-distance factor, angle cosine and their
 derivatives). The ground-truth side does not move: a structure's
 :class:`PairFrame` holds it, with each repulsion pair's reference ray and its
-length. Only repulsion pairs compute an angle; an attraction pair's cosine is 1.
+length, gathered from the ground truths' :func:`ray_table` (a descent's one
+per run). Only repulsion pairs compute an angle; an attraction pair's cosine is 1.
 
 Bit-exact contract: every value equals, bit for bit, a scalar evaluation of
 one pair at a time with Python floats: the same IEEE operations in the same
@@ -60,13 +61,21 @@ class PairFrame(NamedTuple):
     ray_len: np.ndarray
 
     @classmethod
-    def of(cls, gts: np.ndarray, pairs: Pairs, num_attraction: int) -> PairFrame:
-        """Of ``pairs`` over stacked ``(K, 4)`` ground truths."""
-        ka, gt, target = num_attraction, pairs.gt, pairs.target[num_attraction:]
-        g = gts.T.take(gt, axis=1)  # row-contiguous, as every ufunc of the kernel prefers
-        vertex = centers(g[:, ka:])
-        ray = centers(gts.T.take(target, axis=1)) - vertex
-        return cls(pairs, ka, g, vertex, ray, ray_length(ray))
+    def of(cls, gts: np.ndarray, pairs: Pairs, num_attraction: int, rays) -> PairFrame:
+        """Of ``pairs`` over stacked ``(K, 4)`` ground truths, gathered from their :func:`ray_table` ``rays``."""
+        (center, ray, length), ka, gt = rays, num_attraction, pairs.gt[num_attraction:]
+        m = len(length) // len(gts)
+        at = gt * m + pairs.target[ka:] % m  # each repulsion pair's (gt, target) entry
+        g = gts.T.take(pairs.gt, axis=1)  # takes are row-contiguous, as every ufunc of the kernel prefers
+        return cls(pairs, ka, g, center.take(gt, axis=1), ray.take(at, axis=1), length.take(at))
+
+
+def ray_table(gts: np.ndarray):
+    """The centers ``(2, B*M)`` of B scenes' ``(B, M, 4)`` ground truths, stacked, and at ``g*M + t mod M``, for
+    each ordered pair (g, t) of one scene, the ray center(t) - center(g) ``(2, B*M*M)`` and its :func:`ray_length`."""
+    c = centers(gts.transpose(2, 0, 1))  # (2, B, M)
+    ray = (c[:, :, None, :] - c[..., None]).reshape(2, -1)
+    return c.reshape(2, -1), ray, ray_length(ray)
 
 
 def box_array(boxes) -> np.ndarray:
@@ -85,11 +94,15 @@ def valid_boxes(coords: np.ndarray) -> np.ndarray:
     return np.isfinite(coords).all(axis=-1) & (coords[..., 2:] > coords[..., :2]).all(axis=-1)
 
 
+def all_valid(coords: np.ndarray) -> bool:
+    """``valid_boxes(coords).all()``, from two whole-array tests that cost less than its per-box reductions."""
+    return bool(np.isfinite(coords).all() and (coords[..., 2:] > coords[..., :2]).all())
+
+
 def check_boxes(coords: np.ndarray) -> None:
     """Reject, as ``BBox`` does, the first row of ``(K, 4)`` coords that is not a valid box."""
-    ok = valid_boxes(coords)
-    if not ok.all():
-        BBox(*coords[np.argmin(ok)].tolist())  # raises the box's InvalidInputError
+    if not all_valid(coords):
+        BBox(*coords[np.argmin(valid_boxes(coords))].tolist())  # raises the box's InvalidInputError
 
 
 def iou_matrix(gts: np.ndarray, proposals: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._pairs import box_array, check_boxes, iou_matrix
 from .baselines import CompositeConfig, _focal
-from .errors import SEED, InvalidInputError, at_line, check, freeze, integer, open_text, positive
+from .errors import FINITE_POSITIVE, SEED, InvalidInputError, at_line, check, freeze, integer, open_text, positive
 from .evalkit import _MATCH_IOU
 from .geometry import centers, contains
 
@@ -28,7 +28,7 @@ NEGATIVE = "N"
 # the rule for anchor scales and ratios, in select_anchors and in [anchors]
 _SIZES = (lambda v: bool(v) and all(map(positive, v)), "non-empty, each finite and > 0")
 # the rule for a grid's stride, in the map records, in scene_grid and in [anchors]
-_STRIDE = (positive, "finite and > 0")
+_STRIDE = FINITE_POSITIVE
 _MAP_KINDS = ("bump", "indicator", "flat", "file")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._pairs import best_gt, scene_boxes
 from .couloss import CouLossConfig, LossReport, TripletStructure, _evaluate, _loss_report
-from .errors import check, non_negative, positive
+from .errors import FINITE_NON_NEGATIVE, FINITE_POSITIVE, check
 from .geometry import BBox, centers, ray_length
 
 
@@ -38,9 +38,9 @@ class CompositeConfig:
     include_repulsion: bool = True
 
     def __post_init__(self):
-        check(self, ("alpha", "gamma", "focal_gamma", "smoothl1_weight"), non_negative, "finite and >= 0")
+        check(self, ("alpha", "gamma", "focal_gamma", "smoothl1_weight"), *FINITE_NON_NEGATIVE)
         check(self, ("focal_alpha",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-        check(self, ("smoothl1_beta",), positive, "finite and > 0")
+        check(self, ("smoothl1_beta",), *FINITE_POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -183,15 +183,15 @@ def _values(weights: _Weights, sl1_sums: np.ndarray, cou):
 
 
 def _composite(gts, proposals, weights, cou_cfg, gradient, targets=None, structure=None, frame=None, keep=None,
-               warn=None):
+               warn=None, rays=None):
     """SmoothL1 means, CouLoss sums and composite totals of B scenes'
     ``(B, M, 4)`` and ``(B, N, 4)`` box arrays and, with ``gradient``, their
     ``(B, N, 4)`` gradients (else None): every evaluation of the objective.
 
     ``weights`` are the scenes' ``_Weights``. What is not given is rebuilt from one
     ``best_gt``: the SmoothL1 ``targets`` ((B, N)) and, when some scene weighs
-    CouLoss, the pair structure (with ``keep``) and ``frame`` (reference rays
-    included) of its ``_evaluate``, whose kink warnings ``warn`` selects. Returns
+    CouLoss, the pair structure (with ``keep``), ``rays`` and ``frame`` of its
+    ``_evaluate``, whose kink warnings ``warn`` selects. Returns
     ``((smooth_l1, (attraction, repulsion, couloss), total), gradient,
     evaluation, targets)``, each value ``(B,)`` and ``evaluation`` None when no
     scene weighs CouLoss; each scene's values are those it has alone. ``weights``
@@ -208,7 +208,8 @@ def _composite(gts, proposals, weights, cou_cfg, gradient, targets=None, structu
     sl1 = rows.cumsum(axis=-1)[..., -1] if rows.shape[-1] else np.zeros(rows.shape[:-1])
     cou, cou_grad, evaluation = np.zeros((3, *sl1.shape)), None, None
     if weighs:
-        evaluation = _evaluate(gts, proposals, cou_cfg, weights.parts, structure, ranked, gradient, keep, warn, frame)
+        evaluation = _evaluate(gts, proposals, cou_cfg, weights.parts, structure, ranked, gradient, keep, warn, frame,
+                               rays)
         cou, cou_grad = evaluation.losses, evaluation.grad
     values = _values(weights, sl1, cou)
     if not gradient:

@@ -152,8 +152,9 @@ def cmd_anchor_demo(cfg: RunConfig, out_dir: Path) -> int:
     rows = []
     first_map = None
     first_tmap = None
+    loaded = load_scene(a.scene_file) if a.scene_file else None  # every seed's scene
     for seed in cfg.run.seeds:
-        scene = load_scene(a.scene_file) if a.scene_file else generate_scene(cfg.sim, seed)
+        scene = loaded or generate_scene(cfg.sim, seed)
         pmap = a.probability_map(scene, seed)
         selected = anchors_mod.select_anchors(pmap, a.scales, a.ratios)
         stats = anchors_mod.negative_informativeness(selected, scene, a.negative_iou_threshold)

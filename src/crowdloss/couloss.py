@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from ._pairs import PairFrame, PairWork, Pairs, best_gt, iou_matrix, pair_work, scene_boxes
-from .errors import NoOverlapError, check, non_negative
+from ._pairs import PairFrame, PairWork, Pairs, best_gt, iou_matrix, pair_work, ray_table, scene_boxes
+from .errors import FINITE_NON_NEGATIVE, NoOverlapError, check
 from .geometry import BBox, border_factor, centers, contains
 
 AGGREGATION_MODES = ("deduplicated", "triplet-literal")
@@ -55,7 +55,7 @@ class CouLossConfig:
         check(self, ("positive_iou_threshold", "iou_floor"), lambda v: 0.0 < v < 1.0, "in (0, 1)")
         check(self, ("aggregation_mode",), AGGREGATION_MODES.__contains__,
               f"one of {', '.join(AGGREGATION_MODES)}")
-        check(self, ("kink_tolerance",), non_negative, "finite and >= 0")
+        check(self, ("kink_tolerance",), *FINITE_NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -210,10 +210,10 @@ class _Evaluation(NamedTuple):
 
 
 def _evaluate(gts, proposals, cfg, parts, structure=None, ranked=None, gradient=False, keep=None, warn=None,
-              frame=None):
+              frame=None, rays=None):
     """The :class:`_Evaluation` of B scenes' ``(B, M, 4)`` and ``(B, N, 4)`` boxes, from
-    one kernel call. The structure (with ``keep``) and its ``PairFrame``, which
-    measures the repulsion pairs' reference rays, are built when not given.
+    one kernel call. The structure (with ``keep``), the ground truths' ``ray_table``
+    ``rays`` and the ``PairFrame`` gathered from them are built when not given.
     ``parts`` ((2, B) bool) switches attraction and repulsion on per scene, and
     (2, V, 1) gives each scene V variants, with values (V, B) and gradients
     (V, B, N, 4). Each scene that ``warn`` ((B,) bool) marks raises one
@@ -222,18 +222,20 @@ def _evaluate(gts, proposals, cfg, parts, structure=None, ranked=None, gradient=
     if structure is None:
         structure = _structure(gts, proposals, cfg, ranked, keep)
     (B, N), num_gts = proposals.shape[:2], gts.shape[1]
-    frame = frame or PairFrame.of(gts.reshape(-1, 4), structure.pairs, structure.num_attraction)
+    pairs, ka = structure.pairs, structure.num_attraction
+    frame = frame or PairFrame.of(gts.reshape(-1, 4), pairs, ka, ray_table(gts) if rays is None else rays)
     literal = cfg.aggregation_mode == "triplet-literal"
     work = pair_work(frame, proposals.reshape(-1, 4), cfg.iou_floor, literal=literal, gradient=gradient)
-    weighted = work.work * structure.pairs.mult if literal else work.work
-    scene, ka = structure.pairs.proposal // N, structure.num_attraction
-    sums = [np.bincount(scene[k], weighted[k], minlength=B) for k in (slice(ka), slice(ka, None))]
+    weighted = work.work * pairs.mult if literal else work.work
+    # (kind, scene) bins; bincount adds each bin's weights in input order: (gt, proposal) order
+    bins = pairs.proposal // N + B * (np.arange(len(weighted)) >= ka)
+    sums = np.bincount(bins, weighted, minlength=2 * B).reshape(2, B)
     grad = None
     if gradient:
         grad_att, grad_rep = (np.where(on[:, None, None], g.reshape(B, N, 4), 0.0)
                               for on, g in zip(parts, (work.grad_attraction, work.grad_repulsion)))
         grad = grad_att / num_gts + grad_rep / num_gts
-    evaluation = _Evaluation(structure, work, _losses(np.array(sums), parts, num_gts), grad, frame)
+    evaluation = _Evaluation(structure, work, _losses(sums, parts, num_gts), grad, frame)
     if warn is not None and warn.any():
         for lines in compress(_kinks(gts, proposals, cfg, cfg.kink_tolerance, evaluation), warn):
             if lines:
@@ -383,7 +385,7 @@ def detect_kinks(
     """
     cfg = cfg or CouLossConfig()
     tol = cfg.kink_tolerance if tolerance is None else tolerance
-    check(SimpleNamespace(tolerance=tol), ("tolerance",), non_negative, "finite and >= 0")
+    check(SimpleNamespace(tolerance=tol), ("tolerance",), *FINITE_NON_NEGATIVE)
     G, P = scene_boxes(gts, proposals)
     return _kinks(G, P, cfg, tol, _evaluate(G, P, cfg, np.ones((2, 1), bool), structure))[0]
 

@@ -75,6 +75,8 @@ def integer(value) -> bool:  # a Python or numpy integer, not a bool
 
 # the rule for a seed, wherever a generator is seeded
 SEED = (lambda v: integer(v) and v >= 0, "an integer >= 0")
+FINITE_NON_NEGATIVE = (non_negative, "finite and >= 0")
+FINITE_POSITIVE = (positive, "finite and > 0")
 
 
 def check(record, keys, ok, rule: str) -> None:

@@ -7,10 +7,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._pairs import PairFrame, best_gt, box_array, check_boxes, pair_work, scene_boxes
+from ._pairs import PairFrame, best_gt, box_array, check_boxes, pair_work, ray_table, scene_boxes
 from .baselines import CompositeConfig, _composite, _smooth_l1, _targets, _values, _Weights, scene_scale
 from .couloss import CouLossConfig, _kinks, _losses, _structure
-from .errors import SEED, check, non_negative, positive
+from .errors import FINITE_NON_NEGATIVE, FINITE_POSITIVE, SEED, check
 from .geometry import BBox
 from .simulator import SimConfig, generate_scene, spawn_proposals
 
@@ -22,7 +22,7 @@ _FIXED_TERMS = (_COULOSS, replace(_COULOSS, include_repulsion=False), replace(_C
 # scene seeds per run_gradcheck block: bounds the memory of a retry round's evaluation
 _BLOCK = 32
 # the rules of the [gradcheck] keys that run_gradcheck checks too
-_RUN_RULES = ((("kink_tolerance",), non_negative, "finite and >= 0"),
+_RUN_RULES = ((("kink_tolerance",), *FINITE_NON_NEGATIVE),
               (("num_scenes", "max_perturb_retries"), lambda v: v >= 1, ">= 1"))
 
 
@@ -35,7 +35,7 @@ class GradCheckConfig:
     max_perturb_retries: int = 20
 
     def __post_init__(self):
-        check(self, ("tolerance", "fd_step_fraction"), positive, "finite and > 0")
+        check(self, ("tolerance", "fd_step_fraction"), *FINITE_POSITIVE)
         for rule in _RUN_RULES:
             check(self, *rule)
 
@@ -98,7 +98,7 @@ def finite_difference(G, P, weights, cou_cfg, h) -> np.ndarray:
     check_boxes(boxes[:, :, 1:].reshape(-1, 4))
     structure, targets, tripped = _topology(G, boxes, cou_cfg)
     (_, prop, _, mult), ka = structure.pairs, structure.num_attraction
-    frame = PairFrame.of(G.reshape(-1, 4), structure.pairs, ka)
+    frame = PairFrame.of(G.reshape(-1, 4), structure.pairs, ka, ray_table(G))
     # each pair at the 9 boxes of its proposal; a value-only pair_work reads no other field of the pairs
     frame = PairFrame(structure.pairs._replace(proposal=(9 * prop[:, None] + np.arange(9)).ravel()), 9 * ka,
                       *(np.repeat(a, 9, axis=-1) for a in frame[2:]))

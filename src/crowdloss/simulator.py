@@ -16,10 +16,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._pairs import box_array, check_boxes, iou_matrix, valid_boxes
+from ._pairs import all_valid, box_array, check_boxes, iou_matrix, ray_table, valid_boxes
 from .baselines import CompositeConfig, _composite, _Weights, scene_scale
 from .couloss import CouLossConfig
 from .errors import (
+    FINITE_NON_NEGATIVE,
+    FINITE_POSITIVE,
     SEED,
     CrowdLossError,
     DivergenceError,
@@ -29,7 +31,6 @@ from .errors import (
     at_line,
     check,
     freeze,
-    non_negative,
     open_text,
     positive,
 )
@@ -104,11 +105,11 @@ class SimConfig:
         check(self, ("pedestrian_count", "proposals_per_gt", "descent_steps"), lambda v: v >= 1, ">= 1")
         check(self, ("crowd_iou_max",), lambda v: v < 1.0, "< 1")
         check(self, ("crowd_iou_min",), lambda v: 0.0 <= v <= self.crowd_iou_max, "in [0, crowd_iou_max]")
-        check(self, ("aspect_ratio", "step_size"), positive, "finite and > 0")
+        check(self, ("aspect_ratio", "step_size"), *FINITE_POSITIVE)
         check(self, ("height_range",), lambda v: len(v) == 2 and 0.0 < v[0] <= v[1] <= 1.0,
               "two values, 0 < low <= high <= 1")
         check(self, ("distractor_count",), lambda v: v >= 0, ">= 0")
-        check(self, ("proposal_jitter", "gradient_noise"), non_negative, "finite and >= 0")
+        check(self, ("proposal_jitter", "gradient_noise"), *FINITE_NON_NEGATIVE)
         check(self, ("divergence_factor",), lambda v: v > 1.0, "> 1")
 
 
@@ -287,14 +288,12 @@ def spawn_proposals(scene: Scene, cfg: SimConfig, seed: int) -> list[BBox]:
 
 def _project_min_size(coords: np.ndarray, min_size) -> np.ndarray:
     """Push degenerate-width or -height boxes (rows of the last axis) back to a
-    minimal box, in place; ``min_size`` broadcasts over the boxes."""
-    for lo, hi in ((0, 2), (1, 3)):
-        bad = coords[..., hi] - coords[..., lo] < min_size
-        if bad.any():
-            size = np.broadcast_to(min_size, bad.shape)[bad]
-            mid = (coords[..., lo][bad] + coords[..., hi][bad]) / 2.0
-            coords[..., lo][bad] = mid - size / 2.0
-            coords[..., hi][bad] = mid + size / 2.0
+    minimal box, in place; ``min_size`` broadcasts over the boxes' (width, height)."""
+    lo, hi = coords[..., :2], coords[..., 2:]
+    short = hi - lo < min_size
+    if short.any():
+        mid, half = (lo[short] + hi[short]) / 2.0, np.broadcast_to(min_size, short.shape)[short] / 2.0
+        lo[short], hi[short] = mid - half, mid + half
     return coords
 
 
@@ -409,16 +408,16 @@ def run_descents(
     rngs = [np.random.default_rng(d.seed) for d in descents]
     max_extent = np.array([max(d.scene.extent) for d in descents])
     step = (sim_cfg.step_size * max_extent * max_extent)[:, None, None]
-    min_size = (_MIN_SIZE * max_extent)[:, None]
+    min_size = (_MIN_SIZE * max_extent)[:, None, None]
 
-    # SmoothL1 targets, pair structure and pair frame: rebuilt every step or kept from the first
-    frozen = {}
+    # SmoothL1 targets, pair structure and pair frame: rebuilt every step (from one ray table) or kept from the first
+    frozen, rays = {}, ray_table(G)
     active = np.ones(B, dtype=bool)
 
     def evaluate(gradient):
         warn = active & weighs if sim_cfg.warn_kinks and gradient else None
         args = (G, coords, weights, cou_cfg, gradient)
-        values, grad, evaluation, targets = _composite(*args, keep=keep, warn=warn, **frozen)
+        values, grad, evaluation, targets = _composite(*args, keep=keep, warn=warn, rays=rays, **frozen)
         if not (sim_cfg.recompute_assignments or frozen):
             structure, frame = (evaluation.structure, evaluation.frame) if evaluation else (None, None)
             frozen.update(targets=targets, structure=structure, frame=frame)
@@ -444,12 +443,13 @@ def run_descents(
             if sim_cfg.gradient_noise > 0.0:
                 grad = grad + np.array([rng.normal(0.0, sim_cfg.gradient_noise, (N, 4)) for rng in rngs])
             moved = _project_min_size(coords - step * grad, min_size)
-        for b in np.flatnonzero(active & ~valid_boxes(moved).all(axis=1)).tolist():
-            try:
-                check_boxes(moved[b])
-            except InvalidInputError as exc:
-                outcome[b] = exc
-            active[b] = False
+        if not all_valid(moved):  # the members are scanned only when some box is invalid
+            for b in np.flatnonzero(active & ~valid_boxes(moved).all(axis=1)).tolist():
+                try:
+                    check_boxes(moved[b])
+                except InvalidInputError as exc:
+                    outcome[b] = exc
+                active[b] = False
         np.copyto(coords, moved, where=active[:, None, None])
         if not active.any():
             return outcome
@@ -536,6 +536,9 @@ _VARIANTS = tuple(standard_variants())
 VARIANT_LIST = (lambda v: 0 < len(set(v) & set(_VARIANTS)) == len(v),
                 f"non-empty, each one of {', '.join(_VARIANTS)} at most once")
 DEFAULT_NMS_THRESHOLDS = tuple(round(0.3 + 0.05 * k, 2) for k in range(11))
+# the rule for a threshold list, in [nms] and nms_sensitivity_experiment
+_THRESHOLD_LIST = (lambda v: 0 < len(set(v)) == len(v) and all(map(_NMS_THRESHOLD[0], v)),
+                   f"non-empty, each {_NMS_THRESHOLD[1]}, at most once")
 
 
 @dataclass(frozen=True)
@@ -546,9 +549,7 @@ class NmsSweepConfig:
 
     def __post_init__(self):
         freeze(self, "thresholds", "variants")
-        ok, rule = _NMS_THRESHOLD
-        check(self, ("thresholds",), lambda v: bool(v) and all(map(ok, v)), f"non-empty, each {rule}")
-        check(self, ("thresholds",), lambda v: len(set(v)) == len(v), f"non-empty, each {rule}, at most once")
+        check(self, ("thresholds",), *_THRESHOLD_LIST)
         check(self, ("variants",), *VARIANT_LIST)
         check(self, ("match_iou",), *_MATCH_IOU)
 
@@ -569,8 +570,8 @@ def nms_sensitivity_experiment(
     counts across thresholds quantify threshold sensitivity.
     """
     named = SimpleNamespace(variants=variants, seeds=seeds, thresholds=thresholds)
-    check(named, ("variants", "seeds", "thresholds"), len, "non-empty")
-    check(named, ("thresholds",), lambda v: len(set(v)) == len(v), "without a repeated value")
+    check(named, ("variants", "seeds"), len, "non-empty")
+    check(named, ("thresholds",), *_THRESHOLD_LIST)
     per_variant_dets: dict[str, list[tuple[Scene, list[Detection]]]] = {
         name: [] for name in variants
     }

@@ -59,6 +59,12 @@ def tuple_center(b):
     return ((b[0] + b[2]) / 2.0, (b[1] + b[3]) / 2.0)
 
 
+def reference_ray(g, t):
+    """The ray center(t) - center(g) between two ground-truth tuples and its ``math.hypot`` length."""
+    (gx, gy), (tx, ty) = tuple_center(g), tuple_center(t)
+    return (tx - gx, ty - gy), math.hypot(tx - gx, ty - gy)
+
+
 def tuple_s(g, p):
     """Border-distance factor of p's center measured against g, with clamps."""
     cx, cy = tuple_center(p)

@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crowdloss import evalkit
+from crowdloss import cli, evalkit
 from crowdloss.anchors import load_probability_map, load_target_map
 from crowdloss.cli import _resolve, build_parser, main
 from crowdloss.config import NmsSweepConfig, RunConfig, load_run_config
@@ -19,6 +20,7 @@ from crowdloss.errors import ConfigError, InvalidInputError
 from crowdloss.evalkit import load_curve, load_detections
 from crowdloss.geometry import BBox
 from crowdloss.simulator import DEFAULT_NMS_THRESHOLDS, SimConfig, generate_scene, load_scene, save_scene
+from util import counted
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference"
@@ -95,9 +97,9 @@ class TestConfigFile:
             ("[sim]\nstep_size = nan\n", r"\[sim\] step_size: expected a finite"),
             ("[sim]\nheight_range = 0.3, inf\n", r"\[sim\] height_range: expected a finite"),
             ("[eval]\nmin_height = inf\n", r"\[eval\] min_height: expected a finite"),
-            ("[nms]\nthresholds =\n", r"\[nms\].*thresholds must be non-empty, each in \(0, 1\), got \(\)$"),
-            ("[nms]\nthresholds = 0, 0.5\n", r"\[nms\].*thresholds must be non-empty, each in \(0, 1\), got \(0.0, 0.5\)$"),
-            ("[nms]\nthresholds = 0.5, 1.0\n", r"\[nms\].*thresholds must be non-empty, each in \(0, 1\), got \(0.5, 1.0\)$"),
+            ("[nms]\nthresholds =\n", r"\[nms\].*thresholds must be non-empty, each in \(0, 1\), at most once, got \(\)$"),
+            ("[nms]\nthresholds = 0, 0.5\n", r"\[nms\].*thresholds must be non-empty, each in \(0, 1\), at most once, got \(0.0, 0.5\)$"),
+            ("[nms]\nthresholds = 0.5, 1.0\n", r"\[nms\].*thresholds must be non-empty, each in \(0, 1\), at most once, got \(0.5, 1.0\)$"),
             ("[nms]\nthresholds = nan\n", r"^\[nms\] thresholds: expected a finite number, got 'nan'$"),
             ("[nms]\nthresholds = 0.5, low\n", r"^\[nms\] thresholds: expected a number, got 'low'$"),
             # swept 0.5 twice: nms_summary.csv's variance counted it twice
@@ -554,6 +556,17 @@ class TestAnchorDemo:
         assert main(["anchor-demo", "--config", cfg, "--seeds", "1,2", "--out", str(out)]) == 0
         rows = read_csv(out / "anchor_stats.csv")
         assert [row[3] for row in rows[1:]] == ["150", "150"]
+
+    def test_scene_file_is_loaded_once_per_run(self, tmp_path, monkeypatch):
+        # it was loaded once per seed; the stats are those of the run that did
+        scene_path, out, calls = tmp_path / "scene.txt", tmp_path / "out", Counter()
+        save_scene(generate_scene(SimConfig(extent=(60.0, 40.0)), 5), scene_path)
+        cfg = write_config(tmp_path / "run.cfg", f"[anchors]\nstride = 4\nscene_file = {scene_path}\n")
+        monkeypatch.setattr(cli, "load_scene", counted(load_scene, calls, "load_scene"))
+        assert main(["anchor-demo", "--config", cfg, "--seeds", "1,2,3", "--out", str(out)]) == 0
+        assert calls["load_scene"] == 1
+        digest = hashlib.sha256((out / "anchor_stats.csv").read_bytes()).hexdigest()
+        assert digest == "9af94174bdd27233dc3582884146fcc580ea558e859f66ad3347ccbf29f24945"
 
     def test_missing_scene_file_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", f"[anchors]\nscene_file = {tmp_path / 'missing.txt'}\n")

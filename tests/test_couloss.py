@@ -210,6 +210,20 @@ def test_no_ground_truths_rejected(fn):
 
 
 class TestCouLoss:
+    @pytest.mark.parametrize("mode, before, after", [("deduplicated", 0.1161, 0.2921),
+                                                     ("triplet-literal", 0.1704, 0.3464)])
+    def test_first_negative_of_a_ground_truth_is_a_jump(self, mode, before, after):
+        # README's case: proposal 1's x1 below 5 touches ground truth 0, which gains its first
+        # negative, so the attraction pairs of its positives switch on
+        gts = [BBox(1, 5, 5, 12), BBox(3.5, 4, 13, 10.5)]
+        proposals = [BBox(2.5, 4, 6, 10.5), BBox(5, 3, 12, 10), BBox(-0.5, 4.5, 6, 11.5),
+                     BBox(0, 3.5, 4.5, 11.5), BBox(0.5, 5.5, 6, 10.5), BBox(0, 4, 3.5, 13.5)]
+        moved = [*proposals[:1], BBox(5 - 1e-6, 3, 12, 10), *proposals[2:]]
+        cfg = CouLossConfig(aggregation_mode=mode)
+        reports = [couloss(gts, boxes, cfg) for boxes in (proposals, moved)]
+        assert [round(r.total, 4) for r in reports] == [before, after]
+        assert [len(r.structure.triplets) for r in reports] == [3, 6]
+
     def test_zero_gts_error(self):
         with pytest.raises(InvalidInputError):
             couloss([], [P_P])

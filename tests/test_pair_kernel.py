@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from crowdloss import _pairs, geometry
@@ -19,6 +21,7 @@ from crowdloss.baselines import CompositeConfig, regression_targets
 from crowdloss.couloss import (
     CouLossConfig,
     TripletStructure,
+    _structure,
     assemble_triplets,
     couloss,
     couloss_gradient,
@@ -29,6 +32,7 @@ from crowdloss.geometry import BBox
 from crowdloss.simulator import SimConfig, generate_scene, run_descent, spawn_proposals
 from util import counted, patch_everywhere
 from oracles import (
+    reference_ray,
     scalar_couloss,
     scalar_couloss_gradient,
     scalar_kinks,
@@ -366,3 +370,57 @@ class TestStepMapsOnlyWhatMoves:
         run_descent(scene, proposals, CompositeConfig(smoothl1_weight=7.0), sim_cfg=sim_cfg, seed=5)
         assert len(floats) == sim_cfg.descent_steps + 1
         assert all(0 < n <= pairs + 2 * repulsion for n in floats), (floats, pairs, repulsion)
+
+
+# half-unit boxes of a 7 x 7 field, 2 to 4 units a side: they overlap, tie and repeat often
+_HALF_UNIT_BOX = st.tuples(*[st.integers(0, 6)] * 2, *[st.integers(4, 8)] * 2).map(
+    lambda b: (b[0] / 2.0, b[1] / 2.0, (b[0] + b[2]) / 2.0, (b[1] + b[3]) / 2.0))
+
+
+@st.composite
+def ground_truth_batches(draw):
+    """B scenes of M ground truths (M in 1, 2, 4), drawn from a small pool so boxes repeat,
+    and N proposals each, every one a ground truth of its scene moved by up to half a unit."""
+    m, n = draw(st.sampled_from([1, 2, 4])), draw(st.integers(1, 6))
+    pool = draw(st.lists(_HALF_UNIT_BOX, min_size=1, max_size=6))
+    scenes = []
+    for _ in range(draw(st.integers(1, 3))):
+        gts = [draw(st.sampled_from(pool)) for _ in range(m)]
+        moves = draw(st.lists(st.tuples(st.integers(0, m - 1), *[st.integers(-1, 1)] * 4), min_size=n, max_size=n))
+        proposals = []
+        for k, *d in moves:
+            x1, y1, x2, y2 = (c + dc / 2.0 for c, dc in zip(gts[k], d))
+            proposals.append((x1, y1, max(x2, x1 + 0.5), max(y2, y1 + 0.5)))
+        scenes.append((gts, proposals))
+    return np.array([g for g, _ in scenes]), np.array([p for _, p in scenes])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(boxes=ground_truth_batches())
+def test_frame_gathers_each_repulsion_pairs_reference_ray(boxes):
+    # the table's index rule, gt * M + target mod M, against each ray measured on its own
+    G, P = boxes
+    structure = _structure(G, P, CouLossConfig())
+    pairs, ka = structure.pairs, structure.num_attraction
+    stacked = G.reshape(-1, 4)
+    frame = _pairs.PairFrame.of(stacked, pairs, ka, _pairs.ray_table(G))
+    gts = [tuple(b) for b in stacked.tolist()]
+    rows = zip(pairs.gt[ka:].tolist(), pairs.target[ka:].tolist(), frame.vertex.T.tolist(), frame.ray.T.tolist(),
+               frame.ray_len.tolist())
+    for g, t, vertex, ray, length in rows:
+        assert g // G.shape[1] == t // G.shape[1] and g != t  # a pair of one scene, toward another ground truth
+        assert tuple(vertex) == tuple_center(gts[g])
+        assert (tuple(ray), length) == reference_ray(gts[g], gts[t])
+    assert frame.ray.shape == (2, len(pairs.gt) - ka) and frame.ray_len.shape == (len(pairs.gt) - ka,)
+
+
+_COORD = st.sampled_from([0.0, 1.0, 2.0, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(rows=st.lists(st.tuples(*[_COORD] * 4), max_size=6))
+def test_all_valid_is_every_box_valid(rows):
+    # the descent's whole-batch test stands for its per-member scan of valid_boxes
+    want = all(all(map(math.isfinite, r)) and r[2] > r[0] and r[3] > r[1] for r in rows)
+    coords = np.array(rows, dtype=float).reshape(1, -1, 4)
+    assert _pairs.all_valid(coords) == want == bool(_pairs.valid_boxes(coords).all())

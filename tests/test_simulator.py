@@ -39,6 +39,9 @@ from crowdloss.simulator import (
 from oracles import scalar_spawn_proposals, tuple_iou
 from util import counted, patch_everywhere, random_box
 
+# the threshold-list rule that [nms] and nms_sensitivity_experiment share, as a pattern
+THRESHOLD_RULE = r"non-empty, each in \(0, 1\), at most once"
+
 
 def scale_box(b: BBox, k: float) -> BBox:
     return BBox(b.x1 * k, b.y1 * k, b.x2 * k, b.y2 * k)
@@ -477,7 +480,7 @@ class TestBatchedDescent:
     def test_four_pedestrian_members_equal_sequential_runs(self, recompute):
         # four ground truths per scene: a repulsion pair's reference ray ends at one
         # of three other centers, so an index slipping across scenes or rows of the
-        # center-distance table reads a wrong entry
+        # ray table reads a wrong entry
         sim = SimConfig(pedestrian_count=4, descent_steps=25, recompute_assignments=recompute,
                         gradient_noise=0.03, proposals_per_gt=3, proposal_jitter=0.3)
         members, seed, repulsion = [], 0, 0
@@ -564,6 +567,20 @@ class TestBatchedDescent:
         assert calls["best_gt"] == 1
         assert calls["pair_work"] == steps + 1
 
+    def test_ground_truth_rays_are_measured_once_per_run(self, monkeypatch):
+        # assignments are rebuilt every step, but the ground truths never move: each
+        # step's pair frame gathers its reference rays from the run's one table
+        steps = 300
+        sim = SimConfig(descent_steps=steps)
+        assert sim.recompute_assignments
+        calls = Counter()
+        for name in ("ray_table", "pair_work"):
+            patch_everywhere(monkeypatch, name, counted(getattr(_pairs, name), calls, name))
+        outcomes = descend_variants(standard_variants(), range(3), sim)
+        assert all(isinstance(r, SimResult) for _, _, results in outcomes for r in results.values())
+        assert calls["ray_table"] == 1
+        assert calls["pair_work"] == steps + 1
+
     @pytest.mark.parametrize("mode", ["deduplicated", "triplet-literal"])
     @pytest.mark.parametrize("recompute", [True, False])
     def test_kink_warnings_change_no_outcome(self, mode, recompute):
@@ -634,14 +651,22 @@ class TestNmsSensitivity:
 
     def test_no_thresholds_rejected(self):
         # ended in a bare ValueError: the min() of no miss counts
-        with pytest.raises(InvalidInputError, match=r"^thresholds must be non-empty, got \(\)$"):
+        with pytest.raises(InvalidInputError, match=rf"^thresholds must be {THRESHOLD_RULE}, got \(\)$"):
             nms_sensitivity_experiment(standard_variants(), [0], SimConfig(descent_steps=2), thresholds=())
 
     def test_repeated_threshold_rejected(self):
         # swept 0.5 twice: two rows for it, and counted twice in miss_variance
-        rule = r"^thresholds must be without a repeated value, got \(0\.5, 0\.5, 0\.7\)$"
+        rule = rf"^thresholds must be {THRESHOLD_RULE}, got \(0\.5, 0\.5, 0\.7\)$"
         with pytest.raises(InvalidInputError, match=rule):
             nms_sensitivity_experiment(standard_variants(), [0], SimConfig(descent_steps=2), thresholds=(0.5, 0.5, 0.7))
+
+    def test_threshold_out_of_range_rejected_before_descending(self, monkeypatch):
+        # greedy_nms rejected it only after every descent had run
+        calls = Counter()
+        patch_everywhere(monkeypatch, "pair_work", counted(_pairs.pair_work, calls, "pair_work"))
+        with pytest.raises(InvalidInputError, match=rf"^thresholds must be {THRESHOLD_RULE}, got \(0\.0, 0\.5\)$"):
+            nms_sensitivity_experiment(standard_variants(), [0], SimConfig(descent_steps=2), thresholds=(0.0, 0.5))
+        assert calls["pair_work"] == 0
 
     def test_no_variants_rejected(self):
         # returned an empty result, with no row
